@@ -35,53 +35,71 @@ pub struct Table3Row {
     pub generated_zones: u64,
 }
 
-/// Table 6-style replication/fix rates for one population class.
+/// Table 6 replication/fix rates for one population class.
 #[derive(Debug, Clone, Default, PartialEq, Eq, ToJson)]
 pub struct Table6Row {
     pub class: String,
+    /// Zones in the class (IE ≠ ∅).
     pub zones: u64,
+    /// GE ≠ ∅: grok reported at least one error.
+    pub generated: u64,
+    /// IE ⊆ GE and IE ≠ ∅ (the fixer ran).
     pub replicated: u64,
+    /// AE = ∅ among replicated.
     pub fixed: u64,
+    /// Largest iteration count any fixed zone of the class needed.
+    pub max_iterations: u64,
 }
 
 impl Table6Row {
     fn new(class: &str) -> Self {
         Table6Row {
             class: class.to_string(),
-            zones: 0,
-            replicated: 0,
-            fixed: 0,
+            ..Table6Row::default()
         }
     }
 
     fn add(&mut self, record: &ZoneRecord) {
         self.zones += 1;
+        if !record.generated.is_empty() {
+            self.generated += 1;
+        }
         if matches!(record.outcome, Outcome::Fixed | Outcome::Unfixed) {
             self.replicated += 1;
         }
         if record.outcome == Outcome::Fixed {
             self.fixed += 1;
+            self.max_iterations = self.max_iterations.max(record.iterations);
         }
+    }
+
+    /// Replication Rate (§5.2): replicated / zones.
+    pub fn rr(&self) -> f64 {
+        self.replicated as f64 / self.zones.max(1) as f64
+    }
+
+    /// Fix Rate (§5.2): fixed / replicated.
+    pub fn fr(&self) -> f64 {
+        self.fixed as f64 / self.replicated.max(1) as f64
     }
 }
 
 /// Table 7: DFixer instructions by kind × iteration, over the S2
 /// population (NZIC-only zones are a one-instruction fix and would drown
 /// the histogram, exactly as in the paper), plus how many iterations
-/// fixed zones needed.
+/// fixed zones needed (the largest count is per class, in
+/// [`Table6Row::max_iterations`]).
 #[derive(Debug, Clone, PartialEq, Eq, ToJson)]
 pub struct Table7 {
     /// `(instruction kind, counts at iterations 1..=6)`, kind-sorted.
     /// Iterations past 6 are clamped into the last bucket.
-    pub instruction_histogram: Vec<(String, [u64; 6])>,
+    pub instruction_histogram: Vec<(InstructionKind, [u64; 6])>,
     /// Instructions issued at iteration > 6 (clamped above).
     pub histogram_overflow: u64,
     /// Fixed S2 zones by iterations-to-converge (1..=6, clamped).
     pub iterations_to_fix: [u64; 6],
     /// Fixed S2 zones that needed more than 6 iterations (clamped above).
     pub iterations_overflow: u64,
-    /// Largest iteration count observed on any fixed S2 zone.
-    pub max_iterations: u64,
 }
 
 /// The full campaign roll-up, serialized as `summary.json`.
@@ -125,7 +143,6 @@ pub struct Aggregator {
     histogram_overflow: u64,
     iterations_to_fix: [u64; 6],
     iterations_overflow: u64,
-    max_iterations: u64,
 }
 
 fn is_s1(record: &ZoneRecord) -> bool {
@@ -199,9 +216,8 @@ impl Aggregator {
             return;
         }
         self.s2.add(record);
-        // Table 7 is S2-only, mirroring the pipeline's summarize(): NZIC
-        // one-liners excluded, iterations past 6 clamped into the last
-        // bucket with an explicit overflow count.
+        // Table 7 is S2-only: NZIC one-liners excluded, iterations past 6
+        // clamped into the last bucket with an explicit overflow count.
         for (iteration, kind) in &record.instructions {
             let bucket = (*iteration).min(6);
             if bucket >= 1 {
@@ -219,7 +235,6 @@ impl Aggregator {
             if record.iterations > 6 {
                 self.iterations_overflow += 1;
             }
-            self.max_iterations = self.max_iterations.max(record.iterations);
         }
     }
 
@@ -252,15 +267,10 @@ impl Aggregator {
             table3,
             table6: vec![self.s1, self.s2, self.attack],
             table7: Table7 {
-                instruction_histogram: self
-                    .histogram
-                    .into_iter()
-                    .map(|(kind, counts)| (format!("{kind:?}"), counts))
-                    .collect(),
+                instruction_histogram: self.histogram.into_iter().collect(),
                 histogram_overflow: self.histogram_overflow,
                 iterations_to_fix: self.iterations_to_fix,
                 iterations_overflow: self.iterations_overflow,
-                max_iterations: self.max_iterations,
             },
         }
     }
@@ -296,6 +306,20 @@ pub fn aggregate_dir(dir: &Path) -> io::Result<CampaignSummary> {
 }
 
 impl CampaignSummary {
+    /// Table 6's "Total" row: S1 and S2 together (the hostile population
+    /// is not part of the paper's dataset).
+    pub fn benign_total(&self) -> Table6Row {
+        let (s1, s2) = (&self.table6[0], &self.table6[1]);
+        Table6Row {
+            class: "total".into(),
+            zones: s1.zones + s2.zones,
+            generated: s1.generated + s2.generated,
+            replicated: s1.replicated + s2.replicated,
+            fixed: s1.fixed + s2.fixed,
+            max_iterations: s1.max_iterations.max(s2.max_iterations),
+        }
+    }
+
     /// Stable JSON for `summary.json` (byte-identical for identical shard
     /// sets — the resume check relies on it).
     pub fn to_json(&self) -> String {
@@ -306,14 +330,18 @@ impl CampaignSummary {
     /// into the step summary with `grep '^|'`).
     pub fn render_markdown(&self) -> String {
         let mut out = String::new();
-        out.push_str("| Class | Zones | Replicated | Fixed | RR | FR |\n");
-        out.push_str("|---|---|---|---|---|---|\n");
+        out.push_str("| Class | Zones | Generated | Replicated | Fixed | RR | FR |\n");
+        out.push_str("|---|---|---|---|---|---|---|\n");
         for row in &self.table6 {
-            let rr = row.replicated as f64 / row.zones.max(1) as f64;
-            let fr = row.fixed as f64 / row.replicated.max(1) as f64;
             out.push_str(&format!(
-                "| {} | {} | {} | {} | {:.3} | {:.3} |\n",
-                row.class, row.zones, row.replicated, row.fixed, rr, fr
+                "| {} | {} | {} | {} | {} | {:.3} | {:.3} |\n",
+                row.class,
+                row.zones,
+                row.generated,
+                row.replicated,
+                row.fixed,
+                row.rr(),
+                row.fr()
             ));
         }
         out.push('\n');
@@ -337,7 +365,7 @@ impl CampaignSummary {
         out.push_str("|---|---|---|---|---|---|---|\n");
         for (kind, counts) in &self.table7.instruction_histogram {
             out.push_str(&format!(
-                "| {} | {} | {} | {} | {} | {} | {} |\n",
+                "| {:?} | {} | {} | {} | {} | {} | {} |\n",
                 kind, counts[0], counts[1], counts[2], counts[3], counts[4], counts[5]
             ));
         }

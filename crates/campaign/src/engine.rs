@@ -1,5 +1,7 @@
-//! The campaign driver: a bounded worker pool streaming zones through
-//! replicate → probe → grok → DFixer, one shard at a time.
+//! The evaluation engine: a bounded worker pool streaming zones through
+//! replicate → probe → grok → DFixer — a campaign one shard at a time
+//! ([`run_campaign`]), or a corpus sample for Tables 6/7
+//! ([`evaluate_corpus`]). [`evaluate_zone`] is the only per-zone path.
 //!
 //! Memory stays flat by construction: each worker holds exactly one zone
 //! (sandbox + memo + record) at a time — a zone is drawn, evaluated,
@@ -9,16 +11,19 @@
 //! claiming more work).
 
 use std::collections::BTreeSet;
+use std::convert::Infallible;
 use std::fs;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use ddx_dnsviz::{grok_with_budget, probe, GrokMemo, ValidationBudget};
+use ddx_dataset::{Corpus, Snapshot};
+use ddx_dnsviz::{GrokMemo, ValidationBudget};
 use ddx_fixer::{run_fixer_with_memo, FixerOptions};
-use ddx_replicator::{replicate, replicate_attack, ReplicationRequest};
+use ddx_replicator::{parent_apex, replicate, replicate_attack, ReplicationRequest};
 
+use crate::aggregate::{Aggregator, CampaignSummary};
 use crate::model::{PopulationModel, ZoneDraw, ZoneKind};
 use crate::shard::{shard_path, validate_shard, Outcome, ShardWriter, ZoneRecord};
 
@@ -42,8 +47,6 @@ pub struct CampaignConfig {
     pub budget: ValidationBudget,
     /// DFixer iteration cap (Table 7 is defined over ≤ 6).
     pub max_iterations: usize,
-    /// Incremental revalidation via [`GrokMemo`] (scratch when false).
-    pub incremental: bool,
     /// Virtual clock for replication and probing.
     pub now: u32,
     /// Per-shard progress lines on stdout.
@@ -64,7 +67,6 @@ impl Default for CampaignConfig {
             model: PopulationModel::default(),
             budget: ValidationBudget::default(),
             max_iterations: 6,
-            incremental: true,
             now: 1_000_000,
             progress: false,
         }
@@ -94,9 +96,11 @@ pub struct CampaignOutcome {
 /// Evaluates one drawn zone end to end: replicate (or build the attack
 /// sandbox), probe + grok under the campaign budget, and run DFixer when
 /// the error set replicated. Pure modulo global metrics: the returned
-/// record depends only on the draw and the config.
+/// record depends only on the draw and the config. Each stage is timed
+/// under `pipeline.stage_us{stage=replicate|probe|grok|fix}`.
 pub fn evaluate_zone(draw: &ZoneDraw, cfg: &CampaignConfig) -> ZoneRecord {
     let timer = ddx_obs::histogram("campaign.zone_us", &[]).start_timer();
+    let stage_timer = |stage| ddx_obs::histogram("pipeline.stage_us", &[("stage", stage)]);
     let mut record = ZoneRecord {
         shard: draw.shard,
         index: draw.index,
@@ -114,13 +118,14 @@ pub fn evaluate_zone(draw: &ZoneDraw, cfg: &CampaignConfig) -> ZoneRecord {
         final_errors: BTreeSet::new(),
     };
 
+    let replicate_timer = stage_timer("replicate").start_timer();
     let replication = match &draw.kind {
         ZoneKind::Attack { family } => {
             record.population = "attack".into();
             record.attack = Some(family.label().to_string());
             replicate_attack(*family, cfg.now, draw.seed)
         }
-        ZoneKind::Benign { intended, meta } => {
+        ZoneKind::Benign { intended, meta, .. } => {
             record.population = "benign".into();
             record.intended = intended.clone();
             let request = ReplicationRequest {
@@ -130,6 +135,7 @@ pub fn evaluate_zone(draw: &ZoneDraw, cfg: &CampaignConfig) -> ZoneRecord {
             replicate(&request, cfg.now, draw.seed)
         }
     };
+    drop(replicate_timer);
     let mut rep = match replication {
         Ok(rep) => rep,
         Err(e) => {
@@ -148,17 +154,33 @@ pub fn evaluate_zone(draw: &ZoneDraw, cfg: &CampaignConfig) -> ZoneRecord {
         .map(|(code, reason)| (code.ident(), reason.to_string()))
         .collect();
 
+    // The parent-bogus condition (paper §5.4): the DS stays upstream but
+    // the parent's DNSKEY RRset is gone, before the GE probe sees it.
+    if let ZoneKind::Benign {
+        parent_broken: true,
+        ..
+    } = draw.kind
+    {
+        rep.sandbox
+            .testbed
+            .mutate_zone_everywhere(&parent_apex(), |zone| {
+                zone.strip_type(ddx_dns::RrType::Dnskey);
+            });
+    }
+
     // One memo follows the zone through GE and the fixer loop, carrying
-    // the campaign's validation budget into every analysis.
+    // the campaign's validation budget into every analysis: the GE walk
+    // warms it, so the fixer's first iteration (same state, same clock)
+    // revalidates without a single query.
     let mut memo = GrokMemo::new();
     memo.set_budget(cfg.budget.clone());
-    let report = if cfg.incremental {
-        let probe_result =
-            memo.probe_incremental(&rep.sandbox.testbed, &rep.sandbox.testbed, &rep.probe);
-        memo.grok_incremental(&probe_result)
-    } else {
-        grok_with_budget(&probe(&rep.sandbox.testbed, &rep.probe), &cfg.budget)
-    };
+    let probe_timer = stage_timer("probe").start_timer();
+    let probe_result =
+        memo.probe_incremental(&rep.sandbox.testbed, &rep.sandbox.testbed, &rep.probe);
+    drop(probe_timer);
+    let grok_timer = stage_timer("grok").start_timer();
+    let report = memo.grok_incremental(&probe_result);
+    drop(grok_timer);
     record.generated = report.codes();
     let replicated = !record.intended.is_empty() && record.intended.is_subset(&record.generated);
     if !replicated || record.generated.is_empty() {
@@ -169,10 +191,11 @@ pub fn evaluate_zone(draw: &ZoneDraw, cfg: &CampaignConfig) -> ZoneRecord {
     let opts = FixerOptions {
         max_iterations: cfg.max_iterations,
         seed: draw.seed ^ 0xF1,
-        incremental: cfg.incremental,
         ..FixerOptions::default()
     };
+    let fix_timer = stage_timer("fix").start_timer();
     let run = run_fixer_with_memo(&mut rep.sandbox, &rep.probe, &opts, &mut memo);
+    drop(fix_timer);
     record.outcome = if run.fixed {
         Outcome::Fixed
     } else {
@@ -180,13 +203,8 @@ pub fn evaluate_zone(draw: &ZoneDraw, cfg: &CampaignConfig) -> ZoneRecord {
     };
     record.iterations = run.iterations.len() as u64;
     record.instructions = run
-        .iterations
-        .iter()
-        .flat_map(|it| {
-            it.plan
-                .iter()
-                .map(move |instr| (it.iteration as u64, instr.kind()))
-        })
+        .instructions()
+        .map(|(it, instr)| (it.iteration as u64, instr.kind()))
         .collect();
     record.deferred = run
         .iterations
@@ -227,64 +245,107 @@ fn run_shard(cfg: &CampaignConfig, shard: u32, zones: u64) -> io::Result<u64> {
     Ok(zones)
 }
 
+/// The one worker pool behind [`run_campaign`] and [`evaluate_corpus`]:
+/// `workers` scoped threads claim job indices `0..jobs` from a shared
+/// counter, so which worker runs a job never affects its result. The first
+/// failing job stops the pool and its error is returned.
+fn claim_pool<E: Send>(
+    workers: usize,
+    jobs: u64,
+    job: impl Fn(u64) -> Result<(), E> + Sync,
+) -> Result<(), E> {
+    const POISONED: &str = "no job panics while holding the failure slot";
+    let next = AtomicU64::new(0);
+    let failure: Mutex<Option<E>> = Mutex::new(None);
+    std::thread::scope(|scope| {
+        for _ in 0..workers.max(1) {
+            scope.spawn(|| {
+                while failure.lock().expect(POISONED).is_none() {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= jobs {
+                        break;
+                    }
+                    if let Err(e) = job(i) {
+                        failure.lock().expect(POISONED).get_or_insert(e);
+                    }
+                }
+            });
+        }
+    });
+    failure.into_inner().expect(POISONED).map_or(Ok(()), Err)
+}
+
 /// Runs the whole campaign on a bounded worker pool. Workers claim shard
 /// indices from a shared counter; each shard is generated, evaluated, and
 /// written by exactly one worker, so shard bytes are independent of the
 /// worker count. The first I/O error stops the pool and is returned.
 pub fn run_campaign(cfg: &CampaignConfig) -> io::Result<CampaignOutcome> {
     fs::create_dir_all(&cfg.out_dir)?;
-    let next = AtomicU32::new(0);
     let written = AtomicU32::new(0);
     let resumed = AtomicU32::new(0);
     let zones_evaluated = AtomicU64::new(0);
-    let failure: Mutex<Option<io::Error>> = Mutex::new(None);
-    let workers = cfg.workers.max(1);
 
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                if failure.lock().unwrap().is_some() {
-                    break;
-                }
-                let shard = next.fetch_add(1, Ordering::Relaxed);
-                if shard >= cfg.shards {
-                    break;
-                }
-                let zones = shard_zone_count(cfg.zones, cfg.shards, shard);
-                let path = shard_path(&cfg.out_dir, shard);
-                if cfg.resume && validate_shard(&path, shard, cfg.seed, zones) {
-                    resumed.fetch_add(1, Ordering::Relaxed);
-                    ddx_obs::counter("campaign.resumed_shards", &[]).inc();
-                    if cfg.progress {
-                        println!("shard {shard:05}: resumed ({zones} zones, complete)");
-                    }
-                    continue;
-                }
-                match run_shard(cfg, shard, zones) {
-                    Ok(done) => {
-                        written.fetch_add(1, Ordering::Relaxed);
-                        zones_evaluated.fetch_add(done, Ordering::Relaxed);
-                        if cfg.progress {
-                            println!("shard {shard:05}: {done} zones evaluated");
-                        }
-                    }
-                    Err(e) => {
-                        *failure.lock().unwrap() = Some(e);
-                        break;
-                    }
-                }
-            });
+    claim_pool(cfg.workers, u64::from(cfg.shards), |shard| {
+        let shard = u32::try_from(shard).expect("shard indices are below cfg.shards");
+        let zones = shard_zone_count(cfg.zones, cfg.shards, shard);
+        let path = shard_path(&cfg.out_dir, shard);
+        if cfg.resume && validate_shard(&path, shard, cfg.seed, zones) {
+            resumed.fetch_add(1, Ordering::Relaxed);
+            ddx_obs::counter("campaign.resumed_shards", &[]).inc();
+            if cfg.progress {
+                println!("shard {shard:05}: resumed ({zones} zones, complete)");
+            }
+            return Ok(());
         }
-    });
+        run_shard(cfg, shard, zones).map(|done| {
+            written.fetch_add(1, Ordering::Relaxed);
+            zones_evaluated.fetch_add(done, Ordering::Relaxed);
+            if cfg.progress {
+                println!("shard {shard:05}: {done} zones evaluated");
+            }
+        })
+    })?;
 
-    if let Some(e) = failure.into_inner().unwrap() {
-        return Err(e);
-    }
     Ok(CampaignOutcome {
         shards_written: written.into_inner(),
         shards_resumed: resumed.into_inner(),
         zones_evaluated: zones_evaluated.into_inner(),
     })
+}
+
+/// Evaluates the first `sample` erroneous snapshots of `corpus` (paper
+/// Fig 7 / §5: replicate → grok (GE) → DFixer → grok (AE)) on `workers`
+/// threads and folds them into the Table 6 / Table 7 summary. Snapshot
+/// `i` is evaluated as [`ZoneDraw::from_snapshot`]`(snapshot, seed, i)`
+/// under the default campaign budget and iteration cap, and aggregation
+/// is order-insensitive, so the summary is independent of `workers`.
+pub fn evaluate_corpus(
+    corpus: &Corpus,
+    sample: usize,
+    seed: u64,
+    workers: usize,
+) -> CampaignSummary {
+    let snapshots: Vec<&Snapshot> = corpus.erroneous_snapshots().take(sample).collect();
+    let cfg = CampaignConfig::default();
+    let mut aggregator = Aggregator::new();
+    aggregator
+        .add_shard(seed)
+        .expect("a fresh aggregator accepts any seed");
+    let aggregator = Mutex::new(aggregator);
+    let evaluated = claim_pool(workers, snapshots.len() as u64, |i| {
+        let draw = ZoneDraw::from_snapshot(snapshots[i as usize], seed, i);
+        let record = evaluate_zone(&draw, &cfg);
+        aggregator
+            .lock()
+            .expect("Aggregator::add does not panic")
+            .add(&record);
+        Ok::<(), Infallible>(())
+    });
+    let Ok(()) = evaluated;
+    aggregator
+        .into_inner()
+        .expect("Aggregator::add does not panic")
+        .finish()
 }
 
 #[cfg(test)]

@@ -27,7 +27,9 @@ pub mod rng;
 pub mod shard;
 
 pub use aggregate::{aggregate_dir, Aggregator, CampaignSummary, Table3Row, Table6Row, Table7};
-pub use engine::{evaluate_zone, run_campaign, shard_zone_count, CampaignConfig, CampaignOutcome};
+pub use engine::{
+    evaluate_corpus, evaluate_zone, run_campaign, shard_zone_count, CampaignConfig, CampaignOutcome,
+};
 pub use model::{PopulationModel, ZoneDraw, ZoneKind};
 pub use rng::{zone_seed, SplitMix64};
 pub use shard::{

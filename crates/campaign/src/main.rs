@@ -36,7 +36,6 @@ OPTIONS:
     --budget-sigs N      per-zone signature-verification cap  [default: 512]
     --budget-hashes N    per-zone NSEC3 hash-round cap        [default: 16384]
     --max-iterations N   DFixer iteration cap                 [default: 6]
-    --scratch            disable incremental revalidation (probe+grok from scratch)
     --aggregate-only     only aggregate existing shards in --out and print tables
     --check              exit non-zero if Table 3/7 tolerances are violated
     --metrics-out PATH   write the ddx-obs metrics snapshot as JSON
@@ -109,7 +108,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--max-iterations: {e}"))?;
             }
-            "--scratch" => cfg.incremental = false,
             "--aggregate-only" => aggregate_only = true,
             "--check" => check = true,
             "--metrics-out" => metrics_out = Some(value("--metrics-out")?),

@@ -14,7 +14,7 @@ use std::collections::BTreeSet;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use ddx_dataset::{sample_error_set, sample_meta};
+use ddx_dataset::{sample_error_set, sample_meta, Snapshot};
 use ddx_dnsviz::ErrorCode;
 use ddx_replicator::{AttackFamily, ZoneMeta};
 
@@ -26,6 +26,10 @@ pub enum ZoneKind {
     Benign {
         intended: BTreeSet<ErrorCode>,
         meta: ZoneMeta,
+        /// The rare parent-bogus condition (paper §5.4): the parent keeps
+        /// the DS but loses its DNSKEY RRset. Only corpus snapshots carry
+        /// it; the campaign model never draws it.
+        parent_broken: bool,
     },
     Attack {
         family: AttackFamily,
@@ -39,6 +43,25 @@ pub struct ZoneDraw {
     pub index: u64,
     pub seed: u64,
     pub kind: ZoneKind,
+}
+
+impl ZoneDraw {
+    /// The draw for erroneous corpus snapshot `index` of an evaluation
+    /// seeded with `seed` (Tables 6/7): a benign zone carrying the
+    /// snapshot's errors, meta-parameters and parent-bogus flag, with
+    /// per-snapshot seed `seed ^ index·0x9E37_79B9_7F4A_7C15`.
+    pub fn from_snapshot(snapshot: &Snapshot, seed: u64, index: u64) -> ZoneDraw {
+        ZoneDraw {
+            shard: 0,
+            index,
+            seed: seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            kind: ZoneKind::Benign {
+                intended: snapshot.errors.clone(),
+                meta: snapshot.meta.clone(),
+                parent_broken: snapshot.parent_broken,
+            },
+        }
+    }
 }
 
 /// Population weights for a campaign.
@@ -76,7 +99,11 @@ impl PopulationModel {
             let mut std_rng = StdRng::seed_from_u64(rng.next_u64());
             let intended = sample_error_set(&mut std_rng, None);
             let meta = sample_meta(&mut std_rng, &intended);
-            ZoneKind::Benign { intended, meta }
+            ZoneKind::Benign {
+                intended,
+                meta,
+                parent_broken: false,
+            }
         };
         ZoneDraw {
             shard,
@@ -103,10 +130,12 @@ mod tests {
                     ZoneKind::Benign {
                         intended: ia,
                         meta: ma,
+                        ..
                     },
                     ZoneKind::Benign {
                         intended: ib,
                         meta: mb,
+                        ..
                     },
                 ) => {
                     assert_eq!(ia, ib);

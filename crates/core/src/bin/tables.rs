@@ -12,7 +12,6 @@
 use std::collections::BTreeSet;
 
 use ddx::prelude::*;
-use ddx::{EvalConfig, EvalSummary};
 use ddx_dataset::{analysis, params, tranco};
 
 struct Args {
@@ -464,41 +463,43 @@ fn table5(corpus: &Corpus) {
     }
 }
 
-fn run_pipeline(corpus: &Corpus, args: &Args) -> EvalSummary {
+fn run_pipeline(corpus: &Corpus, args: &Args) -> CampaignSummary {
     heading("Running replicate→fix pipeline (Tables 6 & 7)…");
-    let cfg = EvalConfig {
-        max_snapshots: args.sample,
-        seed: args.seed,
-        ..Default::default()
-    };
     let start = std::time::Instant::now();
-    let summary = ddx::evaluate_corpus_parallel(corpus, &cfg, args.workers);
+    let summary = evaluate_corpus(corpus, args.sample, args.seed, args.workers);
     println!(
         "evaluated {} snapshots in {:.1}s ({} workers)",
-        summary.total().snapshots,
+        summary.zones,
         start.elapsed().as_secs_f64(),
         args.workers
     );
+    let overflow = summary.table7.histogram_overflow;
+    if overflow > 0 {
+        eprintln!(
+            "pipeline: {overflow} instruction(s) issued past iteration 6 \
+             clamped into the last Table 7 bucket"
+        );
+    }
     summary
 }
 
-fn table6(summary: &EvalSummary) {
+fn table6(summary: &CampaignSummary) {
     heading("Table 6 — ZReplicator replication rate & DFixer fix rate");
     println!(
         "{:<16} {:>10} {:>10} {:>12} {:>8} {:>8}",
         "Dataset", "snapshots", "GE≠∅", "IE⊆GE&IE≠∅", "RR", "FR"
     );
-    let total = summary.total();
-    for (row, paper_rr, paper_fr) in [
-        (&summary.s1, 98.81, 100.0),
-        (&summary.s2, 78.71, 99.99),
-        (&total, 90.11, 99.99),
+    let total = summary.benign_total();
+    for (label, row, paper_rr, paper_fr) in [
+        ("NZIC Only (S1)", &summary.table6[0], 98.81, 100.0),
+        ("Remaining (S2)", &summary.table6[1], 78.71, 99.99),
+        ("Total", &total, 90.11, 99.99),
     ] {
         println!(
             "{:<16} {:>10} {:>10} {:>12} {:>7.2}% {:>7.2}%   (paper {paper_rr:.2}% / {paper_fr:.2}%)",
-            row.label,
-            row.snapshots,
-            row.ge_nonempty,
+            label,
+            row.zones,
+            row.generated,
             row.replicated,
             100.0 * row.rr(),
             100.0 * row.fr()
@@ -506,14 +507,15 @@ fn table6(summary: &EvalSummary) {
     }
     println!(
         "max DFixer iterations: {} (paper: ≤4)",
-        summary.max_iterations
+        total.max_iterations
     );
 }
 
-fn table7(summary: &EvalSummary) {
+fn table7(summary: &CampaignSummary) {
     heading("Table 7 — DFixer instructions per iteration (S2 subset)");
+    let histogram = &summary.table7.instruction_histogram;
     let mut col_totals = [0u64; 4];
-    for (_, cols) in &summary.instruction_histogram {
+    for (_, cols) in histogram {
         for (i, total) in col_totals.iter_mut().enumerate().take(4) {
             *total += cols[i];
         }
@@ -522,7 +524,7 @@ fn table7(summary: &EvalSummary) {
         "{:<44} {:>14} {:>14} {:>14} {:>14}",
         "Instruction", "1st iter", "2nd iter", "3rd iter", "4th iter"
     );
-    let mut rows: Vec<_> = summary.instruction_histogram.clone();
+    let mut rows = histogram.clone();
     rows.sort_by_key(|(_, cols)| std::cmp::Reverse(cols[0]));
     for (kind, cols) in rows {
         print!("{:<44}", kind.label());

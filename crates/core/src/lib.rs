@@ -1,8 +1,9 @@
 //! # ddx — DNSSEC debugging, replication, and automated repair
 //!
 //! The facade crate of the workspace reproducing *"Decoding DNSSEC Errors
-//! at Scale"* (IMC '25): re-exports every subsystem and provides the
-//! end-to-end evaluation pipeline (paper Fig 7) that drives Tables 6 & 7.
+//! at Scale"* (IMC '25): re-exports every subsystem, including the
+//! end-to-end evaluator (paper Fig 7, [`evaluate_corpus`]) that drives
+//! Tables 6 & 7.
 //!
 //! ## Quick start
 //!
@@ -27,19 +28,11 @@
 //! assert!(run.fixed);
 //! ```
 
-pub mod pipeline;
-
-pub use pipeline::{
-    evaluate_corpus, evaluate_corpus_parallel, evaluate_corpus_seq, evaluate_snapshot, EvalConfig,
-    EvalSummary, SnapshotEval, Table6Row,
-};
+pub use ddx_campaign::{evaluate_corpus, evaluate_zone, CampaignSummary, Table6Row, ZoneDraw};
 
 /// One-stop imports for examples and downstream users.
 pub mod prelude {
-    pub use crate::pipeline::{
-        evaluate_corpus, evaluate_corpus_parallel, evaluate_corpus_seq, evaluate_snapshot,
-        EvalConfig, EvalSummary,
-    };
+    pub use ddx_campaign::{evaluate_corpus, evaluate_zone, CampaignSummary, ZoneDraw};
     pub use ddx_dataset::{generate, Corpus, CorpusConfig, Level, Snapshot};
     pub use ddx_dns::{name, Name, RData, RRset, Record, RrType, Zone};
     pub use ddx_dnssec::{Algorithm, DigestType, KeyPair, KeyRing, KeyRole, Nsec3Config};
@@ -64,32 +57,41 @@ mod tests {
     use super::*;
     use ddx_dataset::{generate, CorpusConfig};
 
+    /// The per-snapshot seed base the evaluation tests have always used.
+    const SEED: u64 = 0xE7A1;
+
     #[test]
     fn pipeline_small_sample() {
         let corpus = generate(&CorpusConfig {
             scale: 0.002,
             seed: 5,
         });
-        let cfg = EvalConfig {
-            max_snapshots: 40,
-            ..Default::default()
-        };
-        let summary = evaluate_corpus(&corpus, &cfg);
-        let total = summary.total();
-        assert!(total.snapshots > 0);
-        assert!(total.snapshots <= 40);
+        let before = ddx_obs::snapshot();
+        let summary = evaluate_corpus(&corpus, 40, SEED, 2);
+        let metrics = ddx_obs::snapshot().diff(&before);
+        let total = summary.benign_total();
+        assert!(total.zones > 0);
+        assert!(total.zones <= 40);
         // The bulk replicates and everything replicated gets fixed.
         assert!(total.rr() > 0.7, "rr {}", total.rr());
         assert!(total.fr() > 0.99, "fr {}", total.fr());
         // S1 replicates essentially always.
-        if summary.s1.snapshots > 10 {
-            assert!(summary.s1.rr() > 0.9, "s1 rr {}", summary.s1.rr());
+        let s1 = &summary.table6[0];
+        if s1.zones > 10 {
+            assert!(s1.rr() > 0.9, "s1 rr {}", s1.rr());
         }
-        assert!(summary.max_iterations <= 4);
+        assert!(total.max_iterations <= 4);
         // Every addressed cause came out of grok with a structured (typed)
         // payload — nothing fell back to the free-form Note escape hatch.
-        assert!(summary.total_details > 0);
-        assert_eq!(summary.typed_details, summary.total_details);
+        let details = |kind| {
+            metrics
+                .counters
+                .get(&format!("fixer.details{{kind={kind}}}"))
+                .copied()
+                .unwrap_or(0)
+        };
+        assert!(details("typed") > 0);
+        assert_eq!(details("note"), 0);
     }
 
     #[test]
@@ -98,20 +100,9 @@ mod tests {
             scale: 0.002,
             seed: 9,
         });
-        let cfg = EvalConfig {
-            max_snapshots: 30,
-            ..Default::default()
-        };
-        let seq = pipeline::evaluate_corpus_seq(&corpus, &cfg);
-        let par = pipeline::evaluate_corpus_parallel(&corpus, &cfg, 4);
-        assert_eq!(seq.s1.snapshots, par.s1.snapshots);
-        assert_eq!(seq.s1.replicated, par.s1.replicated);
-        assert_eq!(seq.s2.replicated, par.s2.replicated);
-        assert_eq!(seq.s2.fixed, par.s2.fixed);
-        assert_eq!(seq.instruction_histogram, par.instruction_histogram);
-        assert_eq!(seq.histogram_overflow, par.histogram_overflow);
-        assert_eq!(seq.max_iterations, par.max_iterations);
-        assert_eq!(seq.typed_details, par.typed_details);
-        assert_eq!(seq.total_details, par.total_details);
+        let seq = evaluate_corpus(&corpus, 30, SEED, 1);
+        let par = evaluate_corpus(&corpus, 30, SEED, 4);
+        assert_eq!(seq.zones, 30);
+        assert_eq!(seq, par);
     }
 }

@@ -54,8 +54,9 @@ const MEMO_MAX_ENTRIES: usize = 1 << 16;
 /// thread-local — [`nsec3_memo_stats`] reports only the calling thread —
 /// but every hit/miss *also* bumps the process-wide
 /// `dnssec.nsec3_memo.{hits,misses}` counters through the cached global
-/// handles, live at the moment it happens. That is what makes parallel
-/// `evaluate_corpus` totals accurate: worker-thread traffic aggregates into
+/// handles, live at the moment it happens. That is what makes the totals
+/// of a parallel `ddx_campaign` evaluation (`run_campaign` or
+/// `evaluate_corpus`) accurate: worker-thread traffic aggregates into
 /// the global registry as it occurs instead of dying with the worker's
 /// thread-locals (historically the stats were thread-local only, so
 /// parallel runs underreported every hit taken off the main thread).
@@ -136,7 +137,8 @@ pub fn nsec3_hash_uncached(name: &Name, salt: &[u8], iterations: u16) -> Vec<u8>
 /// This thread's NSEC3 memo (hits, misses) counters.
 ///
 /// Scope caveat: these tallies are **per thread**. A parallel
-/// `evaluate_corpus` does almost all of its hashing on worker threads, so
+/// `ddx_campaign` evaluation (`run_campaign` or `evaluate_corpus`) does
+/// almost all of its hashing on worker threads, so
 /// reading this from the coordinating thread sees (close to) zero. For
 /// process-wide totals aggregated across every thread, read the
 /// `dnssec.nsec3_memo.{hits,misses}` counters from a [`ddx_obs`] snapshot —

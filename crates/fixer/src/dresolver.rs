@@ -219,7 +219,7 @@ impl FixContext {
 
 /// One resolution step: the identified root causes and the plan for the
 /// highest-priority one.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Resolution {
     /// All root causes identified this round, priority order.
     pub root_causes: Vec<ErrorCode>,

@@ -31,12 +31,6 @@ pub struct FixerOptions {
     /// Use CDS/CDNSKEY (RFC 7344/8078) for DS maintenance instead of manual
     /// registrar steps (paper §5.5.2 extension).
     pub use_cds: bool,
-    /// Revalidate incrementally between iterations (generation-keyed
-    /// [`GrokMemo`]): each fix mutates one zone, so only that zone (and its
-    /// children, through the parent edge of the memo key) is re-probed and
-    /// re-analyzed. Off = from-scratch probe→grok every iteration (the
-    /// pre-memo behavior, kept as the benchmark baseline).
-    pub incremental: bool,
 }
 
 impl Default for FixerOptions {
@@ -46,7 +40,6 @@ impl Default for FixerOptions {
             seed: 0xF1F1,
             flavor: ServerFlavor::Bind,
             use_cds: false,
-            incremental: true,
         }
     }
 }
@@ -90,12 +83,23 @@ impl FixRun {
 }
 
 /// Feeds one iteration's outcome into the global metrics registry:
-/// `fixer.iterations`, one `fixer.deferred{code=…}` bump per deferred root
-/// cause, and one `fixer.instructions{kind=…}` bump per planned
-/// instruction. Shared by the DFixer and naive harnesses so their runs are
-/// comparable in one snapshot.
+/// `fixer.iterations`, one `fixer.details{kind=typed|note}` bump per
+/// addressed-cause payload (typed = any structured variant, note = the
+/// free-form [`ErrorDetail::Note`] escape hatch — a coverage measure for
+/// the typed diagnostic model), one `fixer.deferred{code=…}` bump per
+/// deferred root cause, and one `fixer.instructions{kind=…}` bump per
+/// planned instruction. Shared by the DFixer and naive harnesses so their
+/// runs are comparable in one snapshot.
 fn record_iteration_metrics(log: &IterationLog) {
     ddx_obs::counter("fixer.iterations", &[]).inc();
+    for detail in &log.addressed_details {
+        let kind = if matches!(detail, ErrorDetail::Note(_)) {
+            "note"
+        } else {
+            "typed"
+        };
+        ddx_obs::counter("fixer.details", &[("kind", kind)]).inc();
+    }
     for code in &log.deferred {
         ddx_obs::counter("fixer.deferred", &[("code", code.ident().as_str())]).inc();
     }
@@ -160,32 +164,14 @@ pub fn suggest_remote(
     (report, resolution, commands)
 }
 
-/// One revalidation of the sandbox: incremental through the memo when
-/// enabled, from-scratch probe→grok otherwise. The fixer always probes the
-/// un-faulted testbed, so memoized observations are byte-identical to what
-/// a fresh walk would see.
-fn revalidate(
-    sb: &Sandbox,
-    probe_cfg: &ProbeConfig,
-    opts: &FixerOptions,
-    memo: &mut GrokMemo,
-) -> GrokReport {
-    if opts.incremental {
-        memo.probe_grok(&sb.testbed, &sb.testbed, probe_cfg)
-    } else {
-        grok(&probe(&sb.testbed, probe_cfg))
-    }
-}
-
 /// Runs DFixer in auto-apply mode against the sandbox until the zone
 /// verifies clean or the iteration budget runs out.
 pub fn run_fixer(sb: &mut Sandbox, cfg: &ProbeConfig, opts: &FixerOptions) -> FixRun {
-    let mut memo = GrokMemo::new();
-    run_fixer_with_memo(sb, cfg, opts, &mut memo)
+    run_fixer_with_memo(sb, cfg, opts, &mut GrokMemo::new())
 }
 
 /// [`run_fixer`] with a caller-provided [`GrokMemo`], so revalidation state
-/// can persist across runs (the pipeline's probe→grok stage and the
+/// can persist across runs (the campaign evaluator's GE diagnosis and the
 /// `dfixer --watch` loop share one memo with the fixer).
 pub fn run_fixer_with_memo(
     sb: &mut Sandbox,
@@ -193,9 +179,67 @@ pub fn run_fixer_with_memo(
     opts: &FixerOptions,
     memo: &mut GrokMemo,
 ) -> FixRun {
+    fix_loop(sb, cfg, opts, memo, Planner::DResolver)
+}
+
+/// Runs the naive baseline planner (paper Appendix A.2 stand-in) in the
+/// same iterative harness, for head-to-head comparison with DFixer.
+pub fn run_naive(sb: &mut Sandbox, cfg: &ProbeConfig, opts: &FixerOptions) -> FixRun {
+    fix_loop(sb, cfg, opts, &mut GrokMemo::new(), Planner::Naive)
+}
+
+/// Which planner turns a report into the next iteration's instructions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Planner {
+    /// Root-cause analysis over the dependency graph (the paper's DFixer).
+    DResolver,
+    /// One generic suggestion per error code ([`crate::naive::naive_plan`]).
+    Naive,
+}
+
+impl Planner {
+    /// The `mode` label of the `fixer.runs` / `fixer.fixed_runs` counters.
+    fn mode(self) -> &'static str {
+        match self {
+            Planner::DResolver => "dfixer",
+            Planner::Naive => "naive",
+        }
+    }
+
+    fn plan(self, sb: &Sandbox, report: &GrokReport, now: u32, opts: &FixerOptions) -> Resolution {
+        match self {
+            Planner::DResolver => {
+                let mut ctx = FixContext::from_sandbox(sb, report, now);
+                ctx.use_cds = opts.use_cds;
+                resolve(report, &ctx)
+            }
+            // The naive baseline never attributes or defers causes.
+            Planner::Naive => Resolution {
+                plan: crate::naive::naive_plan(report),
+                ..Resolution::default()
+            },
+        }
+    }
+}
+
+/// The iteration loop shared by both planners: revalidate, plan, apply,
+/// until the zone verifies clean, the plan is empty, or the budget runs
+/// out. The naive planner also stops once it repeats its previous plan.
+///
+/// Every revalidation goes through `memo`. The fixer always probes the
+/// un-faulted testbed, so memoized observations are byte-identical to what
+/// a fresh walk would see (pinned against scratch probe→grok by
+/// `ddx-dnsviz`'s `incremental_equivalence` tests).
+fn fix_loop(
+    sb: &mut Sandbox,
+    cfg: &ProbeConfig,
+    opts: &FixerOptions,
+    memo: &mut GrokMemo,
+    planner: Planner,
+) -> FixRun {
     let mut rng = StdRng::seed_from_u64(opts.seed);
     let mut now = cfg.time;
-    let mut iterations = Vec::new();
+    let mut iterations: Vec<IterationLog> = Vec::new();
     let mut final_report = None;
     // Last in-loop report plus the sandbox fingerprint and clock it was
     // taken at — reused as the final verdict when nothing changed since.
@@ -204,60 +248,59 @@ pub fn run_fixer_with_memo(
     for iteration in 1..=opts.max_iterations {
         let mut probe_cfg = cfg.clone();
         probe_cfg.time = now;
-        let report = revalidate(sb, &probe_cfg, opts, memo);
+        let report = memo.probe_grok(&sb.testbed, &sb.testbed, &probe_cfg);
         let report_fp = sb.state_fingerprint();
         let errors: BTreeSet<ErrorCode> = report.codes();
         if errors.is_empty() {
             final_report = Some(report);
             break;
         }
-        let mut ctx = FixContext::from_sandbox(sb, &report, now);
-        ctx.use_cds = opts.use_cds;
-        let resolution = resolve(&report, &ctx);
+        let resolution = planner.plan(sb, &report, now, opts);
+        let zc = zone_context(sb);
         ddx_dns::trace_span!(
             _iter_span,
             target: "fixer::engine",
             "iteration",
-            zone = ctx.zone,
+            zone = zc.zone,
             iteration = iteration,
             addressed = format!("{:?}", resolution.addressed),
         );
-        let zc = zone_context(sb);
         let commands = render_plan(&resolution.plan, &zc, opts.flavor);
         let log = IterationLog {
             iteration,
             status_before: report.status,
             errors_before: errors,
-            root_causes: resolution.root_causes.clone(),
+            root_causes: resolution.root_causes,
             addressed: resolution.addressed,
-            addressed_details: resolution.addressed_details.clone(),
-            deferred: resolution.deferred.clone(),
-            plan: resolution.plan.clone(),
+            addressed_details: resolution.addressed_details,
+            deferred: resolution.deferred,
+            plan: resolution.plan,
             commands,
         };
         ddx_dns::trace_event!(
             target: "fixer::engine",
             "plan built",
-            zone = ctx.zone,
+            zone = zc.zone,
             iteration = iteration,
             instructions = log.plan.len(),
         );
-        let empty_plan = resolution.plan.is_empty();
+        let stalled = planner == Planner::Naive
+            && iterations.last().is_some_and(|prev| prev.plan == log.plan);
+        let stop = log.plan.is_empty() || stalled;
         record_iteration_metrics(&log);
         let probed_at = now;
-        now = apply_plan(sb, &resolution.plan, now, &mut rng);
+        now = apply_plan(sb, &log.plan, now, &mut rng);
         iterations.push(log);
-        if empty_plan {
-            // Nothing DFixer can do (e.g. the breakage is in a zone the
-            // operator does not control).
+        if stop {
+            // Nothing (more) the planner can do — e.g. the breakage is in
+            // a zone the operator does not control.
             final_report = Some(report);
             break;
         }
         last = Some((report, report_fp, probed_at));
     }
 
-    let final_report =
-        final_report.unwrap_or_else(|| final_verdict(sb, cfg, opts, memo, now, last));
+    let final_report = final_report.unwrap_or_else(|| final_verdict(sb, cfg, memo, now, last));
     let final_errors = final_report.codes();
     let run = FixRun {
         iterations,
@@ -265,7 +308,7 @@ pub fn run_fixer_with_memo(
         final_status: final_report.status,
         final_errors,
     };
-    record_run_metrics("dfixer", &run);
+    record_run_metrics(planner.mode(), &run);
     run
 }
 
@@ -276,7 +319,6 @@ pub fn run_fixer_with_memo(
 fn final_verdict(
     sb: &mut Sandbox,
     cfg: &ProbeConfig,
-    opts: &FixerOptions,
     memo: &mut GrokMemo,
     now: u32,
     last: Option<(GrokReport, u64, u32)>,
@@ -289,85 +331,9 @@ fn final_verdict(
         _ => {
             let mut probe_cfg = cfg.clone();
             probe_cfg.time = now;
-            revalidate(sb, &probe_cfg, opts, memo)
+            memo.probe_grok(&sb.testbed, &sb.testbed, &probe_cfg)
         }
     }
-}
-
-/// Runs the naive baseline planner (paper Appendix A.2 stand-in) in the
-/// same iterative harness, for head-to-head comparison with DFixer.
-pub fn run_naive(sb: &mut Sandbox, cfg: &ProbeConfig, opts: &FixerOptions) -> FixRun {
-    let mut memo = GrokMemo::new();
-    run_naive_with_memo(sb, cfg, opts, &mut memo)
-}
-
-/// [`run_naive`] with a caller-provided [`GrokMemo`] (see
-/// [`run_fixer_with_memo`]).
-pub fn run_naive_with_memo(
-    sb: &mut Sandbox,
-    cfg: &ProbeConfig,
-    opts: &FixerOptions,
-    memo: &mut GrokMemo,
-) -> FixRun {
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-    let mut now = cfg.time;
-    let mut iterations = Vec::new();
-    let mut final_report = None;
-    let mut last: Option<(GrokReport, u64, u32)> = None;
-
-    for iteration in 1..=opts.max_iterations {
-        let mut probe_cfg = cfg.clone();
-        probe_cfg.time = now;
-        let report = revalidate(sb, &probe_cfg, opts, memo);
-        let report_fp = sb.state_fingerprint();
-        let errors: BTreeSet<ErrorCode> = report.codes();
-        if errors.is_empty() {
-            final_report = Some(report);
-            break;
-        }
-        let plan = crate::naive::naive_plan(&report);
-        let zc = zone_context(sb);
-        let commands = render_plan(&plan, &zc, opts.flavor);
-        let log = IterationLog {
-            iteration,
-            status_before: report.status,
-            errors_before: errors,
-            root_causes: Vec::new(),
-            addressed: None,
-            addressed_details: Vec::new(),
-            deferred: Vec::new(),
-            plan: plan.clone(),
-            commands,
-        };
-        let empty_plan = plan.is_empty();
-        // The naive planner repeats the same suggestions once it stalls;
-        // stop early when two consecutive plans are identical.
-        let stalled = iterations
-            .last()
-            .map(|prev: &IterationLog| prev.plan == plan)
-            .unwrap_or(false);
-        record_iteration_metrics(&log);
-        let probed_at = now;
-        now = apply_plan(sb, &plan, now, &mut rng);
-        iterations.push(log);
-        if empty_plan || stalled {
-            final_report = Some(report);
-            break;
-        }
-        last = Some((report, report_fp, probed_at));
-    }
-
-    let final_report =
-        final_report.unwrap_or_else(|| final_verdict(sb, cfg, opts, memo, now, last));
-    let final_errors = final_report.codes();
-    let run = FixRun {
-        iterations,
-        fixed: final_errors.is_empty(),
-        final_status: final_report.status,
-        final_errors,
-    };
-    record_run_metrics("naive", &run);
-    run
 }
 
 /// Applies a plan to the sandbox; returns the (possibly advanced) clock.

@@ -18,8 +18,8 @@ pub mod naive;
 pub use commands::{render, render_plan, ServerFlavor, ShellCommand};
 pub use dresolver::{resolve, FixContext, Resolution};
 pub use engine::{
-    apply_plan, run_fixer, run_fixer_with_memo, run_naive, run_naive_with_memo, suggest,
-    suggest_remote, FixRun, FixerOptions, IterationLog,
+    apply_plan, run_fixer, run_fixer_with_memo, run_naive, suggest, suggest_remote, FixRun,
+    FixerOptions, IterationLog,
 };
 pub use graph::{cascades_of, root_causes, topological_order};
 pub use instructions::{Instruction, InstructionKind, ZoneContext};

@@ -1,5 +1,5 @@
 //! Cross-crate observability invariants: the global-registry deltas over a
-//! full pipeline run must balance exactly — every answer-memo lookup is a
+//! full evaluation run must balance exactly — every answer-memo lookup is a
 //! hit or a miss, every fault draw is passed or injected, every probe query
 //! lands in exactly one outcome bucket — and the legacy per-instance
 //! accessors must agree with the registry deltas they mirror.
@@ -9,8 +9,10 @@
 //! would bump counters between our before/after snapshots.
 
 use ddx::prelude::*;
-use ddx::EvalConfig;
 use ddx_server::{FaultNetwork, FaultPlan};
+
+/// The per-snapshot seed base the evaluation tests have always used.
+const SEED: u64 = 0xE7A1;
 
 fn counter(m: &MetricsSnapshot, key: &str) -> u64 {
     m.counters.get(key).copied().unwrap_or(0)
@@ -26,6 +28,39 @@ fn counter_family(m: &MetricsSnapshot, prefix: &str) -> u64 {
         .sum()
 }
 
+/// Every probe query lands in exactly one outcome bucket.
+fn assert_probe_outcomes_balance(m: &MetricsSnapshot) {
+    let sent = counter(m, "probe.queries.sent");
+    let outcomes = counter_family(m, "probe.queries{");
+    assert!(sent > 0, "no probe queries sent");
+    assert_eq!(outcomes, sent, "every probe query has exactly one outcome");
+    assert!(counter(m, "probe.queries{outcome=ok}") <= sent);
+}
+
+/// Replicates the first `n` erroneous snapshots the way the evaluator
+/// does, then runs the GE probe through a [`FaultNetwork`] seeded per
+/// snapshot (`plan.seed ^ snapshot seed`) and groks it. Returns the
+/// number of probe walks.
+fn faulty_ge_walks(corpus: &Corpus, n: usize, plan: &FaultPlan) -> u64 {
+    let mut walks = 0;
+    for (i, snapshot) in corpus.erroneous_snapshots().take(n).enumerate() {
+        let seed = ZoneDraw::from_snapshot(snapshot, SEED, i as u64).seed;
+        let request = ReplicationRequest {
+            meta: snapshot.meta.clone(),
+            intended: snapshot.errors.clone(),
+        };
+        let Ok(rep) = replicate(&request, 1_000_000, seed) else {
+            continue;
+        };
+        let mut plan = plan.clone();
+        plan.seed ^= seed;
+        let faulty = FaultNetwork::new(&rep.sandbox.testbed, plan);
+        let _report = grok(&probe(&faulty, &rep.probe));
+        walks += 1;
+    }
+    walks
+}
+
 #[test]
 fn pipeline_metrics_balance_and_match_legacy_accessors() {
     let corpus = generate(&CorpusConfig {
@@ -33,16 +68,13 @@ fn pipeline_metrics_balance_and_match_legacy_accessors() {
         seed: 21,
     });
 
-    // --- Chaos run: a uniform fault plan exercises the injection counters.
-    let cfg = EvalConfig {
-        max_snapshots: 16,
-        fault_plan: Some(FaultPlan::uniform(7, 60)),
-        ..Default::default()
-    };
-    let summary = ddx::evaluate_corpus_seq(&corpus, &cfg);
-    let m = &summary.metrics;
-
-    assert_eq!(counter(m, "pipeline.snapshots"), summary.total().snapshots);
+    // --- Evaluation run: replicate → probe → grok → DFixer per snapshot.
+    let before = ddx_obs::snapshot();
+    let summary = evaluate_corpus(&corpus, 16, SEED, 1);
+    let m = &ddx_obs::snapshot().diff(&before);
+    let zones = summary.zones;
+    assert_eq!(zones, 16);
+    assert_eq!(counter(m, "campaign.zones"), zones);
     // The synthetic corpus is algorithmically benign: grok meters real
     // validation work, but nothing in it trips the default budget.
     assert!(
@@ -55,12 +87,8 @@ fn pipeline_metrics_balance_and_match_legacy_accessors() {
         "benign corpus tripped a validation budget"
     );
     // One probe walk per GE diagnosis plus one per fixer iteration.
-    assert!(counter(m, "probe.walks") >= summary.total().snapshots);
-    let sent = counter(m, "probe.queries.sent");
-    let outcomes = counter_family(m, "probe.queries{");
-    assert!(sent > 0, "pipeline sent no probe queries");
-    assert_eq!(outcomes, sent, "every probe query has exactly one outcome");
-    assert!(counter(m, "probe.queries{outcome=ok}") <= sent);
+    assert!(counter(m, "probe.walks") >= zones);
+    assert_probe_outcomes_balance(m);
 
     // Answer memo: hits + misses == lookups.
     let lookups = counter(m, "server.answer_memo.lookups");
@@ -84,6 +112,37 @@ fn pipeline_metrics_balance_and_match_legacy_accessors() {
         counter(m, "grok.memo.hits")
     );
 
+    // Stage timers cover every zone, under the split labels only: the
+    // combined `probe_grok` label finished its one-release deprecation
+    // window and must no longer be emitted. DFixer runs only on zones
+    // whose intended errors replicated.
+    let stage = |name: &str| {
+        m.histograms
+            .get(&format!("pipeline.stage_us{{stage={name}}}"))
+            .unwrap_or_else(|| panic!("{name} stage not timed"))
+            .count
+    };
+    assert_eq!(stage("replicate"), zones);
+    assert_eq!(stage("probe"), zones);
+    assert_eq!(stage("grok"), zones);
+    let reached_fixer: u64 = summary.table6.iter().map(|row| row.replicated).sum();
+    assert!(reached_fixer > 0, "no zone reached DFixer");
+    assert_eq!(stage("fix"), reached_fixer);
+    assert!(
+        !m.histograms
+            .contains_key("pipeline.stage_us{stage=probe_grok}"),
+        "deprecated combined probe_grok stage label is still emitted"
+    );
+
+    // --- Chaos run: a uniform fault plan under the GE probe exercises the
+    // injection counters.
+    let before = ddx_obs::snapshot();
+    let walks = faulty_ge_walks(&corpus, 16, &FaultPlan::uniform(7, 60));
+    let m = &ddx_obs::snapshot().diff(&before);
+    assert!(walks > 0, "no snapshot replicated");
+    assert_eq!(counter(m, "probe.walks"), walks);
+    assert_probe_outcomes_balance(m);
+
     // Fault accounting: passed + Σ injected == draws.
     let draws = counter(m, "server.fault.queries");
     assert!(draws > 0, "the fault plan saw no traffic");
@@ -91,39 +150,12 @@ fn pipeline_metrics_balance_and_match_legacy_accessors() {
     assert!(injected > 0, "uniform 60‰ plan injected nothing");
     assert_eq!(counter(m, "server.fault.passed") + injected, draws);
 
-    // Stage timers cover every snapshot, under the split labels only: the
-    // combined `probe_grok` label finished its one-release deprecation
-    // window and must no longer be emitted.
-    let replicate_stage = m
-        .histograms
-        .get("pipeline.stage_us{stage=replicate}")
-        .expect("replicate stage timed");
-    assert_eq!(replicate_stage.count, summary.total().snapshots);
-    let probe_stage = m
-        .histograms
-        .get("pipeline.stage_us{stage=probe}")
-        .expect("probe stage timed");
-    assert_eq!(probe_stage.count, summary.total().snapshots);
-    let grok_stage = m
-        .histograms
-        .get("pipeline.stage_us{stage=grok}")
-        .expect("grok stage timed");
-    assert_eq!(grok_stage.count, summary.total().snapshots);
-    assert!(
-        !m.histograms
-            .contains_key("pipeline.stage_us{stage=probe_grok}"),
-        "deprecated combined probe_grok stage label is still emitted"
-    );
-
     // --- Passthrough run: an all-zero fault plan must draw on every query
     // yet inject nothing.
-    let cfg = EvalConfig {
-        max_snapshots: 8,
-        fault_plan: Some(FaultPlan::none(7)),
-        ..Default::default()
-    };
-    let summary = ddx::evaluate_corpus_seq(&corpus, &cfg);
-    let m = &summary.metrics;
+    let before = ddx_obs::snapshot();
+    let walks = faulty_ge_walks(&corpus, 8, &FaultPlan::none(7));
+    let m = &ddx_obs::snapshot().diff(&before);
+    assert!(walks > 0, "no snapshot replicated");
     let draws = counter(m, "server.fault.queries");
     assert!(draws > 0, "passthrough plan saw no traffic");
     assert_eq!(counter_family(m, "server.fault.injected{"), 0);
