@@ -221,16 +221,17 @@ fn main() -> ExitCode {
         for round in 1..=rounds {
             let mut pcfg = rep.probe.clone();
             pcfg.time = now;
-            let before = memo.stats();
+            let before = ddx_obs::snapshot();
             let report = memo.probe_grok(&rep.sandbox.testbed, &rep.sandbox.testbed, &pcfg);
-            let after = memo.stats();
+            let delta = ddx_obs::snapshot().diff(&before);
+            let memo_delta = |event: &str| delta.counter(&format!("grok.memo.{event}"));
             println!(
                 "round {round}: status={} errors={} [zones: {} reused, {} probed, {} invalidated]",
                 report.status,
                 report.codes().len(),
-                after.hits - before.hits,
-                after.misses - before.misses,
-                after.invalidations - before.invalidations,
+                memo_delta("hits"),
+                memo_delta("misses"),
+                memo_delta("invalidations"),
             );
             if report.clean() {
                 clean = true;

@@ -15,7 +15,6 @@ pub mod message;
 pub mod name;
 pub mod rdata;
 pub mod rrset;
-pub mod trace;
 pub mod types;
 pub mod view;
 pub mod wire;

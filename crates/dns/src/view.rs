@@ -15,10 +15,6 @@
 //! there is a parser bug, not an input problem. The
 //! `view_owned_equivalence` property suite pins the accept/reject sets of
 //! the two paths together.
-//!
-//! With the `simd-scan` feature, label equality uses SWAR (8 bytes per
-//! step) ASCII case folding; hashing always folds byte-at-a-time so the
-//! feature cannot split `Name`/`NameRef` hash values.
 
 use std::hash::{Hash, Hasher};
 
@@ -28,68 +24,6 @@ use crate::rdata::RData;
 use crate::rrset::Record;
 use crate::types::{Rcode, RrClass, RrType};
 use crate::wire::{self, Decoder, WireError};
-
-// ------------------------------------------------------------ label compare
-
-/// Case-insensitive ASCII equality over raw label bytes.
-#[inline]
-pub(crate) fn ascii_eq_ignore_case(a: &[u8], b: &[u8]) -> bool {
-    if a.len() != b.len() {
-        return false;
-    }
-    #[cfg(feature = "simd-scan")]
-    {
-        swar::eq_ignore_case(a, b)
-    }
-    #[cfg(not(feature = "simd-scan"))]
-    {
-        a.iter().zip(b).all(|(x, y)| x.eq_ignore_ascii_case(y))
-    }
-}
-
-/// SWAR (SIMD-within-a-register) ASCII case folding: eight bytes per step
-/// on a plain u64, no target-feature requirements. Only equality goes
-/// through here — hashing stays byte-at-a-time so `simd-scan` cannot change
-/// hash values.
-#[cfg_attr(not(feature = "simd-scan"), allow(dead_code))]
-pub(crate) mod swar {
-    const HI: u64 = 0x8080_8080_8080_8080;
-    const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
-
-    /// Lowercases the ASCII uppercase lanes of `x`; other lanes pass
-    /// through. Per-lane arithmetic never carries: inputs are masked to 7
-    /// bits, and 0x7f plus either addend stays below 0x100.
-    #[inline]
-    pub(crate) fn lowercase8(x: u64) -> u64 {
-        let v = x & LOW7;
-        // High bit of a lane sets iff v >= 0x41 ('A').
-        let ge_a = v.wrapping_add(0x3f3f_3f3f_3f3f_3f3f) & HI;
-        // High bit of a lane sets iff v >= 0x5b ('Z' + 1).
-        let gt_z = v.wrapping_add(0x2525_2525_2525_2525) & HI;
-        // Uppercase: in ['A','Z'] and genuinely ASCII (no original high bit).
-        let is_upper = (ge_a & !gt_z) & !(x & HI);
-        // 0x80 >> 2 = 0x20, the ASCII case bit.
-        x | (is_upper >> 2)
-    }
-
-    #[inline]
-    pub(crate) fn eq_ignore_case(a: &[u8], b: &[u8]) -> bool {
-        debug_assert_eq!(a.len(), b.len());
-        let mut i = 0;
-        while i + 8 <= a.len() {
-            let xa = u64::from_le_bytes(a[i..i + 8].try_into().expect("8 bytes"));
-            let xb = u64::from_le_bytes(b[i..i + 8].try_into().expect("8 bytes"));
-            if lowercase8(xa) != lowercase8(xb) {
-                return false;
-            }
-            i += 8;
-        }
-        a[i..]
-            .iter()
-            .zip(&b[i..])
-            .all(|(x, y)| x.eq_ignore_ascii_case(y))
-    }
-}
 
 // ------------------------------------------------------------------ NameRef
 
@@ -145,7 +79,7 @@ impl<'buf> NameRef<'buf> {
         let mut theirs = other.labels().iter();
         for mine in self.labels() {
             match theirs.next() {
-                Some(l) if ascii_eq_ignore_case(mine, l.as_bytes()) => {}
+                Some(l) if mine.eq_ignore_ascii_case(l.as_bytes()) => {}
                 _ => return false,
             }
         }
@@ -160,7 +94,7 @@ impl PartialEq for NameRef<'_> {
         loop {
             match (a.next(), b.next()) {
                 (None, None) => return true,
-                (Some(x), Some(y)) if ascii_eq_ignore_case(x, y) => {}
+                (Some(x), Some(y)) if x.eq_ignore_ascii_case(y) => {}
                 _ => return false,
             }
         }
@@ -172,8 +106,7 @@ impl Eq for NameRef<'_> {}
 impl Hash for NameRef<'_> {
     fn hash<H: Hasher>(&self, state: &mut H) {
         // Must replay `Name::hash` exactly: length prefix, then lowercased
-        // bytes, per label. Never route this through SWAR — hash values
-        // must not depend on the `simd-scan` feature.
+        // bytes, per label.
         for label in self.labels() {
             state.write_usize(label.len());
             for &b in label {
@@ -714,34 +647,6 @@ mod tests {
             assert_eq!(rv.class(), rec.class);
             assert_eq!(rv.rdata(), rec.rdata);
             assert!(rv.name().eq_name(&rec.name));
-        }
-    }
-
-    #[test]
-    fn swar_lowercase_matches_scalar() {
-        for b in 0u8..=255 {
-            let lanes = u64::from_le_bytes([b; 8]);
-            let folded = swar::lowercase8(lanes).to_le_bytes();
-            for lane in folded {
-                assert_eq!(lane, b.to_ascii_lowercase(), "byte {b:#04x}");
-            }
-        }
-    }
-
-    #[test]
-    fn swar_eq_matches_scalar_eq() {
-        let cases: [(&[u8], &[u8]); 6] = [
-            (b"example-label", b"EXAMPLE-LABEL"),
-            (b"example-label", b"example-labeL"),
-            (b"example-label", b"example-labex"),
-            (b"short", b"SHORT"),
-            (b"with\x80high", b"with\x80high"),
-            (b"with\x80high", b"with\xa0high"),
-        ];
-        for (a, b) in cases {
-            let scalar =
-                a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.eq_ignore_ascii_case(y));
-            assert_eq!(swar::eq_ignore_case(a, b), scalar, "{a:?} vs {b:?}");
         }
     }
 }

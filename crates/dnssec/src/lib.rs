@@ -19,7 +19,7 @@ pub mod signer;
 pub mod workload;
 
 pub use algorithm::{Algorithm, DigestType, ALL_ALGORITHMS};
-pub use cache::{SigCache, SigCacheStats};
+pub use cache::SigCache;
 pub use cds::{publish_cds, scan_child_cds, withdraw_cds, CdsScanError, CdsScanResult, CDS_TTL};
 pub use denial::{
     build_nsec3_chain, build_nsec_chain, empty_non_terminals, verify_nsec3_denial,
@@ -28,8 +28,7 @@ pub use denial::{
 pub use ds::{check_ds, compute_digest, make_ds, DsMatch};
 pub use keys::{KeyPair, KeyRing, KeyRole};
 pub use nsec3::{
-    nsec3_hash, nsec3_hash_uncached, nsec3_label, nsec3_memo_clear, nsec3_memo_stats, nsec3_owner,
-    Nsec3Config, NSEC3_HASH_SHA1,
+    nsec3_hash, nsec3_label, nsec3_memo_clear, nsec3_owner, Nsec3Config, NSEC3_HASH_SHA1,
 };
 pub use sign::{sign_rrset, sign_rrset_cached, verify_rrset, SignOptions, VerifyError};
 pub use signer::{

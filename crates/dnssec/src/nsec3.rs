@@ -50,20 +50,15 @@ impl Nsec3Config {
 /// sandbox zones many times over while bounding long-lived processes.
 const MEMO_MAX_ENTRIES: usize = 1 << 16;
 
-/// Per-thread memo state. The map and the legacy (hits, misses) tallies are
-/// thread-local — [`nsec3_memo_stats`] reports only the calling thread —
-/// but every hit/miss *also* bumps the process-wide
-/// `dnssec.nsec3_memo.{hits,misses}` counters through the cached global
-/// handles, live at the moment it happens. That is what makes the totals
-/// of a parallel `ddx_campaign` evaluation (`run_campaign` or
-/// `evaluate_corpus`) accurate: worker-thread traffic aggregates into
-/// the global registry as it occurs instead of dying with the worker's
-/// thread-locals (historically the stats were thread-local only, so
-/// parallel runs underreported every hit taken off the main thread).
+/// Per-thread memo state. The map is thread-local, but every hit/miss bumps
+/// the process-wide `dnssec.nsec3_memo.{hits,misses}` counters through the
+/// cached global handles, live at the moment it happens. That is what makes
+/// the totals of a parallel `ddx_campaign` evaluation (`run_campaign` or
+/// `evaluate_corpus`) accurate: worker-thread traffic aggregates into the
+/// global registry as it occurs instead of dying with the worker's
+/// thread-locals.
 struct Nsec3Memo {
     map: HashMap<(Vec<u8>, Vec<u8>, u16), Vec<u8>>,
-    hits: u64,
-    misses: u64,
     obs_hits: ddx_obs::Counter,
     obs_misses: ddx_obs::Counter,
 }
@@ -72,8 +67,6 @@ impl Nsec3Memo {
     fn new() -> Self {
         Nsec3Memo {
             map: HashMap::new(),
-            hits: 0,
-            misses: 0,
             obs_hits: ddx_obs::counter("dnssec.nsec3_memo.hits", &[]),
             obs_misses: ddx_obs::counter("dnssec.nsec3_memo.misses", &[]),
         }
@@ -81,7 +74,7 @@ impl Nsec3Memo {
 }
 
 thread_local! {
-    /// (canonical name wire, salt, iterations) → hash, plus tallies.
+    /// (canonical name wire, salt, iterations) → hash.
     static NSEC3_MEMO: RefCell<Nsec3Memo> = RefCell::new(Nsec3Memo::new());
 }
 
@@ -89,27 +82,20 @@ thread_local! {
 /// `IH(salt, x, 0) = H(x ‖ salt)`, `IH(salt, x, k) = H(IH(salt, x, k-1) ‖ salt)`,
 /// over the canonical (lowercased) wire form of the name.
 ///
-/// Hashes with a nonzero iteration count are memoized per thread: the extra
-/// rounds dominate chain-build and proof-check cost, and the same names
-/// recur across every signing pass and grok of a sandbox. Zero-iteration
-/// hashes (the RFC 9276 default) are a single SHA-1 round — cheaper than
-/// the memo lookup — and bypass the table.
+/// Hashes are memoized per thread: the rounds dominate chain-build and
+/// proof-check cost, and the same names recur across every signing pass and
+/// grok of a sandbox.
 pub fn nsec3_hash(name: &Name, salt: &[u8], iterations: u16) -> Vec<u8> {
     // Logical-work ledger: `1 + iterations` SHA-1 rounds per hash request,
     // recorded before the memo lookup so cache temperature never shows.
     crate::workload::record_nsec3_rounds(1 + iterations as u64);
-    if iterations == 0 {
-        return nsec3_hash_uncached(name, salt, iterations);
-    }
     NSEC3_MEMO.with(|memo| {
         let memo = &mut *memo.borrow_mut();
         let key = (name.canonical_wire(), salt.to_vec(), iterations);
         if let Some(hash) = memo.map.get(&key) {
-            memo.hits += 1;
             memo.obs_hits.inc();
             return hash.clone();
         }
-        memo.misses += 1;
         memo.obs_misses.inc();
         let hash = nsec3_hash_uncached(name, salt, iterations);
         if memo.map.len() >= MEMO_MAX_ENTRIES {
@@ -121,7 +107,7 @@ pub fn nsec3_hash(name: &Name, salt: &[u8], iterations: u16) -> Vec<u8> {
 }
 
 /// The raw RFC 5155 §5 computation, always performed, never memoized.
-pub fn nsec3_hash_uncached(name: &Name, salt: &[u8], iterations: u16) -> Vec<u8> {
+fn nsec3_hash_uncached(name: &Name, salt: &[u8], iterations: u16) -> Vec<u8> {
     let mut h = Sha1::new();
     h.update(name.canonical_wire());
     h.update(salt);
@@ -134,33 +120,10 @@ pub fn nsec3_hash_uncached(name: &Name, salt: &[u8], iterations: u16) -> Vec<u8>
     digest
 }
 
-/// This thread's NSEC3 memo (hits, misses) counters.
-///
-/// Scope caveat: these tallies are **per thread**. A parallel
-/// `ddx_campaign` evaluation (`run_campaign` or `evaluate_corpus`) does
-/// almost all of its hashing on worker threads, so
-/// reading this from the coordinating thread sees (close to) zero. For
-/// process-wide totals aggregated across every thread, read the
-/// `dnssec.nsec3_memo.{hits,misses}` counters from a [`ddx_obs`] snapshot —
-/// they are bumped live on each hit/miss, so no flush step is needed and
-/// nothing is lost when a worker exits.
-pub fn nsec3_memo_stats() -> (u64, u64) {
-    NSEC3_MEMO.with(|memo| {
-        let memo = &*memo.borrow();
-        (memo.hits, memo.misses)
-    })
-}
-
-/// Empties this thread's NSEC3 memo table and resets its per-thread
-/// counters. The global `dnssec.nsec3_memo.*` metrics are monotonic and
-/// unaffected.
+/// Empties this thread's NSEC3 memo table. The global
+/// `dnssec.nsec3_memo.*` metrics are monotonic and unaffected.
 pub fn nsec3_memo_clear() {
-    NSEC3_MEMO.with(|memo| {
-        let memo = &mut *memo.borrow_mut();
-        memo.map.clear();
-        memo.hits = 0;
-        memo.misses = 0;
-    })
+    NSEC3_MEMO.with(|memo| memo.borrow_mut().map.clear())
 }
 
 #[cfg(test)]
@@ -178,14 +141,11 @@ mod memo_metrics_tests {
             let first = nsec3_hash(&n, b"ab", 5);
             let second = nsec3_hash(&n, b"ab", 5);
             assert_eq!(first, second);
-            // The legacy accessor sees this worker thread's traffic...
-            let (h, m) = nsec3_memo_stats();
-            assert!(h >= 1 && m >= 1);
         })
         .join()
         .unwrap();
-        // ...and the global registry retains it after the worker exits,
-        // which is exactly what the thread-local accessor loses.
+        // The global registry retains the worker's traffic after it exits,
+        // which a thread-local tally would lose.
         assert!(hits.get() - h0 >= 1);
         assert!(misses.get() - m0 >= 1);
     }
@@ -259,17 +219,18 @@ mod tests {
 
     #[test]
     fn memoized_hash_matches_uncached() {
-        // Each test runs on its own thread, so the thread-local memo and
-        // its counters are isolated here.
+        // Each test runs on its own thread, so the thread-local memo is
+        // isolated here.
         nsec3_memo_clear();
+        let memo_len = || NSEC3_MEMO.with(|memo| memo.borrow().map.len());
         let n = name("memo.example.com");
-        let direct = nsec3_hash_uncached(&n, b"salt", 25);
-        assert_eq!(nsec3_hash(&n, b"salt", 25), direct, "miss path");
-        assert_eq!(nsec3_hash(&n, b"salt", 25), direct, "hit path");
-        assert_eq!(nsec3_memo_stats(), (1, 1));
-        // Zero-iteration hashes bypass the memo entirely.
-        nsec3_hash(&n, b"salt", 0);
-        assert_eq!(nsec3_memo_stats(), (1, 1));
+        for iterations in [25, 0] {
+            let direct = nsec3_hash_uncached(&n, b"salt", iterations);
+            assert_eq!(nsec3_hash(&n, b"salt", iterations), direct, "miss path");
+            assert_eq!(nsec3_hash(&n, b"salt", iterations), direct, "hit path");
+        }
+        // One entry per (name, salt, iterations), zero iterations included.
+        assert_eq!(memo_len(), 2);
     }
 
     #[test]

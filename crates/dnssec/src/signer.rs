@@ -513,7 +513,12 @@ mod tests {
         let mut warm2 = base_zone();
         sign_zone_cached(&mut warm2, &r, &cfg, NOW, &mut cache).unwrap();
         assert_eq!(cold, warm2, "warm cache pass must match uncached signing");
-        assert!(cache.stats().hits > 0, "second pass should hit the cache");
+        // Poison every cached signature: a pass that hits the cache now
+        // emits them.
+        cache.map.values_mut().for_each(|sig| sig.fill(0xEE));
+        let mut poisoned = base_zone();
+        sign_zone_cached(&mut poisoned, &r, &cfg, NOW, &mut cache).unwrap();
+        assert_ne!(cold, poisoned, "second pass should hit the cache");
     }
 
     #[test]

@@ -60,32 +60,10 @@ use crate::codes::ErrorCode;
 /// Parent-fingerprint slot for the anchor (it has no parent in the walk).
 const NO_PARENT_FP: u64 = 0x414E_4348_4F52_0000;
 
-/// Cumulative accounting for one memo instance. The registry-level
-/// invariant `grok.memo.lookups == grok.memo.hits + grok.memo.misses`
-/// holds per instance too: every zone of every produced [`ProbeResult`] is
-/// counted exactly once, as a hit (spliced from cache) or a miss (probed
-/// live).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemoStats {
-    /// Zones accounted across all incremental probes (hits + misses).
-    pub lookups: u64,
-    /// Zones spliced from cache without issuing a single query.
-    pub hits: u64,
-    /// Zones probed live (cold, dirty, or collateral re-walk).
-    pub misses: u64,
-    /// Cached entries discarded because their key changed, they carried an
-    /// observation gap, or the epoch/anchor changed under them.
-    pub invalidations: u64,
-}
-
-impl MemoStats {
-    /// Hits, as seen by the probe layer (`probe.zones_skipped`).
-    pub fn zones_skipped(&self) -> u64 {
-        self.hits
-    }
-}
-
-/// Global-registry handles, resolved once per memo.
+/// Global-registry handles, resolved once per memo. Every zone of every
+/// produced [`ProbeResult`] is counted exactly once, as a hit (spliced from
+/// cache, also `probe.zones_skipped`) or a miss (probed live), so
+/// `grok.memo.lookups == grok.memo.hits + grok.memo.misses`.
 struct MemoObs {
     lookups: ddx_obs::Counter,
     hits: ddx_obs::Counter,
@@ -181,7 +159,6 @@ pub struct GrokMemo {
     /// Walk-order chain entries (anchor first), then hint-pass orphans.
     chain: Vec<MemoEntry>,
     orphans: Vec<MemoEntry>,
-    stats: MemoStats,
     obs: Option<MemoObs>,
     /// Per-zone work caps applied to every analysis this memo runs
     /// ([`ValidationBudget::default`] unless overridden via
@@ -195,11 +172,6 @@ pub struct GrokMemo {
 impl GrokMemo {
     pub fn new() -> Self {
         GrokMemo::default()
-    }
-
-    /// Cumulative accounting since construction.
-    pub fn stats(&self) -> MemoStats {
-        self.stats
     }
 
     /// Overrides the per-zone [`ValidationBudget`] applied to every
@@ -219,10 +191,7 @@ impl GrokMemo {
     /// Drops every cached entry (counted as invalidations).
     pub fn invalidate_all(&mut self) {
         let dropped = (self.chain.len() + self.orphans.len()) as u64;
-        if dropped > 0 {
-            self.stats.invalidations += dropped;
-            self.obs().invalidations.add(dropped);
-        }
+        self.invalidated(dropped);
         self.chain.clear();
         self.orphans.clear();
         self.epoch = None;
@@ -233,8 +202,6 @@ impl GrokMemo {
     }
 
     fn hit(&mut self, n: u64) {
-        self.stats.lookups += n;
-        self.stats.hits += n;
         let obs = self.obs();
         obs.lookups.add(n);
         obs.hits.add(n);
@@ -242,8 +209,6 @@ impl GrokMemo {
     }
 
     fn miss(&mut self, n: u64) {
-        self.stats.lookups += n;
-        self.stats.misses += n;
         let obs = self.obs();
         obs.lookups.add(n);
         obs.misses.add(n);
@@ -251,7 +216,6 @@ impl GrokMemo {
 
     fn invalidated(&mut self, n: u64) {
         if n > 0 {
-            self.stats.invalidations += n;
             self.obs().invalidations.add(n);
         }
     }
@@ -523,7 +487,6 @@ impl std::fmt::Debug for GrokMemo {
             .field("epoch", &self.epoch)
             .field("chain", &self.chain.len())
             .field("orphans", &self.orphans.len())
-            .field("stats", &self.stats)
             .finish()
     }
 }

@@ -376,7 +376,7 @@ impl<'a> ZoneAnalysis<'a> {
 /// shared [`ZoneAnalysis`]; later passes may consult earlier findings (e.g.
 /// the algorithm pass suppresses codes the signature pass already raised).
 pub(crate) trait AnalysisPass: Sync {
-    /// Stable identifier, used in trace events.
+    /// Stable identifier: the `pass` label of `grok.pass_us`.
     fn name(&self) -> &'static str;
     fn run(&self, za: &mut ZoneAnalysis);
 }
@@ -411,7 +411,6 @@ pub(crate) fn analyze_zone(
     pass_timings: &[ddx_obs::Histogram],
     budget: &ValidationBudget,
 ) -> ZoneReport {
-    ddx_dns::trace_span!(_zone_span, target: "dnsviz::grok", "zone", zone = zp.zone);
     let mut za = ZoneAnalysis {
         zp,
         now,
@@ -431,17 +430,8 @@ pub(crate) fn analyze_zone(
 
     if za.signed && !zp.is_lame() {
         for (pass, timing) in PASSES.iter().zip(pass_timings) {
-            let before = za.errors.len();
-            let timer = timing.start_timer();
+            let _timer = timing.start_timer();
             pass.run(&mut za);
-            drop(timer);
-            ddx_dns::trace_event!(
-                target: "dnsviz::grok",
-                "pass complete",
-                zone = zp.zone,
-                pass = pass.name(),
-                new_errors = za.errors.len() - before,
-            );
         }
         // The budget error is pushed last: every finding the truncated
         // passes did emit keeps its position, and downstream consumers see

@@ -406,24 +406,6 @@ fn sigs_survive_probe_encoding() {
     assert!(!sigs_covering(server_zone, &apex, RrType::Soa).is_empty());
 }
 
-#[cfg(feature = "trace")]
-#[test]
-fn grok_emits_trace_events_per_pass() {
-    ddx_dns::trace::take_events(); // drain anything earlier tests left
-    let sb = standard_sandbox(None);
-    let _ = run(&sb);
-    let events = ddx_dns::trace::take_events();
-    let pass_events: Vec<_> = events
-        .iter()
-        .filter(|e| e.target == "dnsviz::grok" && e.message == "pass complete")
-        .collect();
-    // 3 zones × 6 passes.
-    assert_eq!(pass_events.len(), 18, "{events:#?}");
-    assert!(pass_events
-        .iter()
-        .any(|e| e.fields.iter().any(|(k, v)| *k == "pass" && v == "denial")));
-}
-
 mod warnings {
     use super::*;
     use crate::codes::WarningCode;

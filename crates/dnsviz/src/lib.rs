@@ -15,7 +15,7 @@ pub mod status;
 
 pub use codes::{Category, ErrorCode, Subcategory, WarningCode};
 pub use ede::{ede_for, Ede};
-pub use grok::memo::{GrokMemo, MemoStats};
+pub use grok::memo::GrokMemo;
 pub use grok::{
     grok, grok_with_budget, AlgorithmScope, BudgetCounter, DsProblem, ErrorDetail, ErrorInstance,
     GrokReport, ValidationBudget, ZoneReport,

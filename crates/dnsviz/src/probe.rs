@@ -310,15 +310,6 @@ impl<'a> Prober<'a> {
             }
         }
         let (kind, result) = last.expect("attempts >= 1, so at least one outcome was recorded");
-        ddx_dns::trace_event!(
-            target: "dnsviz::probe",
-            "query failed",
-            server = server.0,
-            qname = qname,
-            qtype = qtype,
-            kind = format!("{kind:?}"),
-            attempts = attempts,
-        );
         failures.push(QueryFailure {
             qname: qname.clone(),
             qtype,
@@ -518,13 +509,6 @@ pub(crate) fn walk_chain(
             .iter()
             .map(|s| prober.probe_server(s, &zone, targets))
             .collect();
-        ddx_dns::trace_event!(
-            target: "dnsviz::probe",
-            "zone probed",
-            zone = zone,
-            servers = server_probes.len(),
-            is_query_zone = is_query_zone,
-        );
         // Move the per-zone accumulators into the record instead of
         // cloning: each is rebuilt below before the next lap needs it.
         zones.push(ZoneProbe {
@@ -620,12 +604,6 @@ pub(crate) fn hint_pass(prober: &mut Prober<'_>, cfg: &ProbeConfig, zones: &mut 
                 .iter()
                 .map(|s| prober.probe_server(s, z, targets))
                 .collect();
-            ddx_dns::trace_event!(
-                target: "dnsviz::probe",
-                "orphaned zone probed",
-                zone = z,
-                servers = server_probes.len(),
-            );
             zones.push(ZoneProbe {
                 zone: z.clone(),
                 parent: Some(deepest.clone()),
@@ -644,13 +622,6 @@ pub(crate) fn hint_pass(prober: &mut Prober<'_>, cfg: &ProbeConfig, zones: &mut 
 pub fn probe(net: &dyn Network, cfg: &ProbeConfig) -> ProbeResult {
     ddx_obs::counter("probe.walks", &[]).inc();
     let _walk_timer = ddx_obs::histogram("probe.walk_us", &[]).start_timer();
-    ddx_dns::trace_span!(
-        _walk_span,
-        target: "dnsviz::probe",
-        "walk",
-        query_domain = cfg.query_domain,
-        anchor = cfg.anchor_zone,
-    );
     let mut prober = Prober::new(net, cfg.retry.clone());
     let (mut zones, _metas) = walk_chain(&mut prober, cfg, WalkStart::anchor(cfg));
     hint_pass(&mut prober, cfg, &mut zones);

@@ -5,7 +5,7 @@
 
 #![allow(dead_code)]
 
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 use ddx_dns::{name, RData, RrType};
 use ddx_dnssec::Nsec3Config;
@@ -13,6 +13,15 @@ use ddx_dnsviz::{ProbeConfig, RetryPolicy};
 use ddx_server::{build_sandbox, Sandbox, ZoneSpec};
 
 pub const NOW: u32 = 1_000_000;
+
+static REGISTRY: Mutex<()> = Mutex::new(());
+
+/// Serializes the tests of a binary that read exact deltas of the
+/// process-global metrics registry: each such test holds the guard for its
+/// whole run, so no sibling test bumps a counter between its snapshots.
+pub fn serial() -> MutexGuard<'static, ()> {
+    REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)
+}
 pub const SANDBOX_SEED: u64 = 0xC7A0;
 pub const QUERY_DOMAIN: &str = "www.chd.par.a.com";
 pub const LEAF_APEX: &str = "chd.par.a.com";

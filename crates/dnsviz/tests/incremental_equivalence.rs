@@ -4,17 +4,34 @@
 //! across the shared zone-variant corpus, random mutation sequences, and
 //! deterministic fault plans — while reusing every zone the mutations did
 //! not touch.
+//!
+//! Reuse is read from the `grok.memo.*` counters of the process-global
+//! registry. Every test holds [`serial`] for its whole run, so no sibling
+//! test bumps them between a test's snapshots and the deltas are exact.
 
 use std::net::Ipv4Addr;
 
 use ddx_dns::{name, RData, Record, RrType};
 use ddx_dnsviz::{grok, probe, ErrorCode, GrokMemo};
+use ddx_obs::MetricsSnapshot;
 use ddx_prop::{check, vec, Rng};
 use ddx_replicator::{inject_attack, AttackFamily};
 use ddx_server::{FaultNetwork, FaultPlan, Sandbox};
 
 mod common;
-use common::{build_variant, probe_cfg, ANCHOR_APEX, LEAF_APEX, NOW, PAR_APEX, VARIANT_NAMES};
+use common::{
+    build_variant, probe_cfg, serial, ANCHOR_APEX, LEAF_APEX, NOW, PAR_APEX, VARIANT_NAMES,
+};
+
+/// The `grok.memo.*` counter deltas since `since`, as `(hits, misses,
+/// invalidations)`. Checks that every zone counted is a hit or a miss.
+fn memo_delta(since: &MetricsSnapshot) -> (u64, u64, u64) {
+    let d = ddx_obs::snapshot().diff(since);
+    let c = |key: &str| d.counter(key);
+    let (hits, misses) = (c("grok.memo.hits"), c("grok.memo.misses"));
+    assert_eq!(c("grok.memo.lookups"), hits + misses);
+    (hits, misses, c("grok.memo.invalidations"))
+}
 
 /// One deterministic sandbox mutation, selected by `op`. `round` feeds
 /// fresh record names so repeated adds stay distinct.
@@ -64,7 +81,9 @@ fn apply_mutation(sb: &mut Sandbox, op: u8, round: usize) {
 /// step, and the memo's accounting stays balanced.
 #[test]
 fn incremental_report_equals_scratch() {
+    let _serial = serial();
     check("incremental_report_equals_scratch", 32, |rng| {
+        let start = ddx_obs::snapshot();
         let variant_idx = rng.gen_range(0usize..8);
         let ops = vec(rng, 1..6, |r| r.gen_range(0u8..8));
         let label = VARIANT_NAMES[variant_idx];
@@ -91,8 +110,7 @@ fn incremental_report_equals_scratch() {
                 round
             );
         }
-        let s = memo.stats();
-        assert_eq!(s.lookups, s.hits + s.misses);
+        memo_delta(&start);
     });
 }
 
@@ -104,7 +122,9 @@ fn incremental_report_equals_scratch() {
 /// forced dirty and re-probed live.
 #[test]
 fn incremental_equals_scratch_under_chaos() {
+    let _serial = serial();
     check("incremental_equals_scratch_under_chaos", 32, |rng| {
+        let start = ddx_obs::snapshot();
         let variant_idx = rng.gen_range(0usize..8);
         let seed = rng.gen_range(0u64..64);
         let ops = vec(rng, 1..4, |r| r.gen_range(0u8..8));
@@ -135,24 +155,25 @@ fn incremental_equals_scratch_under_chaos() {
                 round
             );
         }
-        let s = memo.stats();
-        assert_eq!(s.lookups, s.hits + s.misses);
+        memo_delta(&start);
     });
 }
 
 /// A warm memo over unchanged state reuses every zone without a query.
 #[test]
 fn warm_rerun_reuses_every_zone() {
+    let _serial = serial();
     let sb = build_variant("nsec");
     let cfg = probe_cfg(&sb);
+    let start = ddx_obs::snapshot();
     let mut memo = GrokMemo::new();
     let first = memo.probe_grok(&sb.testbed, &sb.testbed, &cfg);
-    let s1 = memo.stats();
-    assert_eq!((s1.hits, s1.misses), (0, 3), "cold run: all misses");
+    let (h1, m1, _) = memo_delta(&start);
+    assert_eq!((h1, m1), (0, 3), "cold run: all misses");
     let second = memo.probe_grok(&sb.testbed, &sb.testbed, &cfg);
-    let s2 = memo.stats();
-    assert_eq!((s2.hits, s2.misses), (3, 3), "warm run: all hits");
-    assert_eq!(s2.invalidations, 0);
+    let (h2, m2, inv) = memo_delta(&start);
+    assert_eq!((h2, m2), (3, 3), "warm run: all hits");
+    assert_eq!(inv, 0);
     assert_eq!(first.to_json(), second.to_json());
 }
 
@@ -160,20 +181,18 @@ fn warm_rerun_reuses_every_zone() {
 /// intermediate zone splice from cache.
 #[test]
 fn leaf_change_reprobes_only_the_leaf() {
+    let _serial = serial();
     let mut sb = build_variant("nsec");
     let cfg = probe_cfg(&sb);
+    let start = ddx_obs::snapshot();
     let mut memo = GrokMemo::new();
     memo.probe_grok(&sb.testbed, &sb.testbed, &cfg);
     sb.testbed
         .mutate_zone_everywhere(&name(LEAF_APEX), |z| z.bump_serial());
     let report = memo.probe_grok(&sb.testbed, &sb.testbed, &cfg);
-    let s = memo.stats();
-    assert_eq!(
-        (s.hits, s.misses),
-        (2, 4),
-        "anchor+par reused, leaf re-probed"
-    );
-    assert_eq!(s.invalidations, 1);
+    let (hits, misses, invalidations) = memo_delta(&start);
+    assert_eq!((hits, misses), (2, 4), "anchor+par reused, leaf re-probed");
+    assert_eq!(invalidations, 1);
     assert_eq!(report.to_json(), grok(&probe(&sb.testbed, &cfg)).to_json());
 }
 
@@ -181,33 +200,33 @@ fn leaf_change_reprobes_only_the_leaf() {
 /// through the parent edge of the memo key.
 #[test]
 fn parent_change_dirties_the_child_too() {
+    let _serial = serial();
     let mut sb = build_variant("nsec");
     let cfg = probe_cfg(&sb);
+    let start = ddx_obs::snapshot();
     let mut memo = GrokMemo::new();
     memo.probe_grok(&sb.testbed, &sb.testbed, &cfg);
     sb.set_ds(&name(LEAF_APEX), Vec::new(), NOW);
     let report = memo.probe_grok(&sb.testbed, &sb.testbed, &cfg);
-    let s = memo.stats();
-    assert_eq!((s.hits, s.misses), (1, 5), "only the anchor survives");
+    let (hits, misses, _) = memo_delta(&start);
+    assert_eq!((hits, misses), (1, 5), "only the anchor survives");
     assert_eq!(report.to_json(), grok(&probe(&sb.testbed, &cfg)).to_json());
 }
 
 /// An anchor (trust-anchor zone) change flushes the whole chain.
 #[test]
 fn anchor_change_flushes_everything() {
+    let _serial = serial();
     let mut sb = build_variant("nsec");
     let cfg = probe_cfg(&sb);
+    let start = ddx_obs::snapshot();
     let mut memo = GrokMemo::new();
     memo.probe_grok(&sb.testbed, &sb.testbed, &cfg);
     sb.testbed
         .mutate_zone_everywhere(&name(ANCHOR_APEX), |z| z.bump_serial());
     let report = memo.probe_grok(&sb.testbed, &sb.testbed, &cfg);
-    let s = memo.stats();
-    assert_eq!(
-        (s.hits, s.misses),
-        (0, 6),
-        "nothing survives an anchor change"
-    );
+    let (hits, misses, _) = memo_delta(&start);
+    assert_eq!((hits, misses), (0, 6), "nothing survives an anchor change");
     assert_eq!(report.to_json(), grok(&probe(&sb.testbed, &cfg)).to_json());
 }
 
@@ -215,19 +234,17 @@ fn anchor_change_flushes_everything() {
 /// analysis: RRSIG validity windows read the clock.
 #[test]
 fn clock_move_reuses_probes_and_reruns_analysis() {
+    let _serial = serial();
     let sb = build_variant("nsec");
     let cfg = probe_cfg(&sb);
+    let start = ddx_obs::snapshot();
     let mut memo = GrokMemo::new();
     memo.probe_grok(&sb.testbed, &sb.testbed, &cfg);
     let mut later = cfg.clone();
     later.time = NOW + 500;
     let report = memo.probe_grok(&sb.testbed, &sb.testbed, &later);
-    let s = memo.stats();
-    assert_eq!(
-        (s.hits, s.misses),
-        (3, 3),
-        "clock move alone re-probes nothing"
-    );
+    let (hits, misses, _) = memo_delta(&start);
+    assert_eq!((hits, misses), (3, 3), "clock move alone re-probes nothing");
     assert_eq!(report.time, NOW + 500);
     assert_eq!(
         report.to_json(),
@@ -240,16 +257,18 @@ fn clock_move_reuses_probes_and_reruns_analysis() {
 /// everything under the new server map.
 #[test]
 fn topology_change_flushes_the_epoch() {
+    let _serial = serial();
     let mut sb = build_variant("nsec");
     let cfg = probe_cfg(&sb);
+    let start = ddx_obs::snapshot();
     let mut memo = GrokMemo::new();
     memo.probe_grok(&sb.testbed, &sb.testbed, &cfg);
     let target = sb.anchor().servers[0].clone();
     sb.testbed.register_ns(name("ns-spare.a.com"), target);
     let report = memo.probe_grok(&sb.testbed, &sb.testbed, &cfg);
-    let s = memo.stats();
+    let (hits, misses, _) = memo_delta(&start);
     assert_eq!(
-        (s.hits, s.misses),
+        (hits, misses),
         (0, 6),
         "epoch change leaves nothing to reuse"
     );
@@ -262,8 +281,10 @@ fn topology_change_flushes_the_epoch() {
 /// both while tripped and after the zone is repaired.
 #[test]
 fn budget_trip_forces_reprobe_until_repaired() {
+    let _serial = serial();
     let mut sb = build_variant("nsec");
     let cfg = probe_cfg(&sb);
+    let start = ddx_obs::snapshot();
     let mut memo = GrokMemo::new();
     memo.probe_grok(&sb.testbed, &sb.testbed, &cfg);
 
@@ -281,13 +302,13 @@ fn budget_trip_forces_reprobe_until_repaired() {
         grok(&probe(&sb.testbed, &cfg)).to_json(),
         "tripped incremental run diverged from scratch"
     );
-    let misses_after_trip = memo.stats().misses;
+    let (_, misses_after_trip, _) = memo_delta(&start);
 
     // Same state, same clock: the tripped cut must be re-probed anyway,
     // and deterministic truncation reproduces the same report.
     let again = memo.probe_grok(&sb.testbed, &sb.testbed, &cfg);
     assert!(
-        memo.stats().misses > misses_after_trip,
+        memo_delta(&start).1 > misses_after_trip,
         "budget-tripped zone was spliced from cache instead of re-probed"
     );
     assert_eq!(again.to_json(), tripped.to_json());
@@ -312,8 +333,10 @@ fn budget_trip_forces_reprobe_until_repaired() {
 /// the fault or watch it heal; it may never reuse "couldn't see".
 #[test]
 fn observation_gap_forces_reprobe_until_healed() {
+    let _serial = serial();
     let sb = build_variant("nsec");
     let cfg = probe_cfg(&sb);
+    let start = ddx_obs::snapshot();
     let mut memo = GrokMemo::new();
     let dead = sb.leaf().servers[0].clone();
     let plan = FaultPlan {
@@ -324,14 +347,14 @@ fn observation_gap_forces_reprobe_until_healed() {
     let net = FaultNetwork::new(&sb.testbed, plan);
     let gapped = memo.probe_grok(&net, &sb.testbed, &cfg);
     assert!(!gapped.fully_observed(), "dead server must leave a gap");
-    let misses_after_gap = memo.stats().misses;
+    let (_, misses_after_gap, _) = memo_delta(&start);
     // Same state, same clock — but the gapped leaf must be re-probed, and
     // against the healthy network the gap heals.
     let healed = memo.probe_grok(&sb.testbed, &sb.testbed, &cfg);
-    let s = memo.stats();
+    let (_, misses, _) = memo_delta(&start);
     assert!(healed.fully_observed(), "gap did not heal on re-probe");
     assert!(
-        s.misses > misses_after_gap,
+        misses > misses_after_gap,
         "gapped zone was spliced from cache instead of re-probed"
     );
     assert_eq!(healed.to_json(), grok(&probe(&sb.testbed, &cfg)).to_json());

@@ -257,14 +257,6 @@ fn fix_loop(
         }
         let resolution = planner.plan(sb, &report, now, opts);
         let zc = zone_context(sb);
-        ddx_dns::trace_span!(
-            _iter_span,
-            target: "fixer::engine",
-            "iteration",
-            zone = zc.zone,
-            iteration = iteration,
-            addressed = format!("{:?}", resolution.addressed),
-        );
         let commands = render_plan(&resolution.plan, &zc, opts.flavor);
         let log = IterationLog {
             iteration,
@@ -277,13 +269,6 @@ fn fix_loop(
             plan: resolution.plan,
             commands,
         };
-        ddx_dns::trace_event!(
-            target: "fixer::engine",
-            "plan built",
-            zone = zc.zone,
-            iteration = iteration,
-            instructions = log.plan.len(),
-        );
         let stalled = planner == Planner::Naive
             && iterations.last().is_some_and(|prev| prev.plan == log.plan);
         let stop = log.plan.is_empty() || stalled;

@@ -275,30 +275,3 @@ fn iteration_logs_carry_typed_details_and_naive_does_not() {
         "the naive baseline never attributes causes"
     );
 }
-
-#[cfg(feature = "trace")]
-#[test]
-fn fixer_emits_trace_events_per_iteration() {
-    ddx_dns::trace::take_events(); // drain anything earlier tests left
-    let req = ReplicationRequest {
-        meta: ZoneMeta::default(),
-        intended: [ErrorCode::RrsigExpired].into_iter().collect(),
-    };
-    let mut rep = replicate(&req, NOW, 0x7ACE).expect("replication builds");
-    let cfg = rep.probe.clone();
-    let run = run_fixer(&mut rep.sandbox, &cfg, &FixerOptions::default());
-    assert!(run.fixed);
-    let events = ddx_dns::trace::take_events();
-    let plan_events: Vec<_> = events
-        .iter()
-        .filter(|e| e.target == "fixer::engine" && e.message == "plan built")
-        .collect();
-    assert_eq!(
-        plan_events.len(),
-        run.iterations.len(),
-        "one plan event per iteration: {events:#?}"
-    );
-    assert!(plan_events
-        .iter()
-        .all(|e| e.fields.iter().any(|(k, _)| *k == "iteration")));
-}

@@ -17,8 +17,10 @@
 //!   atomic op. The registry lock is only taken when a handle is created.
 //! - **Thread-safe by construction.** All mutation is atomic; the registry
 //!   itself is a `RwLock` over the name→handle maps. Per-thread caches
-//!   (the NSEC3 memo, the trace-event buffer) bump the shared handles
-//!   directly, so parallel workers aggregate into one set of totals.
+//!   (the NSEC3 memo) bump the shared handles directly, so parallel
+//!   workers aggregate into one set of totals.
+//! - **One count per event.** The registry is the only tally: no struct
+//!   keeps a private counter next to a registry handle for the same event.
 //! - **No new dependencies.** Snapshots go through `ddx-json`, the
 //!   workspace's one JSON path.
 //!
@@ -104,12 +106,6 @@ impl MetricKey {
 pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
-    /// A counter not attached to any registry — useful for per-instance
-    /// legacy stats that share the `Counter` API but are not global.
-    pub fn detached() -> Self {
-        Self::default()
-    }
-
     pub fn inc(&self) {
         self.add(1);
     }

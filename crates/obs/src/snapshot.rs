@@ -57,6 +57,12 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
+    /// The value of the counter rendered as `key` (e.g.
+    /// `server.fault.injected{kind=drop}`), 0 when it is absent.
+    pub fn counter(&self, key: &str) -> u64 {
+        self.counters.get(key).copied().unwrap_or(0)
+    }
+
     /// The change from `earlier` to `self`. Counters and histogram counts
     /// subtract saturating (a restarted process reads as zero, not a
     /// huge wraparound); gauges subtract signed. Metrics present only in
@@ -66,8 +72,8 @@ impl MetricsSnapshot {
     pub fn diff(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
         let mut out = MetricsSnapshot::default();
         for (k, v) in &self.counters {
-            let prev = earlier.counters.get(k).copied().unwrap_or(0);
-            out.counters.insert(k.clone(), v.saturating_sub(prev));
+            out.counters
+                .insert(k.clone(), v.saturating_sub(earlier.counter(k)));
         }
         for (k, v) in &self.gauges {
             let prev = earlier.gauges.get(k).copied().unwrap_or(0);
@@ -210,6 +216,8 @@ mod tests {
         let d = reg.snapshot().diff(&before);
         assert_eq!(d.counters.get("a.hits"), Some(&5));
         assert_eq!(d.counters.get("a.misses{kind=cold}"), Some(&0));
+        assert_eq!(d.counter("a.hits"), 5);
+        assert_eq!(d.counter("a.absent"), 0);
         assert_eq!(d.gauges.get("a.entries"), Some(&-5));
         let h = d.histograms.get("a.lat_us").unwrap();
         assert_eq!(h.count, 1);

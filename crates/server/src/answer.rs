@@ -15,18 +15,15 @@
 //!
 //! The memo is split into [`AnswerMemo::shard_count`] independent shards,
 //! selected by an FNV-1a hash of the query name's lowercased label bytes.
-//! Each shard owns its own entry map, its own per-generation
-//! [`ZoneIndex`] cache, and its own counters, so transport workers
-//! hammering one server from many threads contend only when two in-flight
-//! queries hash to the same shard. Entries for one qname always land in
-//! one shard (the hash ignores qtype/DO), which keeps the per-shard
-//! `lookups == hits + misses` accounting exact under concurrency and makes
-//! the clear-at-cap eviction local: a hot shard flushing does not dump the
-//! whole process's working set.
+//! Each shard owns its own entry map, so transport workers hammering one
+//! server from many threads contend only when two in-flight queries hash to
+//! the same shard. Entries for one qname always land in one shard (the hash
+//! ignores qtype/DO), which makes the clear-at-cap eviction local: a hot
+//! shard flushing does not dump the whole process's working set. The
+//! per-generation [`ZoneIndex`] cache is one per memo, not per shard.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 
 use ddx_dns::{Edns, Message, MessageView, Name, RrClass, RrType, Zone};
 
@@ -81,7 +78,7 @@ impl AnswerKey {
 }
 
 /// Default shard count: enough to keep 8 transport workers from serializing
-/// on one mutex, small enough that per-shard index duplication stays cheap.
+/// on one mutex.
 pub const DEFAULT_SHARDS: usize = 8;
 
 /// Default per-shard entry cap. With [`DEFAULT_SHARDS`] shards this keeps
@@ -107,55 +104,32 @@ fn qname_shard_hash(qname: &Name) -> u64 {
     h
 }
 
-/// Per-shard snapshot of memo counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    pub lookups: u64,
-    pub hits: u64,
-    pub misses: u64,
-    /// Entries dropped by clear-at-cap flushes of this shard.
-    pub evictions: u64,
-}
+/// One memo shard's slice of the entry space, keyed on
+/// `(zone generation, key)`.
+type Entries = HashMap<(u64, AnswerKey), Arc<Message>>;
 
-/// One memo shard: its slice of the entry space plus its own index cache
-/// and counters. Never shared across shards, so contention is bounded by
-/// qname-hash collisions.
-#[derive(Debug, Default)]
-struct MemoShard {
-    entries: Mutex<HashMap<(u64, AnswerKey), Arc<Message>>>,
-    indexes: Mutex<HashMap<Name, Arc<ZoneIndex>>>,
-    lookups: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
+/// One zone's index slot: the generation it serves and the index, built
+/// by whichever query reaches the slot first.
+type IndexSlot = Arc<(u64, OnceLock<Arc<ZoneIndex>>)>;
 
-impl MemoShard {
-    fn stats(&self) -> ShardStats {
-        ShardStats {
-            lookups: self.lookups.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Per-server answer memo plus the lazily built per-generation zone
-/// indexes, sharded by qname hash. Interior-mutable (the server answers
-/// through `&self` from multiple transport threads).
+/// Per-server answer memo, sharded by qname hash, plus the lazily built
+/// per-generation zone indexes shared by every shard. Interior-mutable (the
+/// server answers through `&self` from multiple transport threads).
 ///
-/// Hits and misses are double-counted: per-instance atomics feed the
-/// legacy [`AnswerMemo::stats`] tuple, and the process-wide
-/// `server.answer_memo.{lookups,hits,misses,evictions}` counters in the
-/// [`ddx_obs`] registry aggregate across every server. `lookups` counts
-/// every [`AnswerMemo::get`] call, so `hits + misses == lookups` is an
-/// invariant a metrics snapshot can check — per shard as well as globally.
+/// Hits, misses and evictions are counted once, in the process-wide
+/// `server.answer_memo.{lookups,hits,misses,evictions}` counters of the
+/// [`ddx_obs`] registry. `lookups` counts every [`AnswerMemo::get`] call,
+/// so `hits + misses == lookups` is an invariant a metrics snapshot can
+/// check.
 #[derive(Debug)]
 pub struct AnswerMemo {
-    shards: Vec<MemoShard>,
+    shards: Vec<Mutex<Entries>>,
     /// Per-shard entry cap; a shard reaching it is cleared wholesale.
     shard_cap: usize,
+    /// One index slot per zone apex, replaced when the zone's generation
+    /// moves: a zone write costs one [`ZoneIndex::build`], whatever the
+    /// shard or worker count.
+    indexes: RwLock<HashMap<Name, IndexSlot>>,
     obs_lookups: ddx_obs::Counter,
     obs_hits: ddx_obs::Counter,
     obs_misses: ddx_obs::Counter,
@@ -178,8 +152,9 @@ impl AnswerMemo {
     pub fn with_config(shards: usize, shard_cap: usize) -> Self {
         let shards = shards.max(1);
         AnswerMemo {
-            shards: (0..shards).map(|_| MemoShard::default()).collect(),
+            shards: (0..shards).map(|_| Mutex::default()).collect(),
             shard_cap: shard_cap.max(1),
+            indexes: RwLock::default(),
             obs_lookups: ddx_obs::counter("server.answer_memo.lookups", &[]),
             obs_hits: ddx_obs::counter("server.answer_memo.hits", &[]),
             obs_misses: ddx_obs::counter("server.answer_memo.misses", &[]),
@@ -197,44 +172,27 @@ impl AnswerMemo {
         self.shard_cap
     }
 
-    fn shard_for(&self, qname: &Name) -> &MemoShard {
-        let idx = (qname_shard_hash(qname) % self.shards.len() as u64) as usize;
-        &self.shards[idx]
+    fn shard_index(&self, qname: &Name) -> usize {
+        (qname_shard_hash(qname) % self.shards.len() as u64) as usize
+    }
+
+    fn shard_for(&self, qname: &Name) -> MutexGuard<'_, Entries> {
+        self.shards[self.shard_index(qname)]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Looks up a cached response for `key` under zone generation
-    /// `generation`. Counts a hit or miss on the owning shard.
+    /// `generation`, counting a hit or a miss.
     pub fn get(&self, generation: u64, key: &AnswerKey) -> Option<Arc<Message>> {
-        let shard = self.shard_for(&key.qname);
-        shard.lookups.fetch_add(1, Ordering::Relaxed);
         self.obs_lookups.inc();
-        let hit = shard
-            .entries
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+        let hit = self
+            .shard_for(&key.qname)
             .get(&(generation, key.clone()))
             .cloned();
         match &hit {
-            Some(_) => {
-                shard.hits.fetch_add(1, Ordering::Relaxed);
-                self.obs_hits.inc();
-                ddx_dns::trace_event!(
-                    target: "server::memo",
-                    "answer cache hit",
-                    generation = generation,
-                    qname = key.qname,
-                );
-            }
-            None => {
-                shard.misses.fetch_add(1, Ordering::Relaxed);
-                self.obs_misses.inc();
-                ddx_dns::trace_event!(
-                    target: "server::memo",
-                    "answer cache miss",
-                    generation = generation,
-                    qname = key.qname,
-                );
-            }
+            Some(_) => self.obs_hits.inc(),
+            None => self.obs_misses.inc(),
         }
         hit
     }
@@ -242,62 +200,46 @@ impl AnswerMemo {
     /// Stores a freshly computed response in the qname's shard, flushing
     /// the shard first when it is at capacity (counted as evictions).
     pub fn insert(&self, generation: u64, key: AnswerKey, response: Arc<Message>) {
-        let shard = self.shard_for(&key.qname);
-        let mut entries = shard.entries.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut entries = self.shard_for(&key.qname);
         if entries.len() >= self.shard_cap {
-            let dropped = entries.len() as u64;
+            self.obs_evictions.add(entries.len() as u64);
             entries.clear();
-            shard.evictions.fetch_add(dropped, Ordering::Relaxed);
-            self.obs_evictions.add(dropped);
         }
         entries.insert((generation, key), response);
     }
 
-    /// The index for `zone`, rebuilt if the cached one belongs to an older
-    /// generation. The index cache lives on the shard owning `qname`, so
-    /// each shard holds its own copy — shared-nothing at the price of up to
-    /// `shard_count` builds per zone generation.
-    pub fn index_for(&self, zone: &Zone, qname: &Name) -> Arc<ZoneIndex> {
-        let shard = self.shard_for(qname);
-        let mut indexes = shard.indexes.lock().unwrap_or_else(PoisonError::into_inner);
-        match indexes.get(zone.apex()) {
-            Some(idx) if idx.generation() == zone.generation() => Arc::clone(idx),
-            _ => {
-                let idx = Arc::new(ZoneIndex::build(zone));
-                indexes.insert(zone.apex().clone(), Arc::clone(&idx));
-                idx
+    /// The index for `zone`, rebuilt if the cached one belongs to another
+    /// generation. Lookups share a read lock; a rebuild runs outside the map
+    /// lock, in the zone's slot, so queries against other zones never wait
+    /// on it and concurrent queries against the new generation share one
+    /// build.
+    pub fn index_for(&self, zone: &Zone) -> Arc<ZoneIndex> {
+        let generation = zone.generation();
+        let current = self
+            .indexes
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(zone.apex())
+            .filter(|slot| slot.0 == generation)
+            .cloned();
+        let slot = current.unwrap_or_else(|| {
+            let mut indexes = self.indexes.write().unwrap_or_else(PoisonError::into_inner);
+            let slot = indexes
+                .entry(zone.apex().clone())
+                .or_insert_with(|| Arc::new((generation, OnceLock::new())));
+            if slot.0 != generation {
+                *slot = Arc::new((generation, OnceLock::new()));
             }
-        }
-    }
-
-    /// (hits, misses) so far, summed across shards.
-    pub fn stats(&self) -> (u64, u64) {
-        self.shards.iter().fold((0, 0), |(h, m), s| {
-            (
-                h + s.hits.load(Ordering::Relaxed),
-                m + s.misses.load(Ordering::Relaxed),
-            )
-        })
-    }
-
-    /// Per-shard counter snapshots, in shard order.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.shards.iter().map(|s| s.stats()).collect()
-    }
-
-    /// Total evictions across shards (entries dropped by cap flushes).
-    pub fn evictions(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.evictions.load(Ordering::Relaxed))
-            .sum()
+            Arc::clone(slot)
+        });
+        Arc::clone(slot.1.get_or_init(|| Arc::new(ZoneIndex::build(zone))))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ddx_dns::name;
+    use ddx_dns::{name, RData, Record};
 
     fn key(qname: &str) -> AnswerKey {
         AnswerKey {
@@ -326,37 +268,56 @@ mod tests {
     }
 
     #[test]
-    fn per_shard_accounting_sums_to_totals() {
+    fn miss_then_insert_then_hit_returns_the_stored_answer() {
         let memo = AnswerMemo::with_config(4, 64);
         for i in 0..32 {
             let k = key(&format!("q{i}.example.com"));
             assert!(memo.get(1, &k).is_none());
-            memo.insert(1, k.clone(), resp());
-            assert!(memo.get(1, &k).is_some());
+            let stored = resp();
+            memo.insert(1, k.clone(), Arc::clone(&stored));
+            let hit = memo.get(1, &k).expect("hit after insert");
+            assert!(Arc::ptr_eq(&hit, &stored));
+            // Another generation of the same zone never sees the entry.
+            assert!(memo.get(2, &k).is_none());
         }
-        let (hits, misses) = memo.stats();
-        assert_eq!((hits, misses), (32, 32));
-        let shards = memo.shard_stats();
-        assert_eq!(shards.len(), 4);
-        for s in &shards {
-            assert_eq!(s.lookups, s.hits + s.misses, "per-shard invariant");
-        }
-        assert_eq!(shards.iter().map(|s| s.hits).sum::<u64>(), 32);
-        assert_eq!(shards.iter().map(|s| s.misses).sum::<u64>(), 32);
     }
 
     #[test]
-    fn cap_flush_counts_evictions_and_stays_local() {
+    fn cap_flush_drops_the_full_shard_and_stays_local() {
         // One shard, cap 4: the fifth insert flushes the first four.
         let memo = AnswerMemo::with_config(1, 4);
         for i in 0..5 {
             memo.insert(1, key(&format!("q{i}.example.com")), resp());
         }
-        assert_eq!(memo.evictions(), 4);
         // The freshly inserted fifth entry survived the flush.
         assert!(memo.get(1, &key("q4.example.com")).is_some());
-        // A pre-flush entry is gone (miss).
-        assert!(memo.get(1, &key("q0.example.com")).is_none());
+        // Every pre-flush entry is gone (miss).
+        for i in 0..4 {
+            assert!(memo.get(1, &key(&format!("q{i}.example.com"))).is_none());
+        }
+    }
+
+    #[test]
+    fn one_index_per_zone_generation_across_shards() {
+        let memo = AnswerMemo::with_config(8, 64);
+        let (a, b) = (name("a.example.com"), name("b.example.com"));
+        assert_ne!(memo.shard_index(&a), memo.shard_index(&b));
+        let mut zone = Zone::new(name("example.com"));
+        let for_a = memo.index_for(&zone);
+        let for_b = memo.index_for(&zone);
+        assert!(Arc::ptr_eq(&for_a, &for_b), "one build serves every shard");
+        zone.add(Record::new(a, 300, RData::A([192, 0, 2, 1].into())));
+        let fresh = memo.index_for(&zone);
+        assert!(!Arc::ptr_eq(&for_a, &fresh), "a new generation rebuilds");
+        assert!(Arc::ptr_eq(&fresh, &memo.index_for(&zone)));
+        // Workers racing on the next generation all get its one build.
+        zone.add(Record::new(b, 300, RData::A([192, 0, 2, 2].into())));
+        let raced: Vec<_> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4).map(|_| s.spawn(|| memo.index_for(&zone))).collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(raced.iter().all(|idx| Arc::ptr_eq(idx, &raced[0])));
+        assert!(!Arc::ptr_eq(&raced[0], &fresh));
     }
 
     #[test]
@@ -371,9 +332,9 @@ mod tests {
         let populated: Vec<_> = memo
             .shards
             .iter()
-            .filter(|s| !s.entries.lock().unwrap().is_empty())
+            .filter(|s| !s.lock().unwrap().is_empty())
             .collect();
         assert_eq!(populated.len(), 1, "one qname ⇒ one shard");
-        assert_eq!(populated[0].entries.lock().unwrap().len(), 2);
+        assert_eq!(populated[0].lock().unwrap().len(), 2);
     }
 }

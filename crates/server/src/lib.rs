@@ -18,13 +18,13 @@ pub mod server;
 pub mod testbed;
 pub mod udp;
 
-pub use answer::{AnswerKey, AnswerMemo, ShardStats};
+pub use answer::{AnswerKey, AnswerMemo};
 pub use batch::{
     bind_worker_socket, mmsg_supported, reuseport_supported, BatchMode, BatchSocket, RecvBatch,
     SendItem, SendQueue,
 };
 pub use cache::CachingNetwork;
-pub use fault::{FaultNetwork, FaultPlan, FaultStats, FlapSchedule};
+pub use fault::{FaultNetwork, FaultPlan, FlapSchedule};
 pub use index::ZoneIndex;
 pub use ratelimit::{RateLimitConfig, RateLimiter};
 pub use rollover::{botched_ksk_rollover, Rollover, RolloverKind, RolloverStep};

@@ -58,8 +58,6 @@ pub struct RateLimiter {
     cfg: RateLimitConfig,
     buckets: HashMap<IpAddr, Bucket>,
     epoch: Instant,
-    allowed: u64,
-    refused: u64,
     obs_allowed: ddx_obs::Counter,
     obs_refused: ddx_obs::Counter,
     obs_flushes: ddx_obs::Counter,
@@ -71,8 +69,6 @@ impl RateLimiter {
             cfg,
             buckets: HashMap::new(),
             epoch: Instant::now(),
-            allowed: 0,
-            refused: 0,
             obs_allowed: ddx_obs::counter("server.rate_limit.allowed", &[]),
             obs_refused: ddx_obs::counter("server.rate_limit.refused", &[]),
             obs_flushes: ddx_obs::counter("server.rate_limit.table_flushes", &[]),
@@ -106,19 +102,12 @@ impl RateLimiter {
             .min(full);
         if bucket.micro_tokens >= 1_000_000 {
             bucket.micro_tokens -= 1_000_000;
-            self.allowed += 1;
             self.obs_allowed.inc();
             true
         } else {
-            self.refused += 1;
             self.obs_refused.inc();
             false
         }
-    }
-
-    /// `(allowed, refused)` decisions so far on this worker.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.allowed, self.refused)
     }
 
     /// Clients currently tracked.
@@ -147,7 +136,6 @@ mod tests {
         // 100ms at 10 qps = exactly one token back.
         assert!(rl.allow_at(ip(1), 100_000));
         assert!(!rl.allow_at(ip(1), 100_000));
-        assert_eq!(rl.stats(), (4, 2));
     }
 
     #[test]

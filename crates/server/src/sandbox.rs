@@ -510,21 +510,4 @@ mod tests {
         sb.resign_zone(&name("chd.par.a.com"), NOW + 5).unwrap();
         assert_ne!(sb.state_fingerprint(), fp1, "resign must move it");
     }
-
-    #[test]
-    fn sig_cache_hits_across_resigns() {
-        let mut sb = three_level();
-        let apex = name("chd.par.a.com");
-        sb.resign_zone(&apex, NOW + 10).unwrap();
-        let after_first = sb.sig_cache.stats();
-        assert!(after_first.misses > 0, "cold pass populates the cache");
-        // Same signer window, unchanged data (bar the serial bump): the
-        // second pass should reuse almost every signature.
-        sb.resign_zone(&apex, NOW + 20).unwrap();
-        let after_second = sb.sig_cache.stats();
-        assert!(
-            after_second.hits > after_first.hits,
-            "warm pass must hit the cache: {after_second:?}"
-        );
-    }
 }

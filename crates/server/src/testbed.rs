@@ -180,14 +180,6 @@ impl Testbed {
             }
         }
     }
-
-    /// Aggregate answer-memo counters across every server: `(hits, misses)`.
-    pub fn answer_cache_stats(&self) -> (u64, u64) {
-        self.servers
-            .values()
-            .map(|s| s.answer_cache_stats())
-            .fold((0, 0), |(h, m), (sh, sm)| (h + sh, m + sm))
-    }
 }
 
 impl Network for Testbed {

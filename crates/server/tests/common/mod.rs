@@ -5,7 +5,7 @@
 #![allow(dead_code)]
 
 use std::net::Ipv4Addr;
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 use ddx_dns::{name, Name, RData, Record, RrType, Soa, Zone};
 use ddx_dnssec::{sign_zone, Algorithm, KeyPair, KeyRing, KeyRole, Nsec3Config, SignerConfig};
@@ -14,6 +14,15 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 pub const NOW: u32 = 1_000_000;
+
+static REGISTRY: Mutex<()> = Mutex::new(());
+
+/// Serializes the tests of a binary that read exact deltas of the
+/// process-global metrics registry: each such test holds the guard for its
+/// whole run, so no sibling test bumps a counter between its snapshots.
+pub fn serial() -> MutexGuard<'static, ()> {
+    REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 pub fn base_zone(wildcard: bool) -> Zone {
     let mut z = Zone::new(name("example.com"));

@@ -77,7 +77,7 @@ fn measured<T>(f: impl FnOnce() -> T) -> (T, WorkDelta) {
     let before = ddx_obs::snapshot();
     let out = f();
     let delta = ddx_obs::snapshot().diff(&before);
-    let c = |key: &str| delta.counters.get(key).copied().unwrap_or(0);
+    let c = |key: &str| delta.counter(key);
     (
         out,
         WorkDelta {

@@ -125,7 +125,7 @@ fn dfixer_metrics_out_dumps_every_subsystem() {
         "fixer.iterations",
     ] {
         assert!(
-            snap.counters.get(key).copied().unwrap_or(0) > 0,
+            snap.counter(key) > 0,
             "counter {key} missing or zero in {json}"
         );
     }

@@ -1,22 +1,21 @@
 //! Cross-crate observability invariants: the global-registry deltas over a
 //! full evaluation run must balance exactly — every answer-memo lookup is a
 //! hit or a miss, every fault draw is passed or injected, every probe query
-//! lands in exactly one outcome bucket — and the legacy per-instance
-//! accessors must agree with the registry deltas they mirror.
+//! lands in exactly one outcome bucket — and each layer counts its events
+//! once: six grok pass timings per analysed zone, one `fixer.iterations`
+//! bump per iteration log, signature-cache hits on a warm re-sign.
 //!
 //! Everything lives in ONE `#[test]` function: the registry is
 //! process-global, and a concurrently running sibling test in this binary
 //! would bump counters between our before/after snapshots.
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use ddx::prelude::*;
-use ddx_server::{FaultNetwork, FaultPlan};
+use ddx_server::{build_sandbox, FaultNetwork, FaultPlan, ZoneSpec};
 
 /// The per-snapshot seed base the evaluation tests have always used.
 const SEED: u64 = 0xE7A1;
-
-fn counter(m: &MetricsSnapshot, key: &str) -> u64 {
-    m.counters.get(key).copied().unwrap_or(0)
-}
 
 /// Sums every counter in the labeled family `prefix` (rendered keys look
 /// like `server.fault.injected{kind=drop}`).
@@ -30,11 +29,11 @@ fn counter_family(m: &MetricsSnapshot, prefix: &str) -> u64 {
 
 /// Every probe query lands in exactly one outcome bucket.
 fn assert_probe_outcomes_balance(m: &MetricsSnapshot) {
-    let sent = counter(m, "probe.queries.sent");
+    let sent = m.counter("probe.queries.sent");
     let outcomes = counter_family(m, "probe.queries{");
     assert!(sent > 0, "no probe queries sent");
     assert_eq!(outcomes, sent, "every probe query has exactly one outcome");
-    assert!(counter(m, "probe.queries{outcome=ok}") <= sent);
+    assert!(m.counter("probe.queries{outcome=ok}") <= sent);
 }
 
 /// Replicates the first `n` erroneous snapshots the way the evaluator
@@ -62,7 +61,7 @@ fn faulty_ge_walks(corpus: &Corpus, n: usize, plan: &FaultPlan) -> u64 {
 }
 
 #[test]
-fn pipeline_metrics_balance_and_match_legacy_accessors() {
+fn pipeline_metrics_balance_and_count_each_event_once() {
     let corpus = generate(&CorpusConfig {
         scale: 0.002,
         seed: 21,
@@ -74,42 +73,42 @@ fn pipeline_metrics_balance_and_match_legacy_accessors() {
     let m = &ddx_obs::snapshot().diff(&before);
     let zones = summary.zones;
     assert_eq!(zones, 16);
-    assert_eq!(counter(m, "campaign.zones"), zones);
+    assert_eq!(m.counter("campaign.zones"), zones);
     // The synthetic corpus is algorithmically benign: grok meters real
     // validation work, but nothing in it trips the default budget.
     assert!(
-        counter(m, "grok.budget.sig_verifications") > 0,
+        m.counter("grok.budget.sig_verifications") > 0,
         "no signature work metered across a full pipeline run"
     );
     assert_eq!(
-        counter(m, "grok.budget.exceeded"),
+        m.counter("grok.budget.exceeded"),
         0,
         "benign corpus tripped a validation budget"
     );
     // One probe walk per GE diagnosis plus one per fixer iteration.
-    assert!(counter(m, "probe.walks") >= zones);
+    assert!(m.counter("probe.walks") >= zones);
     assert_probe_outcomes_balance(m);
 
     // Answer memo: hits + misses == lookups.
-    let lookups = counter(m, "server.answer_memo.lookups");
+    let lookups = m.counter("server.answer_memo.lookups");
     assert!(lookups > 0, "no server traffic recorded");
     assert_eq!(
-        counter(m, "server.answer_memo.hits") + counter(m, "server.answer_memo.misses"),
+        m.counter("server.answer_memo.hits") + m.counter("server.answer_memo.misses"),
         lookups,
     );
 
     // Grok memo: every zone the incremental revalidator accounts for is
     // either spliced from cache or probed live, and the probe layer's
     // zones-skipped counter mirrors the hits exactly.
-    let gm_lookups = counter(m, "grok.memo.lookups");
+    let gm_lookups = m.counter("grok.memo.lookups");
     assert!(gm_lookups > 0, "fixer ran no incremental revalidations");
     assert_eq!(
-        counter(m, "grok.memo.hits") + counter(m, "grok.memo.misses"),
+        m.counter("grok.memo.hits") + m.counter("grok.memo.misses"),
         gm_lookups,
     );
     assert_eq!(
-        counter(m, "probe.zones_skipped"),
-        counter(m, "grok.memo.hits")
+        m.counter("probe.zones_skipped"),
+        m.counter("grok.memo.hits")
     );
 
     // Stage timers cover every zone, under the split labels only: the
@@ -140,15 +139,15 @@ fn pipeline_metrics_balance_and_match_legacy_accessors() {
     let walks = faulty_ge_walks(&corpus, 16, &FaultPlan::uniform(7, 60));
     let m = &ddx_obs::snapshot().diff(&before);
     assert!(walks > 0, "no snapshot replicated");
-    assert_eq!(counter(m, "probe.walks"), walks);
+    assert_eq!(m.counter("probe.walks"), walks);
     assert_probe_outcomes_balance(m);
 
     // Fault accounting: passed + Σ injected == draws.
-    let draws = counter(m, "server.fault.queries");
+    let draws = m.counter("server.fault.queries");
     assert!(draws > 0, "the fault plan saw no traffic");
     let injected = counter_family(m, "server.fault.injected{");
     assert!(injected > 0, "uniform 60‰ plan injected nothing");
-    assert_eq!(counter(m, "server.fault.passed") + injected, draws);
+    assert_eq!(m.counter("server.fault.passed") + injected, draws);
 
     // --- Passthrough run: an all-zero fault plan must draw on every query
     // yet inject nothing.
@@ -156,62 +155,98 @@ fn pipeline_metrics_balance_and_match_legacy_accessors() {
     let walks = faulty_ge_walks(&corpus, 8, &FaultPlan::none(7));
     let m = &ddx_obs::snapshot().diff(&before);
     assert!(walks > 0, "no snapshot replicated");
-    let draws = counter(m, "server.fault.queries");
+    let draws = m.counter("server.fault.queries");
     assert!(draws > 0, "passthrough plan saw no traffic");
     assert_eq!(counter_family(m, "server.fault.injected{"), 0);
-    assert_eq!(counter(m, "server.fault.passed"), draws);
+    assert_eq!(m.counter("server.fault.passed"), draws);
 
-    // --- Legacy accessor parity: with this test single-threaded and alone
-    // in its binary, an instance's stats delta IS the registry delta.
+    // --- Grok passes: a scratch grok of a fault-free replica times each
+    // of the six analysis passes once per zone it analyses.
     let request = ReplicationRequest {
         meta: ZoneMeta::default(),
-        intended: std::collections::BTreeSet::from([ErrorCode::RrsigExpired]),
+        intended: BTreeSet::from([ErrorCode::RrsigExpired]),
     };
     let rep = replicate(&request, 1_000_000, 0xB0B).expect("replicates");
-    let net = FaultNetwork::new(&rep.sandbox.testbed, FaultPlan::uniform(3, 40));
-    let (hits_before, misses_before) = rep.sandbox.testbed.answer_cache_stats();
     let before = ddx_obs::snapshot();
-    let _report = grok(&probe(&net, &rep.probe));
+    let report = grok(&probe(&rep.sandbox.testbed, &rep.probe));
     let delta = ddx_obs::snapshot().diff(&before);
+    let passes: BTreeMap<&str, u64> = delta
+        .histograms
+        .iter()
+        .filter_map(|(k, h)| {
+            let pass = k.strip_prefix("grok.pass_us{pass=")?.strip_suffix('}')?;
+            Some((pass, h.count))
+        })
+        .collect();
+    let zones = report.zones.len() as u64;
+    assert!(zones > 0);
+    assert_eq!(passes.len(), 6, "{passes:?}");
+    assert!(passes.contains_key("denial"), "{passes:?}");
+    assert_eq!(passes.values().sum::<u64>(), zones * 6, "{passes:?}");
 
-    let stats = net.fault_stats();
-    assert_eq!(
-        counter(&delta, "server.fault.queries"),
-        stats.passed + stats.injected(),
-    );
-    assert_eq!(counter(&delta, "server.fault.passed"), stats.passed);
-    assert_eq!(
-        counter_family(&delta, "server.fault.injected{"),
-        stats.injected(),
-    );
-    let (hits_after, misses_after) = rep.sandbox.testbed.answer_cache_stats();
-    assert_eq!(
-        counter(&delta, "server.answer_memo.hits"),
-        hits_after - hits_before,
-    );
-    assert_eq!(
-        counter(&delta, "server.answer_memo.misses"),
-        misses_after - misses_before,
-    );
-
-    // --- Grok-memo registry parity: two incremental revalidations of one
-    // unchanged sandbox — the second is all hits, and the registry deltas
-    // must mirror the memo's own stats exactly.
+    // --- Grok memo: two incremental revalidations of one unchanged
+    // sandbox — the first probes every zone, the second splices every zone
+    // from cache, and the probe layer's zones-skipped counter mirrors the
+    // hits exactly.
     let before = ddx_obs::snapshot();
     let mut memo = ddx_dnsviz::GrokMemo::new();
     let first = memo.probe_grok(&rep.sandbox.testbed, &rep.sandbox.testbed, &rep.probe);
+    let cold = ddx_obs::snapshot().diff(&before);
     let second = memo.probe_grok(&rep.sandbox.testbed, &rep.sandbox.testbed, &rep.probe);
     assert_eq!(first.to_json(), second.to_json());
     let delta = ddx_obs::snapshot().diff(&before);
-    let s = memo.stats();
-    assert_eq!(s.lookups, s.hits + s.misses);
-    assert!(s.hits > 0, "warm revalidation reused nothing");
-    assert!(s.misses > 0, "cold revalidation missed nothing");
-    assert_eq!(counter(&delta, "grok.memo.lookups"), s.lookups);
-    assert_eq!(counter(&delta, "grok.memo.hits"), s.hits);
-    assert_eq!(counter(&delta, "grok.memo.misses"), s.misses);
-    assert_eq!(counter(&delta, "grok.memo.invalidations"), s.invalidations);
-    assert_eq!(counter(&delta, "probe.zones_skipped"), s.hits);
+    let hits = delta.counter("grok.memo.hits");
+    let misses = delta.counter("grok.memo.misses");
+    assert_eq!(delta.counter("grok.memo.lookups"), hits + misses);
+    assert_eq!(
+        cold.counter("grok.memo.hits"),
+        0,
+        "cold revalidation reused"
+    );
+    assert!(misses > 0, "cold revalidation missed nothing");
+    assert_eq!(hits, misses, "warm revalidation must reuse every zone");
+    assert_eq!(delta.counter("grok.memo.invalidations"), 0);
+    assert_eq!(delta.counter("probe.zones_skipped"), hits);
+
+    // --- DFixer: one `fixer.iterations` bump per iteration log.
+    let mut rep = replicate(&request, 1_000_000, 0x7ACE).expect("replicates");
+    let cfg = rep.probe.clone();
+    let before = ddx_obs::snapshot();
+    let run = run_fixer(&mut rep.sandbox, &cfg, &FixerOptions::default());
+    let delta = ddx_obs::snapshot().diff(&before);
+    assert!(run.fixed);
+    assert_eq!(
+        delta.counter("fixer.iterations"),
+        run.iterations.len() as u64
+    );
+
+    // --- Signature cache: the first re-sign of a zone populates the
+    // sandbox's cache, and a second re-sign in the same signer window
+    // (unchanged data bar the serial bump) reuses most signatures.
+    let mut sb = build_sandbox(
+        &[
+            ZoneSpec::conventional(ddx_dns::name("a.com")),
+            ZoneSpec::conventional(ddx_dns::name("par.a.com")),
+            ZoneSpec::conventional(ddx_dns::name("chd.par.a.com")),
+        ],
+        1_000_000,
+        7,
+    );
+    let apex = ddx_dns::name("chd.par.a.com");
+    let before = ddx_obs::snapshot();
+    sb.resign_zone(&apex, 1_000_010).unwrap();
+    let first = ddx_obs::snapshot().diff(&before);
+    assert!(
+        first.counter("dnssec.sig_cache.misses") > 0,
+        "cold pass populates the cache"
+    );
+    let before = ddx_obs::snapshot();
+    sb.resign_zone(&apex, 1_000_020).unwrap();
+    let second = ddx_obs::snapshot().diff(&before);
+    assert!(
+        second.counter("dnssec.sig_cache.hits") > 0,
+        "warm pass must hit the cache"
+    );
 
     // --- Validation-budget ledger: building an adversarial sandbox meters
     // nothing; each truncated analysis trips at most once per zone the memo
@@ -222,7 +257,7 @@ fn pipeline_metrics_balance_and_match_legacy_accessors() {
     let atk = replicate_attack(AttackFamily::SigJam, 1_000_000, 0xBAD5).expect("attack replicates");
     let base = ddx_obs::snapshot();
     assert_eq!(
-        counter(&base.diff(&before), "grok.budget.exceeded"),
+        base.diff(&before).counter("grok.budget.exceeded"),
         0,
         "replication alone performed grok work"
     );
@@ -235,10 +270,10 @@ fn pipeline_metrics_balance_and_match_legacy_accessors() {
         "SigJam did not trip: {:?}",
         first.codes()
     );
-    assert!(counter(&d1, "grok.budget.sig_verifications") > 0);
-    assert!(counter(&d1, "grok.budget.exceeded") >= 1);
+    assert!(d1.counter("grok.budget.sig_verifications") > 0);
+    assert!(d1.counter("grok.budget.exceeded") >= 1);
     assert!(
-        counter(&d1, "grok.budget.exceeded") <= counter(&d1, "grok.memo.lookups"),
+        d1.counter("grok.budget.exceeded") <= d1.counter("grok.memo.lookups"),
         "more trips than zones accounted for"
     );
 
@@ -246,10 +281,9 @@ fn pipeline_metrics_balance_and_match_legacy_accessors() {
     let d2 = ddx_obs::snapshot().diff(&base);
     assert_eq!(first.to_json(), second.to_json());
     assert!(
-        counter(&d2, "grok.budget.sig_verifications")
-            > counter(&d1, "grok.budget.sig_verifications"),
+        d2.counter("grok.budget.sig_verifications") > d1.counter("grok.budget.sig_verifications"),
         "second pass over a tripped zone reused the truncated analysis"
     );
-    assert!(counter(&d2, "grok.budget.exceeded") > counter(&d1, "grok.budget.exceeded"));
-    assert!(counter(&d2, "grok.budget.exceeded") <= counter(&d2, "grok.memo.lookups"));
+    assert!(d2.counter("grok.budget.exceeded") > d1.counter("grok.budget.exceeded"));
+    assert!(d2.counter("grok.budget.exceeded") <= d2.counter("grok.memo.lookups"));
 }
