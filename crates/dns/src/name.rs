@@ -71,11 +71,6 @@ impl Label {
         self.0.is_empty()
     }
 
-    /// ASCII-lowercased copy used for comparisons.
-    pub fn to_lowercase(&self) -> Vec<u8> {
-        self.0.iter().map(|b| b.to_ascii_lowercase()).collect()
-    }
-
     /// Case-insensitive equality (RFC 1035 §2.3.3).
     pub fn eq_ignore_case(&self, other: &Label) -> bool {
         self.0.len() == other.0.len()
@@ -86,9 +81,18 @@ impl Label {
                 .all(|(a, b)| a.eq_ignore_ascii_case(b))
     }
 
-    /// Canonical (case-insensitive, octet-wise) ordering of two labels.
+    /// Canonical (case-insensitive, octet-wise) ordering of two labels:
+    /// lowercased octets compared in place, a shorter prefix sorting first.
     pub fn canonical_cmp(&self, other: &Label) -> Ordering {
-        self.to_lowercase().cmp(&other.to_lowercase())
+        for (a, b) in self.0.iter().zip(&other.0) {
+            if a != b {
+                match a.to_ascii_lowercase().cmp(&b.to_ascii_lowercase()) {
+                    Ordering::Equal => {}
+                    ord => return ord,
+                }
+            }
+        }
+        self.0.len().cmp(&other.0.len())
     }
 }
 
@@ -423,6 +427,32 @@ mod tests {
         names.reverse();
         names.sort_by(|a, b| a.canonical_cmp(b));
         assert_eq!(names, expect, "order should match {ordered:?}");
+    }
+
+    /// In-place canonical compare equals "lowercase both, then compare"
+    /// (RFC 4034 §6.1), for labels and for names. Labels are short draws
+    /// from letters of both cases, the 0x5B–0x60 run between `Z` and `a`
+    /// (where lowercasing flips the order) and bytes ≥ 0x80, so shared
+    /// prefixes and case-only differences are common.
+    #[test]
+    fn canonical_cmp_matches_lowercase_then_compare() {
+        use ddx_prop::Rng;
+
+        const ALPHABET: &[u8] = b"aAbByYzZ[\\]^_`\x80\xc1\xff";
+        let label = |rng: &mut ddx_prop::StdRng| {
+            let bytes = ddx_prop::vec(rng, 0..5, |r| ALPHABET[r.gen_range(0..ALPHABET.len())]);
+            Label::new(&bytes).unwrap()
+        };
+        let lower = |l: &Label| -> Vec<u8> { l.as_bytes().to_ascii_lowercase() };
+        ddx_prop::check("canonical_cmp_oracle", 1024, |rng| {
+            let (a, b) = (label(rng), label(rng));
+            assert_eq!(a.canonical_cmp(&b), lower(&a).cmp(&lower(&b)), "{a} vs {b}");
+
+            let x = Name::from_labels(ddx_prop::vec(rng, 0..4, label)).unwrap();
+            let y = Name::from_labels(ddx_prop::vec(rng, 0..4, label)).unwrap();
+            let key = |n: &Name| n.labels().iter().rev().map(lower).collect::<Vec<_>>();
+            assert_eq!(x.canonical_cmp(&y), key(&x).cmp(&key(&y)), "{x} vs {y}");
+        });
     }
 
     #[test]

@@ -313,7 +313,7 @@ impl RData {
             }
             RData::Nsec(nsec) => {
                 name_wire(&nsec.next_name, canonical, out);
-                out.extend(nsec.type_bitmap.to_wire());
+                nsec.type_bitmap.wire_into(out);
             }
             RData::Nsec3(n3) => {
                 out.push(n3.hash_algorithm);
@@ -323,7 +323,7 @@ impl RData {
                 out.extend_from_slice(&n3.salt);
                 out.push(n3.next_hashed_owner.len() as u8);
                 out.extend_from_slice(&n3.next_hashed_owner);
-                out.extend(n3.type_bitmap.to_wire());
+                n3.type_bitmap.wire_into(out);
             }
             RData::Nsec3Param(p) => {
                 out.push(p.hash_algorithm);

@@ -248,9 +248,8 @@ impl TypeBitmap {
         self.codes.len()
     }
 
-    /// Encodes as RFC 4034 §4.1.2 window blocks.
-    pub fn to_wire(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+    /// Appends the RFC 4034 §4.1.2 window blocks to `out`.
+    pub fn wire_into(&self, out: &mut Vec<u8>) {
         let mut window = 0u8;
         let mut bits = [0u8; 32];
         let mut max_octet = 0usize;
@@ -266,7 +265,7 @@ impl TypeBitmap {
         for &code in &self.codes {
             let w = (code >> 8) as u8;
             if w != window {
-                flush(&mut out, window, &bits, max_octet, dirty);
+                flush(out, window, &bits, max_octet, dirty);
                 window = w;
                 bits = [0u8; 32];
                 max_octet = 0;
@@ -278,8 +277,7 @@ impl TypeBitmap {
             max_octet = max_octet.max(octet);
             dirty = true;
         }
-        flush(&mut out, window, &bits, max_octet, dirty);
-        out
+        flush(out, window, &bits, max_octet, dirty);
     }
 
     /// Checks window-block framing without building the bitmap: returns
@@ -345,6 +343,12 @@ impl fmt::Display for TypeBitmap {
 mod tests {
     use super::*;
 
+    fn wire(bm: &TypeBitmap) -> Vec<u8> {
+        let mut out = Vec::new();
+        bm.wire_into(&mut out);
+        out
+    }
+
     #[test]
     fn type_codes_round_trip() {
         for t in [
@@ -405,7 +409,7 @@ mod tests {
             RrType::Dnskey,
             RrType::Unknown(1234), // exercises a second window
         ]);
-        let wire = bm.to_wire();
+        let wire = wire(&bm);
         let back = TypeBitmap::from_wire(&wire).unwrap();
         assert_eq!(bm, back);
     }
@@ -420,7 +424,7 @@ mod tests {
             RrType::Nsec,
             RrType::Unknown(1234),
         ]);
-        let wire = bm.to_wire();
+        let wire = wire(&bm);
         assert_eq!(
             wire,
             vec![
@@ -449,10 +453,14 @@ mod tests {
             vec![0x00, 0x21],
             vec![0x00, 0x02, 0x01],
             vec![0x00, 0x01, 0x40],
-            TypeBitmap::from_types([RrType::A, RrType::Rrsig, RrType::Unknown(1234)]).to_wire(),
+            wire(&TypeBitmap::from_types([
+                RrType::A,
+                RrType::Rrsig,
+                RrType::Unknown(1234),
+            ])),
         ];
         // A valid block followed by a truncated one.
-        let mut mixed = TypeBitmap::from_types([RrType::A]).to_wire();
+        let mut mixed = wire(&TypeBitmap::from_types([RrType::A]));
         mixed.extend_from_slice(&[0x04, 0x05, 0x01]);
         cases.push(mixed);
         for case in cases {

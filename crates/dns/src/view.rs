@@ -19,7 +19,7 @@
 use std::hash::{Hash, Hasher};
 
 use crate::message::{Edns, Flags, Message, Question};
-use crate::name::Name;
+use crate::name::{Label, Name};
 use crate::rdata::RData;
 use crate::rrset::Record;
 use crate::types::{Rcode, RrClass, RrType};
@@ -68,9 +68,11 @@ impl<'buf> NameRef<'buf> {
     /// Materializes an owned [`Name`] (allocates; the only bridge off the
     /// wire).
     pub fn to_name(&self) -> Name {
-        wire::read_name_at(self.buf, self.off)
-            .expect("NameRef points at a validated name")
-            .0
+        let labels = self
+            .labels()
+            .map(|l| Label::new(l).expect("validated label"))
+            .collect();
+        Name::from_labels(labels).expect("NameRef points at a validated name")
     }
 
     /// Case-insensitive equality against an owned name, without

@@ -2,7 +2,6 @@
 //! compression, EDNS(0) OPT handling, and defensive decoding (pointer-loop
 //! guards, bounds checks). Used by the loopback UDP transport.
 
-use std::collections::HashMap;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
 use crate::message::{Edns, Flags, Message, Question};
@@ -10,6 +9,7 @@ use crate::name::{Label, Name};
 use crate::rdata::{Dnskey, Ds, Nsec, Nsec3, Nsec3Param, RData, Rrsig, Soa};
 use crate::rrset::Record;
 use crate::types::{Rcode, RrClass, RrType, TypeBitmap};
+use crate::view::NameRef;
 
 /// Maximum number of compression-pointer hops followed while reading one
 /// name. Pointers must also go strictly backwards, which already rules out
@@ -76,30 +76,179 @@ pub(crate) mod decode_obs {
 
 // ---------------------------------------------------------------- encoding
 
-struct Encoder {
-    buf: Vec<u8>,
-    /// Lowercased presentation name → offset of its first occurrence.
-    offsets: HashMap<String, u16>,
+/// Highest message offset a compression pointer can hold (14 bits).
+const MAX_POINTER: usize = 0x3FFF;
+
+/// Most labels a name can have: 255 octets of wire form, two per label
+/// plus the root.
+const MAX_LABELS: usize = 127;
+
+/// Slots an encoder's compression table starts with, inline; a message
+/// moves it to the heap only after writing more than half as many
+/// distinct name suffixes.
+const INLINE_SLOTS: usize = 64;
+
+/// Where each name suffix of a message was first written, so later names
+/// can point back at it (RFC 1035 §4.1.4).
+trait Compressor: Default {
+    /// Writes `name` to `buf`, ending in a pointer at its longest suffix
+    /// already recorded, and records every suffix it writes out in full
+    /// that starts within pointer range.
+    fn name(&mut self, buf: &mut Vec<u8>, name: &Name);
 }
 
-impl Encoder {
-    fn new() -> Self {
-        Encoder {
-            buf: Vec::with_capacity(512),
-            offsets: HashMap::new(),
+/// A compression-table slot: the hash of a lowercased name suffix and the
+/// offset where that suffix was first written. Offset 0 marks an empty
+/// slot (no name starts inside the header).
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    hash: u32,
+    offset: u16,
+}
+
+/// The encoder's compression table: open addressing with linear probing,
+/// keyed by a hash of each lowercased suffix. A hash only nominates a
+/// candidate; [`written_name_eq`] confirms it against the bytes already
+/// written, so a collision cannot change the output.
+#[derive(Debug)]
+struct SuffixTable {
+    inline: [Slot; INLINE_SLOTS],
+    /// Replaces `inline` (at twice the size, and again on each doubling)
+    /// once the live table is more than half full; empty until then.
+    spill: Vec<Slot>,
+    len: usize,
+}
+
+impl Default for SuffixTable {
+    fn default() -> Self {
+        SuffixTable {
+            inline: [Slot::default(); INLINE_SLOTS],
+            spill: Vec::new(),
+            len: 0,
+        }
+    }
+}
+
+impl SuffixTable {
+    fn slots(&self) -> &[Slot] {
+        if self.spill.is_empty() {
+            &self.inline
+        } else {
+            &self.spill
         }
     }
 
-    /// Encodes into a caller-provided buffer (cleared first), so batched
-    /// transports and load generators can reuse one allocation per slot.
-    fn with_buf(mut buf: Vec<u8>) -> Self {
-        buf.clear();
-        Encoder {
-            buf,
-            offsets: HashMap::new(),
+    /// The offset `labels` (hashing to `hash`) was first written at, or
+    /// the empty slot that ends its probe sequence.
+    fn find(&self, buf: &[u8], hash: u32, labels: &[Label]) -> Result<u16, usize> {
+        let slots = self.slots();
+        let mask = slots.len() - 1;
+        let mut i = hash as usize & mask;
+        loop {
+            let slot = slots[i];
+            if slot.offset == 0 {
+                return Err(i);
+            }
+            if slot.hash == hash && written_name_eq(buf, usize::from(slot.offset), labels) {
+                return Ok(slot.offset);
+            }
+            i = (i + 1) & mask;
         }
     }
 
+    fn insert(&mut self, empty: usize, hash: u32, offset: u16) {
+        let slot = Slot { hash, offset };
+        if self.spill.is_empty() {
+            self.inline[empty] = slot;
+        } else {
+            self.spill[empty] = slot;
+        }
+        self.len += 1;
+        if self.len * 2 > self.slots().len() {
+            let mut bigger = vec![Slot::default(); self.slots().len() * 2];
+            let mask = bigger.len() - 1;
+            for slot in self.slots().iter().filter(|s| s.offset != 0) {
+                let mut i = slot.hash as usize & mask;
+                while bigger[i].offset != 0 {
+                    i = (i + 1) & mask;
+                }
+                bigger[i] = *slot;
+            }
+            self.spill = bigger;
+        }
+    }
+}
+
+impl Compressor for SuffixTable {
+    fn name(&mut self, buf: &mut Vec<u8>, name: &Name) {
+        let labels = name.labels();
+        // hashes[i] covers labels[i..]: FNV-1a over the length-prefixed,
+        // lowercased labels, right to left, so each suffix extends the
+        // hash of the one after it.
+        let mut hashes = [0u32; MAX_LABELS];
+        let mut acc = ddx_obs::FNV_OFFSET;
+        for (i, label) in labels.iter().enumerate().rev() {
+            acc = ddx_obs::fnv1a(acc, &[label.len() as u8]);
+            for &b in label.as_bytes() {
+                acc = ddx_obs::fnv1a(acc, &[b.to_ascii_lowercase()]);
+            }
+            hashes[i] = (acc ^ (acc >> 32)) as u32;
+        }
+        for (i, label) in labels.iter().enumerate() {
+            match self.find(buf, hashes[i], &labels[i..]) {
+                Ok(offset) => {
+                    buf.extend_from_slice(&(0xC000 | offset).to_be_bytes());
+                    return;
+                }
+                Err(empty) if buf.len() <= MAX_POINTER => {
+                    self.insert(empty, hashes[i], buf.len() as u16)
+                }
+                Err(_) => {}
+            }
+            buf.push(label.len() as u8);
+            buf.extend_from_slice(label.as_bytes());
+        }
+        buf.push(0);
+    }
+}
+
+/// True if the name written at `pos` in `buf` (following compression
+/// pointers) is `labels`, ignoring ASCII case. Fails closed on anything
+/// that is not a complete name: a forward pointer or running off the end.
+fn written_name_eq(buf: &[u8], mut pos: usize, labels: &[Label]) -> bool {
+    let mut labels = labels.iter();
+    loop {
+        let Some(&len) = buf.get(pos) else {
+            return false;
+        };
+        if len & 0xC0 == 0xC0 {
+            let Some(&low) = buf.get(pos + 1) else {
+                return false;
+            };
+            let target = (usize::from(len & 0x3F) << 8) | usize::from(low);
+            if target >= pos {
+                return false;
+            }
+            pos = target;
+            continue;
+        }
+        let Some(label) = labels.next() else {
+            return len == 0;
+        };
+        let end = pos + 1 + usize::from(len);
+        match buf.get(pos + 1..end) {
+            Some(written) if written.eq_ignore_ascii_case(label.as_bytes()) => pos = end,
+            _ => return false,
+        }
+    }
+}
+
+struct Encoder<C> {
+    buf: Vec<u8>,
+    names: C,
+}
+
+impl<C: Compressor> Encoder<C> {
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -116,33 +265,9 @@ impl Encoder {
         self.buf.extend_from_slice(v);
     }
 
-    /// Encodes a name with compression: at each suffix, either emit a
-    /// pointer to a previous occurrence or record this occurrence.
+    /// Encodes a name with compression.
     fn name(&mut self, name: &Name) {
-        let labels = name.labels();
-        for i in 0..labels.len() {
-            let suffix = Name::from_labels(labels[i..].to_vec()).expect("suffix fits");
-            let key = suffix.key();
-            if let Some(&off) = self.offsets.get(&key) {
-                self.u16(0xC000 | off);
-                return;
-            }
-            if self.buf.len() <= 0x3FFF {
-                self.offsets.insert(key, self.buf.len() as u16);
-            }
-            self.u8(labels[i].len() as u8);
-            self.bytes(labels[i].as_bytes());
-        }
-        self.u8(0);
-    }
-
-    /// Encodes a name without compression (names inside DNSSEC RDATA).
-    fn name_uncompressed(&mut self, name: &Name) {
-        for label in name.labels() {
-            self.u8(label.len() as u8);
-            self.bytes(label.as_bytes());
-        }
-        self.u8(0);
+        self.names.name(&mut self.buf, name);
     }
 
     fn record(&mut self, rec: &Record) {
@@ -172,6 +297,8 @@ impl Encoder {
                 self.name(exchange);
             }
             RData::Rrsig(sig) => {
+                // Not `RData::to_wire_into`: that writes the signer name
+                // lowercased, as signing needs; the wire keeps its case.
                 self.u16(sig.type_covered.code());
                 self.u8(sig.algorithm);
                 self.u8(sig.labels);
@@ -179,17 +306,14 @@ impl Encoder {
                 self.u32(sig.expiration);
                 self.u32(sig.inception);
                 self.u16(sig.key_tag);
-                self.name_uncompressed(&sig.signer_name);
+                for label in sig.signer_name.labels() {
+                    self.u8(label.len() as u8);
+                    self.bytes(label.as_bytes());
+                }
+                self.u8(0);
                 self.bytes(&sig.signature);
             }
-            RData::Nsec(nsec) => {
-                self.name_uncompressed(&nsec.next_name);
-                self.bytes(&nsec.type_bitmap.to_wire());
-            }
-            other => {
-                let raw = other.to_wire();
-                self.bytes(&raw);
-            }
+            other => other.to_wire_into(&mut self.buf),
         }
         let rdlen = (self.buf.len() - len_pos - 2) as u16;
         self.buf[len_pos..len_pos + 2].copy_from_slice(&rdlen.to_be_bytes());
@@ -198,16 +322,21 @@ impl Encoder {
 
 /// Serializes a message to wire format.
 pub fn encode(msg: &Message) -> Vec<u8> {
-    encode_with(Encoder::new(), msg)
+    encode_with::<SuffixTable>(Vec::with_capacity(512), msg)
 }
 
 /// Serializes a message into `buf` (cleared first), reusing its capacity.
 pub fn encode_into(msg: &Message, buf: &mut Vec<u8>) {
-    let owned = std::mem::take(buf);
-    *buf = encode_with(Encoder::with_buf(owned), msg);
+    *buf = encode_with::<SuffixTable>(std::mem::take(buf), msg);
 }
 
-fn encode_with(mut e: Encoder, msg: &Message) -> Vec<u8> {
+/// Encodes `msg` into `buf` (cleared first) with compressor `C`.
+fn encode_with<C: Compressor>(mut buf: Vec<u8>, msg: &Message) -> Vec<u8> {
+    buf.clear();
+    let mut e = Encoder {
+        buf,
+        names: C::default(),
+    };
     e.u16(msg.id);
     let f = &msg.flags;
     let mut word: u16 = 0;
@@ -306,9 +435,9 @@ impl<'a> Decoder<'a> {
 
     /// Reads a possibly-compressed name starting at the current position.
     fn name(&mut self) -> Result<Name, WireError> {
-        let (name, next) = read_name_at(self.buf, self.pos)?;
-        self.pos = next;
-        Ok(name)
+        let start = self.pos;
+        self.skip_name()?;
+        Ok(NameRef::new(self.buf, start).to_name())
     }
 
     /// Validates and skips a possibly-compressed name without building it.
@@ -318,57 +447,11 @@ impl<'a> Decoder<'a> {
     }
 }
 
-/// Reads a name at `start`, following compression pointers; returns the name
-/// and the position just after the name's in-line representation.
-pub(crate) fn read_name_at(buf: &[u8], start: usize) -> Result<(Name, usize), WireError> {
-    let mut labels = Vec::new();
-    let mut pos = start;
-    let mut after: Option<usize> = None;
-    let mut jumps = 0;
-    loop {
-        let len = *buf.get(pos).ok_or(WireError::Truncated)? as usize;
-        if len & 0xC0 == 0xC0 {
-            let b2 = *buf.get(pos + 1).ok_or(WireError::Truncated)? as usize;
-            let target = ((len & 0x3F) << 8) | b2;
-            if after.is_none() {
-                after = Some(pos + 2);
-            }
-            // Pointers must go strictly backwards; cap jumps defensively.
-            if target >= pos {
-                return Err(WireError::BadPointer);
-            }
-            jumps += 1;
-            if jumps > MAX_POINTER_CHASES {
-                return Err(WireError::BadPointer);
-            }
-            pos = target;
-            continue;
-        }
-        if len & 0xC0 != 0 {
-            return Err(WireError::BadName);
-        }
-        if len == 0 {
-            pos += 1;
-            break;
-        }
-        let bytes = buf
-            .get(pos + 1..pos + 1 + len)
-            .ok_or(WireError::Truncated)?;
-        labels.push(Label::new(bytes).map_err(|_| WireError::BadName)?);
-        pos += 1 + len;
-        if labels.len() > 127 {
-            return Err(WireError::BadName);
-        }
-    }
-    let name = Name::from_labels(labels).map_err(|_| WireError::BadName)?;
-    Ok((name, after.unwrap_or(pos)))
-}
-
-/// Allocation-free twin of [`read_name_at`]: performs the identical
-/// validation walk (same checks, same order, same errors) but returns only
-/// the position after the name's in-line bytes. `MessageView` relies on this
-/// accepting and rejecting exactly the inputs `read_name_at` does; keep the
-/// two in lockstep.
+/// Validates the possibly-compressed name at `start` without building it
+/// and returns the position after its in-line bytes. The one name
+/// validator: the owned decoder materializes a name (through
+/// [`NameRef::to_name`]) only after this accepted it, and `MessageView`
+/// validates with it, so both paths accept and reject the same names.
 pub(crate) fn skip_name_at(buf: &[u8], start: usize) -> Result<usize, WireError> {
     let mut labels = 0usize;
     // Wire length: per-label length octets plus the root terminator, as
@@ -778,6 +861,187 @@ mod tests {
     use super::*;
     use crate::name::name;
     use crate::rdata::DNSKEY_FLAG_ZONE;
+    use ddx_prop::{Rng, StdRng};
+    use std::collections::HashMap;
+
+    /// The compressor the suffix table replaced, kept as its oracle:
+    /// lowercased presentation name → offset of its first occurrence.
+    #[derive(Default)]
+    struct StringKeyed(HashMap<String, u16>);
+
+    impl Compressor for StringKeyed {
+        fn name(&mut self, buf: &mut Vec<u8>, name: &Name) {
+            let labels = name.labels();
+            for i in 0..labels.len() {
+                let suffix = Name::from_labels(labels[i..].to_vec()).expect("suffix fits");
+                let key = suffix.key();
+                if let Some(&off) = self.0.get(&key) {
+                    buf.extend_from_slice(&(0xC000 | off).to_be_bytes());
+                    return;
+                }
+                if buf.len() <= 0x3FFF {
+                    self.0.insert(key, buf.len() as u16);
+                }
+                buf.push(labels[i].len() as u8);
+                buf.extend_from_slice(labels[i].as_bytes());
+            }
+            buf.push(0);
+        }
+    }
+
+    /// A label from a small pool with each letter's case drawn at random,
+    /// so names share suffixes in differing case. The pool holds `.`, `\`,
+    /// bytes ≥ 0x80 and the 0x5B–0x60 run between `Z` and `a`; one draw in
+    /// eight is random bytes instead.
+    fn arb_label(rng: &mut StdRng) -> Label {
+        const POOL: [&[u8]; 8] = [
+            b"com",
+            b"example",
+            b"www",
+            b"a.b",
+            b"back\\slash",
+            b"\x80hi\xff",
+            b"[_`]^",
+            b"ns1",
+        ];
+        if rng.gen_range(0..8) == 0 {
+            return Label::new(&ddx_prop::bytes(rng, 1..12)).unwrap();
+        }
+        let bytes: Vec<u8> = POOL[rng.gen_range(0..POOL.len())]
+            .iter()
+            .map(|&b| if rng.gen() { b.to_ascii_uppercase() } else { b })
+            .collect();
+        Label::new(&bytes).unwrap()
+    }
+
+    fn arb_name(rng: &mut StdRng) -> Name {
+        Name::from_labels(ddx_prop::vec(rng, 0..5, arb_label)).unwrap()
+    }
+
+    fn arb_record(rng: &mut StdRng) -> Record {
+        let rdata = match rng.gen_range(0..7) {
+            0 => RData::Ns(arb_name(rng)),
+            1 => RData::Cname(arb_name(rng)),
+            2 => RData::Soa(Soa {
+                mname: arb_name(rng),
+                rname: arb_name(rng),
+                serial: rng.gen(),
+                refresh: 7200,
+                retry: 900,
+                expire: 1_209_600,
+                minimum: 300,
+            }),
+            3 => RData::Mx {
+                preference: rng.gen(),
+                exchange: arb_name(rng),
+            },
+            4 => RData::Rrsig(Rrsig {
+                type_covered: RrType::A,
+                algorithm: 13,
+                labels: 2,
+                original_ttl: 300,
+                expiration: rng.gen(),
+                inception: rng.gen(),
+                key_tag: rng.gen(),
+                signer_name: arb_name(rng),
+                signature: ddx_prop::bytes(rng, 0..16),
+            }),
+            5 => RData::Nsec(Nsec {
+                next_name: arb_name(rng),
+                type_bitmap: TypeBitmap::from_types([RrType::A, RrType::Rrsig, RrType::Nsec]),
+            }),
+            _ => RData::A(Ipv4Addr::from(rng.gen::<u32>())),
+        };
+        Record::new(arb_name(rng), rng.gen(), rdata)
+    }
+
+    fn arb_message(rng: &mut StdRng, records: std::ops::Range<usize>) -> Message {
+        let mut msg = Message::query(rng.gen(), arb_name(rng), RrType::A).response();
+        msg.answers = ddx_prop::vec(rng, records.clone(), arb_record);
+        msg.authorities = ddx_prop::vec(rng, records.clone(), arb_record);
+        msg.additionals = ddx_prop::vec(rng, records, arb_record);
+        if rng.gen() {
+            msg.edns = None;
+        }
+        msg
+    }
+
+    fn encode_reference(msg: &Message) -> Vec<u8> {
+        encode_with::<StringKeyed>(Vec::new(), msg)
+    }
+
+    /// The suffix table compresses exactly like the string-keyed oracle:
+    /// same pointers, same first occurrences, same offset limit.
+    #[test]
+    fn suffix_table_matches_string_keyed_compressor() {
+        ddx_prop::check("suffix_table_matches_string_keyed", 256, |rng| {
+            let msg = arb_message(rng, 0..12);
+            assert_eq!(encode(&msg), encode_reference(&msg));
+        });
+        // Past the 0x3FFF pointer limit: late names may only point back
+        // into the first 16 KiB, and the table spills to the heap.
+        ddx_prop::check("suffix_table_matches_past_pointer_limit", 4, |rng| {
+            let msg = arb_message(rng, 400..600);
+            let wire = encode(&msg);
+            assert!(wire.len() > 2 * MAX_POINTER, "{} bytes", wire.len());
+            assert_eq!(wire, encode_reference(&msg));
+            assert_eq!(decode(&wire).unwrap(), msg);
+        });
+    }
+
+    /// The collision check reads names back through pointers, ignoring
+    /// case, and rejects another name, a longer or shorter one, and a name
+    /// whose bytes are not all written yet.
+    #[test]
+    fn written_name_eq_reads_back_through_pointers() {
+        let labels = |s: &str| name(s).labels().to_vec();
+        let mut msg = Message::query(1, name("www.Example.com"), RrType::A).response();
+        let owner = name("mail.example.COM");
+        msg.answers
+            .push(Record::new(owner, 0, RData::A(Ipv4Addr::LOCALHOST)));
+        let wire = encode(&msg);
+        // The question name sits at 12 (`Example` at 16); the answer owner
+        // follows qtype/qclass at 33 as `mail` plus a pointer to 16.
+        assert!(written_name_eq(&wire, 12, &labels("WWW.example.com")));
+        assert!(written_name_eq(&wire, 16, &labels("example.com")));
+        assert!(written_name_eq(&wire, 33, &labels("MAIL.example.com")));
+        assert!(!written_name_eq(&wire, 33, &labels("mail.example.org")));
+        assert!(!written_name_eq(&wire, 12, &labels("www.example")));
+        assert!(!written_name_eq(&wire, 16, &labels("www.example.com")));
+        assert!(!written_name_eq(
+            &wire[..20],
+            12,
+            &labels("www.example.com")
+        ));
+    }
+
+    /// A suffix written at offset 0x3FFF is still a pointer target; one
+    /// written a byte later is not.
+    #[test]
+    fn pointer_limit_is_inclusive() {
+        for pad in [0, 1] {
+            let mut msg = Message::query(1, name("q.example"), RrType::A).response();
+            // Header 12, question 15, then the first answer's compressed
+            // owner (2) and fixed fields (10): its RDATA starts at 39.
+            let filler = RData::Unknown {
+                rtype: 0xFF00,
+                data: vec![0; MAX_POINTER - 39 + pad],
+            };
+            msg.answers.push(Record::new(name("q.example"), 0, filler));
+            for _ in 0..2 {
+                let late = RData::A(Ipv4Addr::LOCALHOST);
+                msg.answers.push(Record::new(name("late.example"), 0, late));
+            }
+            let wire = encode(&msg);
+            assert_eq!(wire, encode_reference(&msg));
+            let first = MAX_POINTER + pad;
+            assert_eq!(&wire[first..first + 5], b"\x04late");
+            // `late` + pointer to `example`, fixed fields, A rdata.
+            let second = first + 5 + 2 + 10 + 4;
+            let points_back = wire[second..second + 2] == [0xFF, 0xFF];
+            assert_eq!(points_back, pad == 0, "pad {pad}");
+        }
+    }
 
     fn round_trip(msg: &Message) -> Message {
         decode(&encode(msg)).expect("decode")
@@ -997,8 +1261,7 @@ mod tests {
     }
 
     /// A chain of strictly-backwards pointers longer than the chase budget
-    /// must be rejected, and a chain exactly at the budget must resolve, on
-    /// both the owned and the skip walk.
+    /// must be rejected, and a chain exactly at the budget must resolve.
     #[test]
     fn pointer_chase_budget_is_enforced() {
         let chain = |hops: usize| -> Vec<u8> {
@@ -1014,46 +1277,13 @@ mod tests {
         let over = chain(MAX_POINTER_CHASES + 1);
         let start = over.len() - 2;
         assert_eq!(
-            read_name_at(&over, start).unwrap_err(),
-            WireError::BadPointer
-        );
-        assert_eq!(
             skip_name_at(&over, start).unwrap_err(),
             WireError::BadPointer
         );
 
         let at_limit = chain(MAX_POINTER_CHASES);
         let start = at_limit.len() - 2;
-        let (resolved, after) = read_name_at(&at_limit, start).expect("within budget");
-        assert!(resolved.is_root());
-        assert_eq!(after, start + 2);
-        assert_eq!(skip_name_at(&at_limit, start).unwrap(), start + 2);
-    }
-
-    /// The allocation-free skip walk must agree with the allocating reader
-    /// byte-for-byte on real messages.
-    #[test]
-    fn skip_name_matches_read_name_on_real_messages() {
-        let wire = encode(&sample_response());
-        // Walk the question name and every record owner name.
-        let mut offsets = vec![12usize];
-        let mut d = Decoder::new(&wire);
-        d.pos = 12;
-        d.skip_name().unwrap();
-        d.pos += 4; // qtype + qclass
-        for _ in 0..6 {
-            if d.pos >= wire.len() {
-                break;
-            }
-            offsets.push(d.pos);
-            d.skip_name().unwrap();
-            d.pos += 8; // type, class, ttl
-            let rd_len = d.u16().unwrap() as usize;
-            d.pos += rd_len;
-        }
-        for off in offsets {
-            let (_, after) = read_name_at(&wire, off).expect("read");
-            assert_eq!(skip_name_at(&wire, off).expect("skip"), after, "at {off}");
-        }
+        assert_eq!(skip_name_at(&at_limit, start), Ok(start + 2));
+        assert!(NameRef::new(&at_limit, start).to_name().is_root());
     }
 }

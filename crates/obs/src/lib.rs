@@ -38,6 +38,7 @@ pub const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 /// FNV-1a over `bytes`, continuing from `acc` ([`FNV_OFFSET`] to start).
 /// The workspace's one stable (cross-platform, cross-release) hash: zone
 /// fingerprints, fault draws and shard checksums are built on it.
+#[inline]
 pub fn fnv1a(mut acc: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         acc ^= u64::from(b);

@@ -22,7 +22,9 @@
 //! shard flushing does not dump the whole process's working set. The
 //! per-generation [`ZoneIndex`] cache is one per memo, not per shard.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 
 use ddx_dns::{Edns, Message, MessageView, Name, RrClass, RrType, Zone};
@@ -108,6 +110,46 @@ fn qname_shard_hash(qname: &Name) -> u64 {
 /// `(zone generation, key)`.
 type Entries = HashMap<(u64, AnswerKey), Arc<Message>>;
 
+/// An entry key as lookups see it: `(generation, &key)` borrows the
+/// caller's key where an owned `(u64, AnswerKey)` would clone it (and
+/// allocate every qname label) on each lookup. Hashes and compares exactly
+/// like the owned tuple, as `Borrow` requires.
+trait EntryKey {
+    fn parts(&self) -> (u64, &AnswerKey);
+}
+
+impl EntryKey for (u64, AnswerKey) {
+    fn parts(&self) -> (u64, &AnswerKey) {
+        (self.0, &self.1)
+    }
+}
+
+impl EntryKey for (u64, &AnswerKey) {
+    fn parts(&self) -> (u64, &AnswerKey) {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn EntryKey + 'a> for (u64, AnswerKey) {
+    fn borrow(&self) -> &(dyn EntryKey + 'a) {
+        self
+    }
+}
+
+impl Hash for dyn EntryKey + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.parts().hash(state);
+    }
+}
+
+impl PartialEq for dyn EntryKey + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for dyn EntryKey + '_ {}
+
 /// One zone's index slot: the generation it serves and the index, built
 /// by whichever query reaches the slot first.
 type IndexSlot = Arc<(u64, OnceLock<Arc<ZoneIndex>>)>;
@@ -188,7 +230,7 @@ impl AnswerMemo {
         self.obs_lookups.inc();
         let hit = self
             .shard_for(&key.qname)
-            .get(&(generation, key.clone()))
+            .get(&(generation, key) as &dyn EntryKey)
             .cloned();
         match &hit {
             Some(_) => self.obs_hits.inc(),
