@@ -87,6 +87,19 @@ impl<'buf> NameRef<'buf> {
         }
         theirs.next().is_none()
     }
+
+    /// True if this name equals `other` or is a descendant of it — what
+    /// [`Name::is_subdomain_of`] answers for `self.to_name()`, without
+    /// materializing anything.
+    pub fn is_subdomain_of(&self, other: &Name) -> bool {
+        let (mine, theirs) = (self.label_count(), other.label_count());
+        mine >= theirs
+            && self
+                .labels()
+                .skip(mine - theirs)
+                .zip(other.labels())
+                .all(|(a, b)| a.eq_ignore_ascii_case(b.as_bytes()))
+    }
 }
 
 impl PartialEq for NameRef<'_> {
@@ -603,6 +616,21 @@ mod tests {
         assert!(qref.eq_name(&name("www.example.com")));
         assert!(!qref.eq_name(&name("example.com")));
         assert!(!qref.eq_name(&name("www.example.org")));
+        for (apex, inside) in [
+            ("www.example.com", true),
+            ("EXAMPLE.com", true),
+            (".", true),
+            ("example.org", false),
+            ("ww.example.com", false),
+            ("a.www.example.com", false),
+        ] {
+            assert_eq!(qref.is_subdomain_of(&name(apex)), inside, "{apex}");
+            assert_eq!(
+                qref.to_name().is_subdomain_of(&name(apex)),
+                inside,
+                "{apex}"
+            );
+        }
         let first_answer = view.answers().next().unwrap();
         assert_eq!(qref, first_answer.name());
 

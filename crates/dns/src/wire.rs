@@ -330,6 +330,54 @@ pub fn encode_into(msg: &Message, buf: &mut Vec<u8>) {
     *buf = encode_with::<SuffixTable>(std::mem::take(buf), msg);
 }
 
+/// Rewrites the encoded message `full` into `out` (cleared first) in the
+/// RFC 1035 §4.2.1 truncated form a UDP responder sends when the answer
+/// does not fit: the header with TC set, AN and NS counts 0 and AR counting
+/// only the OPT RR, the question section as written, and the OPT RR if
+/// `full` has one. Nothing is decoded; for any `msg`,
+/// `truncate_into(&encode(&msg), out)` writes exactly `encode` of `msg`
+/// with TC set and its three record sections cleared.
+pub fn truncate_into(full: &[u8], out: &mut Vec<u8>) -> Result<(), WireError> {
+    let header = full.get(..12).ok_or(WireError::Truncated)?;
+    let count = |at: usize| u16::from_be_bytes([header[at], header[at + 1]]) as usize;
+    let mut pos = 12;
+    for _ in 0..count(4) {
+        pos = skip_name_at(full, pos)? + 4;
+    }
+    let question_end = pos;
+    if question_end > full.len() {
+        return Err(WireError::Truncated);
+    }
+    // As in `decode`, the EDNS state is the last OPT RR of the additional
+    // section.
+    let first_additional = count(6) + count(8);
+    let mut opt = None;
+    for i in 0..first_additional + count(10) {
+        let fixed = skip_name_at(full, pos)?;
+        let fields = full.get(fixed..fixed + 10).ok_or(WireError::Truncated)?;
+        let end = fixed + 10 + u16::from_be_bytes([fields[8], fields[9]]) as usize;
+        if end > full.len() {
+            return Err(WireError::Truncated);
+        }
+        let rtype = u16::from_be_bytes([fields[0], fields[1]]);
+        if i >= first_additional && rtype == RrType::Opt.code() {
+            opt = Some(fixed..end);
+        }
+        pos = end;
+    }
+    out.clear();
+    out.extend_from_slice(&header[..6]);
+    out[2] |= 0x02;
+    out.extend_from_slice(&[0, 0, 0, 0, 0, u8::from(opt.is_some())]);
+    out.extend_from_slice(&full[12..question_end]);
+    if let Some(fields) = opt {
+        // The OPT owner is the root (RFC 6891 §6.1.2), written uncompressed.
+        out.push(0);
+        out.extend_from_slice(&full[fields]);
+    }
+    Ok(())
+}
+
 /// Encodes `msg` into `buf` (cleared first) with compressor `C`.
 fn encode_with<C: Compressor>(mut buf: Vec<u8>, msg: &Message) -> Vec<u8> {
     buf.clear();

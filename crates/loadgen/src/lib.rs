@@ -9,7 +9,7 @@
 //!   platform issues when walking a zone's DNSSEC state.
 //! * **hostile** — cache-hostile and abusive traffic: random NXDOMAIN
 //!   names (each a fresh denial proof), out-of-zone names (REFUSED),
-//!   unknown RR types, and plain-DNS queries that force truncation.
+//!   unknown RR types, and plain-DNS zone transfers that force truncation.
 //!
 //! `mixed` interleaves the two 50/50. Every client thread is closed-loop
 //! (at most one query in flight) and paced so the fleet sums to the target
@@ -90,7 +90,7 @@ fn probe_query(rng: &mut SplitMix64, apex: &Name, id: u16) -> Message {
 }
 
 /// Abusive traffic: random denials, out-of-zone names, odd types, and
-/// plain-DNS (no EDNS) queries that force the truncation path.
+/// plain-DNS (no EDNS) zone transfers that force the truncation path.
 fn hostile_query(rng: &mut SplitMix64, apex: &Name, id: u16) -> Message {
     match rng.next_u64() % 5 {
         0 | 1 => {
@@ -109,8 +109,10 @@ fn hostile_query(rng: &mut SplitMix64, apex: &Name, id: u16) -> Message {
             Message::query(id, apex.clone(), RrType::Unknown(code))
         }
         _ => {
-            // Plain DNS: a signed answer rarely fits 512 bytes, forcing TC.
-            let mut q = Message::query(id, apex.clone(), RrType::Dnskey);
+            // A zone transfer over plain-DNS UDP: the SOA-bracketed zone
+            // never fits 512 bytes, so the answer comes back with TC. (A
+            // plain-DNS DNSKEY answer carries no RRSIGs and does fit.)
+            let mut q = Message::query(id, apex.clone(), RrType::Axfr);
             q.edns = None;
             q
         }

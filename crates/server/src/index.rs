@@ -19,6 +19,9 @@
 //! entries, which evaluates the identical predicate in the identical
 //! order — just without re-filtering the whole zone per query.
 
+use std::collections::HashMap;
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
+
 use ddx_dns::{base32, Name, RData, RrType, Zone};
 use ddx_dnssec::denial::nsec_covers;
 use ddx_dnssec::nsec3::hash_covered;
@@ -270,6 +273,47 @@ impl ZoneIndex {
     }
 }
 
+/// One zone's index slot: the generation it serves and the index, built
+/// by whichever query reaches the slot first.
+type IndexSlot = Arc<(u64, OnceLock<Arc<ZoneIndex>>)>;
+
+/// A server's lazily built indexes, one slot per zone apex, replaced when
+/// the zone's generation moves: a zone write costs one
+/// [`ZoneIndex::build`], whichever memo, shard or worker asks first.
+#[derive(Debug, Default)]
+pub(crate) struct ZoneIndexes {
+    slots: RwLock<HashMap<Name, IndexSlot>>,
+}
+
+impl ZoneIndexes {
+    /// The index for `zone`, rebuilt if the cached one belongs to another
+    /// generation. Lookups share a read lock; a rebuild runs outside the map
+    /// lock, in the zone's slot, so queries against other zones never wait
+    /// on it and concurrent queries against the new generation share one
+    /// build.
+    pub(crate) fn index_for(&self, zone: &Zone) -> Arc<ZoneIndex> {
+        let generation = zone.generation();
+        let current = self
+            .slots
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(zone.apex())
+            .filter(|slot| slot.0 == generation)
+            .cloned();
+        let slot = current.unwrap_or_else(|| {
+            let mut slots = self.slots.write().unwrap_or_else(PoisonError::into_inner);
+            let slot = slots
+                .entry(zone.apex().clone())
+                .or_insert_with(|| Arc::new((generation, OnceLock::new())));
+            if slot.0 != generation {
+                *slot = Arc::new((generation, OnceLock::new()));
+            }
+            Arc::clone(slot)
+        });
+        Arc::clone(slot.1.get_or_init(|| Arc::new(ZoneIndex::build(zone))))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -360,5 +404,35 @@ mod tests {
             idx.find_first_nsec(&name("b.example.com"), false, &name("example.com")),
             Some(&name("b.example.com"))
         );
+    }
+
+    #[test]
+    fn one_index_per_zone_generation() {
+        let indexes = ZoneIndexes::default();
+        let mut zone = Zone::new(name("example.com"));
+        let first = indexes.index_for(&zone);
+        assert!(Arc::ptr_eq(&first, &indexes.index_for(&zone)));
+        zone.add(Record::new(
+            name("a.example.com"),
+            300,
+            RData::A([192, 0, 2, 1].into()),
+        ));
+        let fresh = indexes.index_for(&zone);
+        assert!(!Arc::ptr_eq(&first, &fresh), "a new generation rebuilds");
+        assert!(Arc::ptr_eq(&fresh, &indexes.index_for(&zone)));
+        // Workers racing on the next generation all get its one build.
+        zone.add(Record::new(
+            name("b.example.com"),
+            300,
+            RData::A([192, 0, 2, 2].into()),
+        ));
+        let raced: Vec<_> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| s.spawn(|| indexes.index_for(&zone)))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(raced.iter().all(|idx| Arc::ptr_eq(idx, &raced[0])));
+        assert!(!Arc::ptr_eq(&raced[0], &fresh));
     }
 }

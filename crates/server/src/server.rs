@@ -10,7 +10,9 @@
 //! [`crate::index`]), while [`Server::handle_uncached`] recomputes every
 //! answer with the original linear scans. The two are byte-identical by
 //! construction (the indexes fall back to the same first-match scans on
-//! malformed chains) and a property test pins that equivalence.
+//! malformed chains) and a property test pins that equivalence. The UDP and
+//! TCP transports answer through [`Server::respond_into`], which memoizes
+//! the same answers encoded.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -18,13 +20,13 @@ use std::sync::Arc;
 use ddx_json::{FromJson, ToJson};
 
 use ddx_dns::{
-    base32, Flags, Message, MessageView, Name, Nsec3, Question, RData, RRset, Rcode, Record,
+    base32, wire, Flags, Message, MessageView, Name, Nsec3, Question, RData, RRset, Rcode, Record,
     RrType, Zone,
 };
 use ddx_dnssec::nsec3_hash;
 
-use crate::answer::{AnswerKey, AnswerMemo};
-use crate::index::ZoneIndex;
+use crate::answer::{AnswerKey, AnswerMemo, WireKey};
+use crate::index::{ZoneIndex, ZoneIndexes};
 
 /// Identifies one server instance (e.g. `ns1.par.a.com.#0`).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, ToJson, FromJson)]
@@ -55,8 +57,20 @@ pub struct Server {
     pub id: ServerId,
     pub behavior: ServerBehavior,
     zones: HashMap<Name, Zone>,
-    /// Generation-keyed answer memo and per-generation zone indexes.
-    memo: AnswerMemo,
+    /// Generation-keyed answers of the in-process path.
+    memo: AnswerMemo<Arc<Message>>,
+    /// The same answers encoded, for the UDP/TCP transports.
+    wire_memo: AnswerMemo<Arc<[u8]>>,
+    /// Per-generation zone indexes, shared by both memos' misses.
+    indexes: ZoneIndexes,
+}
+
+/// Where [`Server::respond_into`] finds the untruncated answer.
+enum Encoded {
+    /// Already written to the caller's buffer.
+    InBuf,
+    /// A memo hit.
+    Memo(Arc<[u8]>),
 }
 
 /// Cloning copies the zones (whose generation stamps come along, keeping
@@ -69,6 +83,8 @@ impl Clone for Server {
             behavior: self.behavior,
             zones: self.zones.clone(),
             memo: AnswerMemo::with_config(self.memo.shard_count(), self.memo.shard_cap()),
+            wire_memo: AnswerMemo::with_config(self.memo.shard_count(), self.memo.shard_cap()),
+            indexes: ZoneIndexes::default(),
         }
     }
 }
@@ -80,6 +96,8 @@ impl Server {
             behavior: ServerBehavior::Normal,
             zones: HashMap::new(),
             memo: AnswerMemo::new(),
+            wire_memo: AnswerMemo::new(),
+            indexes: ZoneIndexes::default(),
         }
     }
 
@@ -105,19 +123,22 @@ impl Server {
         self.zones.keys().cloned().collect()
     }
 
-    /// Replaces the answer memo with one of `shards` shards capped at
-    /// `shard_cap` entries each, dropping every cached answer and index;
-    /// intended to be called at setup time, before the server starts
-    /// answering.
+    /// Replaces both answer memos (in-process and encoded) with ones of
+    /// `shards` shards capped at `shard_cap` entries each, dropping every
+    /// cached answer and index; intended to be called at setup time, before
+    /// the server starts answering.
     pub fn configure_memo(&mut self, shards: usize, shard_cap: usize) {
         self.memo = AnswerMemo::with_config(shards, shard_cap);
+        self.wire_memo = AnswerMemo::with_config(shards, shard_cap);
+        self.indexes = ZoneIndexes::default();
     }
 
-    /// The deepest zone whose apex is an ancestor-or-self of `qname`.
-    fn best_zone(&self, qname: &Name) -> Option<&Zone> {
+    /// The deepest zone whose apex `in_zone` accepts: called with each apex,
+    /// it answers whether the query name is that apex or below it.
+    fn best_zone(&self, in_zone: impl Fn(&Name) -> bool) -> Option<&Zone> {
         self.zones
             .values()
-            .filter(|z| qname.is_subdomain_of(z.apex()))
+            .filter(|z| in_zone(z.apex()))
             .max_by_key(|z| z.apex().label_count())
     }
 
@@ -143,13 +164,15 @@ impl Server {
         Some(patch_id(self.resolve_key(query.id, key), query.id))
     }
 
-    /// Answers a parsed wire view without ever materializing an owned query
-    /// `Message` — the zero-copy request path for the UDP/TCP transports.
+    /// Answers a parsed wire view through the in-process memo without ever
+    /// materializing an owned query `Message`. The transports answer
+    /// through [`Server::respond_into`] instead, which memoizes encoded
+    /// answers.
     ///
     /// Unlike [`Server::handle_arc`], the returned `Arc` is NOT id-patched:
     /// a memo hit comes back under whatever id it was first computed for.
-    /// Transports stamp the real id into the first two wire bytes after
-    /// encoding — the id does not participate in name compression, so the
+    /// A caller that encodes it stamps the real id into the first two wire
+    /// bytes — the id does not participate in name compression, so the
     /// restamped bytes are identical to encoding an id-patched message.
     pub fn handle_view(&self, view: &MessageView<'_>) -> Option<Arc<Message>> {
         match self.behavior {
@@ -161,7 +184,7 @@ impl Server {
             }
             ServerBehavior::Normal => {}
         }
-        let Some(key) = AnswerKey::from_view(view) else {
+        let Some(key) = WireKey::from_view(view).map(|key| key.to_key()) else {
             let mut resp = response_skeleton(view);
             resp.rcode = Rcode::FormErr;
             return Some(Arc::new(resp));
@@ -175,35 +198,104 @@ impl Server {
     /// unpatched — its id is whatever query first populated the entry;
     /// callers own id fidelity.
     fn resolve_key(&self, id: u16, key: AnswerKey) -> Arc<Message> {
-        let Some(zone) = self.best_zone(&key.qname) else {
+        let Some(zone) = self.best_zone(|apex| key.qname.is_subdomain_of(apex)) else {
             let mut resp = response_for(id, &key);
             resp.rcode = Rcode::Refused;
             return Arc::new(resp);
         };
-        // AXFR (RFC 5936): full zone transfer, SOA-bracketed. Only served
-        // for an exact apex match, and never memoized — transfers are rare
-        // and large, exactly what the memo should not hold.
         if key.qtype == RrType::Axfr {
-            let mut resp = response_for(id, &key);
-            if &key.qname != zone.apex() {
-                resp.rcode = Rcode::Refused;
-                return Arc::new(resp);
-            }
-            resp.flags.aa = true;
-            resp.answers = axfr_records(zone);
-            return Arc::new(resp);
+            return Arc::new(axfr_response(id, &key, zone));
         }
         let generation = zone.generation();
         if let Some(cached) = self.memo.get(generation, &key) {
             return cached;
         }
-        let dnssec = key.edns.map(|e| e.dnssec_ok).unwrap_or(false);
-        let index = self.memo.index_for(zone);
-        let mut resp = response_for(id, &key);
-        answer_from_zone(zone, &key.qname, key.qtype, dnssec, &mut resp, Some(&index));
-        let resp = Arc::new(resp);
+        let resp = Arc::new(self.answer(id, &key, zone));
         self.memo.insert(generation, key, Arc::clone(&resp));
         resp
+    }
+
+    /// Resolves `key` against `zone` afresh, through the zone's index.
+    fn answer(&self, id: u16, key: &AnswerKey, zone: &Zone) -> Message {
+        let dnssec = key.edns.map(|e| e.dnssec_ok).unwrap_or(false);
+        let index = self.indexes.index_for(zone);
+        let mut resp = response_for(id, key);
+        answer_from_zone(zone, &key.qname, key.qtype, dnssec, &mut resp, Some(&index));
+        resp
+    }
+
+    /// Answers a parsed query view into `buf` (cleared first): the one
+    /// entry point of the UDP and TCP transports. Returns whether `buf`
+    /// holds a response to send; an unresponsive server sends nothing.
+    ///
+    /// An answer longer than `limit` bytes is rewritten into its RFC 1035
+    /// §4.2.1 truncated form ([`wire::truncate_into`]) so the client
+    /// retries over TCP. The bytes are those of [`Server::handle_arc`]'s
+    /// answer to the decoded query, encoded and truncated by that rule.
+    ///
+    /// Answers are memoized encoded, keyed as the in-process memo keys
+    /// them, and probed with a [`WireKey`] borrowed from the view: a hit is
+    /// a copy of the stored bytes plus the query id stamped into them, and
+    /// allocates nothing.
+    pub fn respond_into(&self, view: &MessageView<'_>, limit: usize, buf: &mut Vec<u8>) -> bool {
+        let Some(encoded) = self.encode_answer(view, buf) else {
+            return false;
+        };
+        let truncate = |full: &[u8], buf: &mut Vec<u8>| {
+            wire::truncate_into(full, buf).expect("the encoder writes well-formed messages");
+        };
+        match encoded {
+            Encoded::Memo(full) if full.len() > limit => truncate(&full, buf),
+            Encoded::Memo(full) => {
+                buf.clear();
+                buf.extend_from_slice(&full);
+            }
+            Encoded::InBuf if buf.len() > limit => truncate(&std::mem::take(buf), buf),
+            Encoded::InBuf => {}
+        }
+        // A memo hit carries the id of the query that filled the entry; the
+        // id takes no part in name compression, so stamping it is exact.
+        buf[0..2].copy_from_slice(&view.id().to_be_bytes());
+        true
+    }
+
+    /// The untruncated answer to `view`: a memo hit, or encoded into `buf`.
+    fn encode_answer(&self, view: &MessageView<'_>, buf: &mut Vec<u8>) -> Option<Encoded> {
+        let skeleton = |rcode| {
+            let mut resp = response_skeleton(view);
+            resp.rcode = rcode;
+            resp
+        };
+        let resp = match self.behavior {
+            ServerBehavior::Unresponsive => return None,
+            ServerBehavior::Refuses => skeleton(Rcode::Refused),
+            ServerBehavior::Normal => match WireKey::from_view(view) {
+                None => skeleton(Rcode::FormErr),
+                Some(key) => match self.best_zone(|apex| key.qname.is_subdomain_of(apex)) {
+                    None => skeleton(Rcode::Refused),
+                    Some(zone) if key.qtype == RrType::Axfr => {
+                        axfr_response(view.id(), &key.to_key(), zone)
+                    }
+                    Some(zone) => return Some(self.memoized(view.id(), &key, zone, buf)),
+                },
+            },
+        };
+        wire::encode_into(&resp, buf);
+        Some(Encoded::InBuf)
+    }
+
+    /// The encoded answer to `key` from `zone`: a memo hit, or resolved,
+    /// encoded into `buf` and stored.
+    fn memoized(&self, id: u16, key: &WireKey<'_>, zone: &Zone, buf: &mut Vec<u8>) -> Encoded {
+        let generation = zone.generation();
+        if let Some(full) = self.wire_memo.get_wire(generation, key) {
+            return Encoded::Memo(full);
+        }
+        let key = key.to_key();
+        wire::encode_into(&self.answer(id, &key, zone), buf);
+        self.wire_memo
+            .insert(generation, key, Arc::from(buf.as_slice()));
+        Encoded::InBuf
     }
 
     /// Answers a query, returning an owned message (the memoized path plus
@@ -230,7 +322,7 @@ impl Server {
             resp.rcode = Rcode::FormErr;
             return Some(resp);
         };
-        let Some(zone) = self.best_zone(&q.qname) else {
+        let Some(zone) = self.best_zone(|apex| q.qname.is_subdomain_of(apex)) else {
             resp.rcode = Rcode::Refused;
             return Some(resp);
         };
@@ -304,6 +396,20 @@ fn patch_id(resp: Arc<Message>, id: u16) -> Arc<Message> {
         patched.id = id;
         Arc::new(patched)
     }
+}
+
+/// The answer to an AXFR query (RFC 5936): the SOA-bracketed zone for an
+/// exact apex match, REFUSED below it. Never memoized — transfers are rare
+/// and large, exactly what the memos should not hold.
+fn axfr_response(id: u16, key: &AnswerKey, zone: &Zone) -> Message {
+    let mut resp = response_for(id, key);
+    if &key.qname != zone.apex() {
+        resp.rcode = Rcode::Refused;
+        return resp;
+    }
+    resp.flags.aa = true;
+    resp.answers = axfr_records(zone);
+    resp
 }
 
 /// The AXFR record stream: SOA first, everything else, SOA again

@@ -240,7 +240,7 @@ fn udp_worker_loop(
                         continue;
                     }
                 }
-                if respond_into(&server, &view, out.slot()) {
+                if server.respond_into(&view, udp_payload_limit(&view), out.slot()) {
                     out.commit(peer);
                 }
             }
@@ -252,41 +252,16 @@ fn udp_worker_loop(
     }
 }
 
-/// Answers one parsed query view into `buf` (a recycled [`SendQueue`]
-/// slot), applying the UDP truncation rule. Returns whether `buf` holds a
-/// response to send.
-///
-/// [`Server::handle_view`] returns memo-hit answers without patching the
-/// message id (the cached `Arc` is shared), so the query id is stamped
-/// directly into the first two wire bytes after encoding — the id never
-/// participates in name compression, making this byte-identical to
-/// encoding a patched message.
-fn respond_into(server: &Server, view: &MessageView<'_>, buf: &mut Vec<u8>) -> bool {
-    // The client's advertised maximum UDP payload.
-    let limit = view
-        .edns()
+/// The largest UDP answer the client of `view` accepts: its advertised
+/// EDNS payload size (never below 512), or 512 bytes without EDNS.
+fn udp_payload_limit(view: &MessageView<'_>) -> usize {
+    view.edns()
         .map(|e| e.udp_size.max(512) as usize)
-        .unwrap_or(512);
-    let Some(resp) = server.handle_view(view) else {
-        return false;
-    };
-    wire::encode_into(&resp, buf);
-    if buf.len() > limit {
-        // RFC 1035 §4.2.1/RFC 2181 §9: answer doesn't fit — return a
-        // truncated response with TC so the client retries over TCP.
-        let mut truncated = (*resp).clone();
-        truncated.flags.tc = true;
-        truncated.answers.clear();
-        truncated.authorities.clear();
-        truncated.additionals.clear();
-        wire::encode_into(&truncated, buf);
-    }
-    buf[0..2].copy_from_slice(&view.id().to_be_bytes());
-    true
+        .unwrap_or(512)
 }
 
 /// Serves one TCP connection: length-framed queries and responses
-/// (RFC 1035 §4.2.2), no truncation.
+/// (RFC 1035 §4.2.2), truncated only past what the 16-bit length can frame.
 fn handle_tcp_client(mut stream: TcpStream, server: &Arc<RwLock<Server>>) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(500)))?;
     let mut len_buf = [0u8; 2];
@@ -297,14 +272,12 @@ fn handle_tcp_client(mut stream: TcpStream, server: &Arc<RwLock<Server>>) -> std
     let Ok(view) = MessageView::parse(&msg) else {
         return Ok(());
     };
-    let resp = server
+    let mut bytes = Vec::new();
+    let answered = server
         .read()
         .unwrap_or_else(PoisonError::into_inner)
-        .handle_view(&view);
-    if let Some(resp) = resp {
-        let mut bytes = wire::encode(&resp);
-        // handle_view leaves memo-hit ids unpatched; stamp the wire bytes.
-        bytes[0..2].copy_from_slice(&view.id().to_be_bytes());
+        .respond_into(&view, usize::from(u16::MAX), &mut bytes);
+    if answered {
         stream.write_all(&(bytes.len() as u16).to_be_bytes())?;
         stream.write_all(&bytes)?;
     }

@@ -1,0 +1,90 @@
+//! Allocation accounting for the transport answer path, pinned exactly: a
+//! memo hit through [`Server::respond_into`] allocates nothing, whether the
+//! stored answer fits or is rewritten into its truncated form. Its own test
+//! binary with one test: the counting allocator is process-wide, and it
+//! counts only on the thread that switched it on.
+
+mod common;
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use common::variants;
+use ddx_dns::{name, wire, Edns, Message, MessageView, RrType};
+
+struct Counting;
+
+thread_local! {
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if COUNTING.with(Cell::get) {
+            ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        }
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        if COUNTING.with(Cell::get) {
+            ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        }
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Heap allocations (and reallocations) `f` makes on this thread.
+fn allocations(f: impl FnOnce()) -> usize {
+    ALLOCATIONS.with(|n| n.set(0));
+    COUNTING.with(|c| c.set(true));
+    f();
+    COUNTING.with(|c| c.set(false));
+    ALLOCATIONS.with(Cell::get)
+}
+
+fn query(id: u16, qname: &str, qtype: RrType, udp_size: u16) -> Vec<u8> {
+    let mut q = Message::query(id, name(qname), qtype);
+    q.edns = Some(Edns {
+        udp_size,
+        dnssec_ok: true,
+    });
+    wire::encode(&q)
+}
+
+#[test]
+fn transport_memo_hits_allocate_nothing() {
+    let (_, server) = variants()
+        .iter()
+        .find(|(label, _)| *label == "nsec3")
+        .expect("the nsec3 variant");
+    // A positive answer that fits, and a signed NSEC3 NXDOMAIN (about
+    // 500 bytes) held to a limit it does not fit, so it goes out truncated.
+    for (qname, qtype, limit, truncated) in [
+        ("www.example.com", RrType::A, 1232, false),
+        ("nope.example.com", RrType::A, 256, true),
+    ] {
+        let udp_size = 1232;
+        let mut buf = Vec::new();
+        let miss = query(1, qname, qtype, udp_size);
+        assert!(server.respond_into(&MessageView::parse(&miss).unwrap(), limit, &mut buf));
+        // The hit comes under another id, so the stamp is exercised too.
+        let hit = query(0xBEEF, qname, qtype, udp_size);
+        let view = MessageView::parse(&hit).unwrap();
+        let mut sent = false;
+        let allocs = allocations(|| sent = server.respond_into(&view, limit, &mut buf));
+        assert!(sent);
+        assert_eq!(allocs, 0, "{qname}/{qtype:?} hit at limit {limit}");
+        assert_eq!(buf[..2], 0xBEEFu16.to_be_bytes());
+        assert_eq!(buf[2] & 0x02 != 0, truncated, "{qname}/{qtype:?} TC bit");
+        assert!(buf.len() <= limit);
+    }
+}
