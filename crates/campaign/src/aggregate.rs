@@ -26,13 +26,13 @@ use crate::shard::{read_shard, Outcome, ZoneRecord};
 pub struct Table3Row {
     pub subcategory: String,
     /// Benign zones whose intended error set touches this subcategory.
-    pub drawn_zones: u64,
+    pub(crate) drawn_zones: u64,
     /// `drawn_zones / benign zones`.
-    pub drawn_share: f64,
+    pub(crate) drawn_share: f64,
     /// `params::subcategory_snapshots / ERROR_SNAPSHOTS` (Table 3).
     pub paper_share: f64,
     /// Benign zones where grok reported a code of this subcategory.
-    pub generated_zones: u64,
+    pub(crate) generated_zones: u64,
 }
 
 /// Table 6 replication/fix rates for one population class.
@@ -97,9 +97,9 @@ pub struct Table7 {
     /// Instructions issued at iteration > 6 (clamped above).
     pub histogram_overflow: u64,
     /// Fixed S2 zones by iterations-to-converge (1..=6, clamped).
-    pub iterations_to_fix: [u64; 6],
+    pub(crate) iterations_to_fix: [u64; 6],
     /// Fixed S2 zones that needed more than 6 iterations (clamped above).
-    pub iterations_overflow: u64,
+    pub(crate) iterations_overflow: u64,
 }
 
 /// The full campaign roll-up, serialized as `summary.json`.
@@ -109,13 +109,13 @@ pub struct CampaignSummary {
     pub shards: u64,
     pub zones: u64,
     pub benign_zones: u64,
-    pub attack_zones: u64,
+    pub(crate) attack_zones: u64,
     pub outcomes: BTreeMap<String, u64>,
-    pub attack_families: BTreeMap<String, u64>,
+    pub(crate) attack_families: BTreeMap<String, u64>,
     /// Codes grok reported, across the whole campaign.
-    pub generated_codes: BTreeMap<String, u64>,
+    pub(crate) generated_codes: BTreeMap<String, u64>,
     /// Codes still present after DFixer gave up (unfixed zones).
-    pub residual_codes: BTreeMap<String, u64>,
+    pub(crate) residual_codes: BTreeMap<String, u64>,
     pub table3: Vec<Table3Row>,
     pub table6: Vec<Table6Row>,
     pub table7: Table7,
@@ -124,7 +124,7 @@ pub struct CampaignSummary {
 /// Streaming record accumulator; call [`Aggregator::add`] per record and
 /// [`Aggregator::finish`] once.
 #[derive(Default)]
-pub struct Aggregator {
+pub(crate) struct Aggregator {
     campaign_seed: Option<u64>,
     shards: u64,
     zones: u64,
@@ -156,7 +156,7 @@ fn subcategories(
 }
 
 impl Aggregator {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Aggregator {
             s1: Table6Row::new("s1 (NZIC-only)"),
             s2: Table6Row::new("s2"),
@@ -166,7 +166,7 @@ impl Aggregator {
     }
 
     /// Folds in one shard footer (seed consistency + shard count).
-    pub fn add_shard(&mut self, campaign_seed: u64) -> io::Result<()> {
+    pub(crate) fn add_shard(&mut self, campaign_seed: u64) -> io::Result<()> {
         match self.campaign_seed {
             None => self.campaign_seed = Some(campaign_seed),
             Some(seen) if seen != campaign_seed => {
@@ -181,7 +181,7 @@ impl Aggregator {
         Ok(())
     }
 
-    pub fn add(&mut self, record: &ZoneRecord) {
+    pub(crate) fn add(&mut self, record: &ZoneRecord) {
         self.zones += 1;
         *self
             .outcomes
@@ -238,7 +238,7 @@ impl Aggregator {
         }
     }
 
-    pub fn finish(self) -> CampaignSummary {
+    pub(crate) fn finish(self) -> CampaignSummary {
         let benign = self.benign_zones.max(1) as f64;
         let table3 = Subcategory::ALL
             .iter()

@@ -75,7 +75,7 @@ impl Default for CampaignConfig {
 
 /// Zones in shard `shard` when `zones` are spread over `shards`: the
 /// first `zones % shards` shards take one extra.
-pub fn shard_zone_count(zones: u64, shards: u32, shard: u32) -> u64 {
+pub(crate) fn shard_zone_count(zones: u64, shards: u32, shard: u32) -> u64 {
     let shards = u64::from(shards.max(1));
     let base = zones / shards;
     let extra = u64::from(u64::from(shard) < zones % shards);

@@ -13,25 +13,20 @@
 //! - **Engine** ([`run_campaign`]): a bounded worker pool streams each
 //!   zone through replicate → probe → grok (budgeted, memoized) → DFixer
 //!   and drops it; memory stays flat at any campaign size.
-//! - **Shards** ([`shard`]): NDJSON with a checksummed footer; `--resume`
+//! - **Shards** (`shard`): NDJSON with a checksummed footer; `--resume`
 //!   skips shards that validate, so a killed run finishes byte-identical
 //!   to an uninterrupted one.
 //! - **Aggregation** ([`aggregate_dir`]): regenerates Table 3 / Table 7 /
 //!   Table 6 views from the shard set, with tolerance checks against the
 //!   paper's distributions.
 
-pub mod aggregate;
-pub mod engine;
-pub mod model;
-pub mod rng;
-pub mod shard;
+mod aggregate;
+mod engine;
+mod model;
+mod rng;
+mod shard;
 
-pub use aggregate::{aggregate_dir, Aggregator, CampaignSummary, Table3Row, Table6Row, Table7};
-pub use engine::{
-    evaluate_corpus, evaluate_zone, run_campaign, shard_zone_count, CampaignConfig, CampaignOutcome,
-};
-pub use model::{PopulationModel, ZoneDraw, ZoneKind};
-pub use rng::{zone_seed, SplitMix64};
-pub use shard::{
-    read_shard, shard_path, validate_shard, Outcome, ShardFooter, ShardWriter, ZoneRecord,
-};
+pub use aggregate::{aggregate_dir, CampaignSummary, Table6Row};
+pub use engine::{evaluate_corpus, evaluate_zone, run_campaign, CampaignConfig};
+pub use model::{PopulationModel, ZoneDraw};
+pub use shard::{shard_path, Outcome};

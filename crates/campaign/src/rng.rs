@@ -8,13 +8,13 @@
 //! the in-tree `rand`; [`SplitMix64`] also drives each zone's handful of
 //! independent decisions.
 
-pub use rand::SplitMix64;
+pub(crate) use rand::SplitMix64;
 
 /// The seed for zone `index_in_shard` of shard `shard`: reproducible from
 /// `(campaign_seed, shard, index)` alone. Independent of the total zone
 /// count and the worker count, so resharding a campaign never silently
 /// changes the zones that shards it did not touch.
-pub fn zone_seed(campaign_seed: u64, shard: u32, index_in_shard: u64) -> u64 {
+pub(crate) fn zone_seed(campaign_seed: u64, shard: u32, index_in_shard: u64) -> u64 {
     let gamma = SplitMix64::GAMMA;
     let shard_key =
         SplitMix64::mix(campaign_seed ^ SplitMix64::mix(u64::from(shard).wrapping_mul(gamma)));

@@ -66,7 +66,7 @@ pub struct ZoneRecord {
     pub skipped: Vec<(String, String)>,
     pub generated: BTreeSet<ErrorCode>,
     pub outcome: Outcome,
-    pub meta_error: Option<String>,
+    pub(crate) meta_error: Option<String>,
     pub iterations: u64,
     /// Flattened DFixer plan: `(iteration, instruction kind)`.
     pub instructions: Vec<(u64, InstructionKind)>,
@@ -77,12 +77,12 @@ pub struct ZoneRecord {
 
 /// The trailing self-validation line of a complete shard.
 #[derive(Debug, Clone, PartialEq, Eq, ToJson, FromJson)]
-pub struct ShardFooter {
+pub(crate) struct ShardFooter {
     pub shard: u32,
     pub zones: u64,
     pub campaign_seed: u64,
     /// FNV-1a-64 over the record lines (newlines included), lowercase hex.
-    pub checksum: String,
+    pub(crate) checksum: String,
 }
 
 /// Wire shape of the footer line: `{"shard_footer":{...}}` — cannot be
@@ -104,7 +104,7 @@ fn invalid(msg: String) -> io::Error {
 /// Streaming shard writer: records go straight to disk (via `BufWriter`),
 /// never accumulated in memory; [`ShardWriter::finish`] appends the
 /// footer and renames the temp file into place.
-pub struct ShardWriter {
+pub(crate) struct ShardWriter {
     tmp: PathBuf,
     path: PathBuf,
     out: BufWriter<fs::File>,
@@ -115,7 +115,7 @@ pub struct ShardWriter {
 }
 
 impl ShardWriter {
-    pub fn create(dir: &Path, shard: u32, campaign_seed: u64) -> io::Result<Self> {
+    pub(crate) fn create(dir: &Path, shard: u32, campaign_seed: u64) -> io::Result<Self> {
         let path = shard_path(dir, shard);
         let tmp = path.with_extension("ndjson.tmp");
         let out = BufWriter::new(fs::File::create(&tmp)?);
@@ -130,7 +130,7 @@ impl ShardWriter {
         })
     }
 
-    pub fn write(&mut self, record: &ZoneRecord) -> io::Result<()> {
+    pub(crate) fn write(&mut self, record: &ZoneRecord) -> io::Result<()> {
         let mut line = ddx_json::to_string(record);
         line.push('\n');
         self.checksum = fnv1a(self.checksum, line.as_bytes());
@@ -140,7 +140,7 @@ impl ShardWriter {
     }
 
     /// Writes the footer, flushes, and renames the shard into place.
-    pub fn finish(mut self) -> io::Result<ShardFooter> {
+    pub(crate) fn finish(mut self) -> io::Result<ShardFooter> {
         let footer = ShardFooter {
             shard: self.shard,
             zones: self.zones,
@@ -161,7 +161,7 @@ impl ShardWriter {
 
 /// Reads and fully validates one shard: every record parses, the footer
 /// is present and last, and count + checksum match the record lines.
-pub fn read_shard(path: &Path) -> io::Result<(Vec<ZoneRecord>, ShardFooter)> {
+pub(crate) fn read_shard(path: &Path) -> io::Result<(Vec<ZoneRecord>, ShardFooter)> {
     let reader = BufReader::new(fs::File::open(path)?);
     let mut records = Vec::new();
     let mut footer: Option<ShardFooter> = None;
@@ -209,7 +209,12 @@ pub fn read_shard(path: &Path) -> io::Result<(Vec<ZoneRecord>, ShardFooter)> {
 
 /// Is `path` a complete, valid shard for exactly this campaign slot?
 /// Used by `--resume` to decide whether a shard can be skipped.
-pub fn validate_shard(path: &Path, shard: u32, campaign_seed: u64, expected_zones: u64) -> bool {
+pub(crate) fn validate_shard(
+    path: &Path,
+    shard: u32,
+    campaign_seed: u64,
+    expected_zones: u64,
+) -> bool {
     match read_shard(path) {
         Ok((_, footer)) => {
             footer.shard == shard

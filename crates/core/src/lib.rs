@@ -1,9 +1,10 @@
 //! # ddx — DNSSEC debugging, replication, and automated repair
 //!
 //! The facade crate of the workspace reproducing *"Decoding DNSSEC Errors
-//! at Scale"* (IMC '25): re-exports every subsystem, including the
-//! end-to-end evaluator (paper Fig 7, [`evaluate_corpus`]) that drives
-//! Tables 6 & 7.
+//! at Scale"* (IMC '25). Its [`prelude`] gathers what the CLI tools,
+//! examples and integration tests use of every subsystem, including the
+//! end-to-end evaluator (paper Fig 7, [`prelude::evaluate_corpus`]) that
+//! drives Tables 6 & 7.
 //!
 //! ## Quick start
 //!
@@ -28,34 +29,28 @@
 //! assert!(run.fixed);
 //! ```
 
-pub use ddx_campaign::{evaluate_corpus, evaluate_zone, CampaignSummary, Table6Row, ZoneDraw};
-
-/// One-stop imports for examples and downstream users.
+/// One-stop imports for the CLI tools, the examples and the integration tests.
 pub mod prelude {
     pub use ddx_campaign::{evaluate_corpus, evaluate_zone, CampaignSummary, ZoneDraw};
     pub use ddx_dataset::{generate, Corpus, CorpusConfig, Level, Snapshot};
-    pub use ddx_dns::{name, Name, RData, RRset, Record, RrType, Zone};
-    pub use ddx_dnssec::{Algorithm, DigestType, KeyPair, KeyRing, KeyRole, Nsec3Config};
+    pub use ddx_dns::{name, Name, RData, RrType};
+    pub use ddx_dnssec::{Algorithm, KeyRole, Nsec3Config};
     pub use ddx_dnsviz::{
-        grok, grok_with_budget, probe, ErrorCode, GrokReport, ProbeConfig, SnapshotStatus,
-        Subcategory, ValidationBudget,
+        grok, probe, ErrorCode, GrokReport, ProbeConfig, SnapshotStatus, Subcategory,
     };
     pub use ddx_fixer::{
-        run_fixer, run_naive, suggest, FixRun, FixerOptions, Instruction, InstructionKind,
-        ServerFlavor,
+        run_fixer, run_naive, suggest, FixerOptions, Instruction, InstructionKind, ServerFlavor,
     };
     pub use ddx_obs::MetricsSnapshot;
     pub use ddx_replicator::{
-        replicate, replicate_attack, AttackFamily, Nsec3Meta, Replication, ReplicationRequest,
-        ZoneMeta,
+        replicate, replicate_attack, AttackFamily, Nsec3Meta, ReplicationRequest, ZoneMeta,
     };
-    pub use ddx_server::{build_sandbox, Sandbox, Server, ServerId, Testbed, ZoneSpec};
+    pub use ddx_server::{build_sandbox, Sandbox, ZoneSpec};
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use ddx_dataset::{generate, CorpusConfig};
+    use crate::prelude::*;
 
     /// The per-snapshot seed base the evaluation tests have always used.
     const SEED: u64 = 0xE7A1;

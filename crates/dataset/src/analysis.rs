@@ -85,7 +85,7 @@ pub struct FirstLast {
 }
 
 impl FirstLast {
-    pub fn total_from(&self, first: SnapshotStatus) -> u64 {
+    pub(crate) fn total_from(&self, first: SnapshotStatus) -> u64 {
         self.counts
             .iter()
             .filter(|((f, _), _)| *f == first)
@@ -142,12 +142,7 @@ pub struct CauseBreakdown {
     pub algo_rollover: u64,
 }
 
-impl CauseBreakdown {
-    pub fn attributed_share(&self) -> f64 {
-        (self.ns_update + self.key_rollover + self.algo_rollover) as f64
-            / (self.total as f64).max(1.0)
-    }
-}
+impl CauseBreakdown {}
 
 #[derive(Debug, Clone, Default)]
 pub struct NegativeTransitions {
@@ -272,7 +267,7 @@ pub struct TransitionMatrix {
     pub median_hours: [[f64; 4]; 4],
 }
 
-pub const MATRIX_STATES: [SnapshotStatus; 4] = [
+pub(crate) const MATRIX_STATES: [SnapshotStatus; 4] = [
     SnapshotStatus::Sv,
     SnapshotStatus::Svm,
     SnapshotStatus::Sb,
@@ -515,7 +510,8 @@ mod tests {
         let c = corpus();
         let nt = negative_transitions(&c);
         assert!(nt.sv_to_sb.total > 0);
-        let share = nt.sv_to_sb.attributed_share();
+        let b = &nt.sv_to_sb;
+        let share = (b.ns_update + b.key_rollover + b.algo_rollover) as f64 / b.total as f64;
         assert!((0.55..0.98).contains(&share), "attributed {share}");
         assert!(nt.sv_to_sb.key_rollover >= nt.sv_to_sb.ns_update);
     }

@@ -30,14 +30,14 @@ pub enum Level {
 #[derive(Debug, Clone, ToJson, FromJson)]
 pub struct Snapshot {
     /// Hours since the observation window opened (2020-03-11).
-    pub t_hours: f64,
+    pub(crate) t_hours: f64,
     pub status: SnapshotStatus,
     /// DNSSEC error codes present.
     pub errors: BTreeSet<ErrorCode>,
     /// Identity of the NS set (changes on nameserver migration).
-    pub ns_set: u16,
+    pub(crate) ns_set: u16,
     /// Identity of the DNSKEY set (changes on key rollover).
-    pub key_set: u16,
+    pub(crate) key_set: u16,
     /// DNSKEY algorithms in use.
     pub algorithms: Vec<u8>,
     /// Zone meta-parameters for replication (paper §5.1 step 2).
@@ -72,7 +72,7 @@ pub struct DomainRecord {
 impl DomainRecord {
     /// Changing Domain (paper §3.2.2): at least two snapshots differing in
     /// status or error codes.
-    pub fn is_cd(&self) -> bool {
+    pub(crate) fn is_cd(&self) -> bool {
         self.snapshots.len() >= 2
             && self
                 .snapshots
@@ -81,7 +81,7 @@ impl DomainRecord {
     }
 
     /// Stable Domain: multi-snapshot but never changing.
-    pub fn is_sd(&self) -> bool {
+    pub(crate) fn is_sd(&self) -> bool {
         self.snapshots.len() >= 2 && !self.is_cd()
     }
 }
@@ -100,32 +100,11 @@ impl Corpus {
         self.domains.iter().filter(|d| d.level == Level::SldPlus)
     }
 
-    pub fn snapshot_count(&self, level: Level) -> u64 {
-        self.domains
-            .iter()
-            .filter(|d| d.level == level)
-            .map(|d| d.snapshots.len() as u64)
-            .sum()
-    }
-
     /// All erroneous SLD+ snapshots — the Table 6 evaluation population.
     pub fn erroneous_snapshots(&self) -> impl Iterator<Item = &Snapshot> {
         self.sld_domains()
             .flat_map(|d| d.snapshots.iter())
             .filter(|s| !s.errors.is_empty())
-    }
-
-    /// Serializes the corpus to JSON (the interchange format standing in
-    /// for the DNS-OARC snapshot archive).
-    pub fn save(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, ddx_json::to_string(self))
-    }
-
-    /// Loads a corpus saved with [`Corpus::save`].
-    pub fn load(path: &str) -> std::io::Result<Self> {
-        let text = std::fs::read_to_string(path)?;
-        ddx_json::from_str(&text)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
 }
 
@@ -904,6 +883,10 @@ mod tests {
         })
     }
 
+    fn sld_snapshots(c: &Corpus) -> usize {
+        c.sld_domains().map(|d| d.snapshots.len()).sum()
+    }
+
     #[test]
     fn deterministic() {
         let a = generate(&CorpusConfig {
@@ -915,10 +898,7 @@ mod tests {
             seed: 7,
         });
         assert_eq!(a.domains.len(), b.domains.len());
-        assert_eq!(
-            a.snapshot_count(Level::SldPlus),
-            b.snapshot_count(Level::SldPlus)
-        );
+        assert_eq!(sld_snapshots(&a), sld_snapshots(&b));
     }
 
     #[test]
@@ -929,7 +909,7 @@ mod tests {
             (sld_domains - 3_192.0).abs() / 3_192.0 < 0.02,
             "{sld_domains}"
         );
-        let sld_snaps = c.snapshot_count(Level::SldPlus) as f64;
+        let sld_snaps = sld_snapshots(&c) as f64;
         // 747,455 × 0.01 ≈ 7,475 within 25% (trajectory-length variance).
         assert!(
             (sld_snaps - 7_474.0).abs() / 7_474.0 < 0.25,
@@ -952,7 +932,7 @@ mod tests {
     #[test]
     fn error_share_near_paper() {
         let c = small();
-        let total = c.snapshot_count(Level::SldPlus) as f64;
+        let total = sld_snapshots(&c) as f64;
         let erroneous = c.erroneous_snapshots().count() as f64;
         let share = erroneous / total;
         // Paper: 39.7%.
@@ -1038,29 +1018,5 @@ mod tests {
                 assert!(w[1].t_hours > w[0].t_hours);
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod io_tests {
-    use super::*;
-
-    #[test]
-    fn corpus_save_load_round_trip() {
-        let c = generate(&CorpusConfig {
-            scale: 0.001,
-            seed: 2,
-        });
-        let path = std::env::temp_dir().join("ddx_corpus_roundtrip.json");
-        let path = path.to_str().unwrap();
-        c.save(path).unwrap();
-        let back = Corpus::load(path).unwrap();
-        assert_eq!(back.domains.len(), c.domains.len());
-        assert_eq!(back.scale, c.scale);
-        assert_eq!(
-            back.erroneous_snapshots().count(),
-            c.erroneous_snapshots().count()
-        );
-        let _ = std::fs::remove_file(path);
     }
 }

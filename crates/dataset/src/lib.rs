@@ -9,7 +9,7 @@
 //! Figures 1-5).
 
 pub mod analysis;
-pub mod corpus;
+mod corpus;
 pub mod params;
 pub mod tranco;
 

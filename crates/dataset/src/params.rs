@@ -8,22 +8,19 @@ use ddx_dnsviz::Subcategory;
 /// Paper Table 1 — dataset composition (SLD+ rows; Root/TLD kept for the
 /// overview table).
 pub mod table1 {
-    pub const ROOT_SNAPSHOTS: u64 = 6_234;
-    pub const TLD_SNAPSHOTS: u64 = 356_136;
+    pub(crate) const ROOT_SNAPSHOTS: u64 = 6_234;
+    pub(crate) const TLD_SNAPSHOTS: u64 = 356_136;
     pub const SLD_SNAPSHOTS: u64 = 747_455;
-    pub const ROOT_DOMAINS: u64 = 1;
-    pub const TLD_DOMAINS: u64 = 4_196;
+    pub(crate) const TLD_DOMAINS: u64 = 4_196;
     pub const SLD_DOMAINS: u64 = 319_277;
-    pub const TLD_MULTI: u64 = 2_349;
+    pub(crate) const TLD_MULTI: u64 = 2_349;
     pub const SLD_MULTI: u64 = 84_962;
-    pub const TLD_CD: u64 = 642;
     pub const SLD_CD: u64 = 21_734;
-    pub const TLD_SD: u64 = 1_707;
     pub const SLD_SD: u64 = 63_228;
 }
 
 /// Observation window: 2020-03-11 → 2024-09-25 ≈ 39,744 hours.
-pub const WINDOW_HOURS: f64 = 39_744.0;
+pub(crate) const WINDOW_HOURS: f64 = 39_744.0;
 
 /// Paper Table 3 — snapshot counts per subcategory (SLD+). The two cells
 /// the published table leaves blank (Original TTL, Unsupported NSEC3
@@ -87,63 +84,30 @@ pub const TRANSITION_MEDIAN_HOURS: [[f64; 4]; 4] = [
 ];
 
 /// Paper Table 2 — causes of sv→sb transitions.
-pub mod table2 {
-    pub const SV_SB_TOTAL: u64 = 4_064;
-    pub const SV_SB_NS: f64 = 0.067;
-    pub const SV_SB_KEY: f64 = 0.452;
-    pub const SV_SB_ALGO: f64 = 0.303;
-    pub const SV_IS_TOTAL: u64 = 804;
-    pub const SV_IS_NS: f64 = 0.07;
-    pub const SV_IS_KEY: f64 = 0.30;
-    pub const SV_IS_ALGO: f64 = 0.18;
+pub(crate) mod table2 {
+    pub(crate) const SV_SB_NS: f64 = 0.067;
+    pub(crate) const SV_SB_KEY: f64 = 0.452;
+    pub(crate) const SV_SB_ALGO: f64 = 0.303;
+    pub(crate) const SV_IS_NS: f64 = 0.07;
+    pub(crate) const SV_IS_KEY: f64 = 0.30;
+    pub(crate) const SV_IS_ALGO: f64 = 0.18;
 }
 
 /// Paper Table 5 — never-resolved shares per state.
 pub mod table5 {
-    pub const SB_DOMAINS: u64 = 15_209;
     pub const SB_UNRESOLVED: f64 = 0.18;
-    pub const SVM_DOMAINS: u64 = 9_052;
     pub const SVM_UNRESOLVED: f64 = 0.619;
-    pub const IS_DOMAINS: u64 = 7_149;
     pub const IS_UNRESOLVED: f64 = 0.365;
 }
 
-/// Fig 5: share of domains whose median inter-snapshot gap is < 1 day.
-pub const MEDIAN_GAP_UNDER_DAY: f64 = 0.65;
-
-/// Fraction of erroneous snapshots containing at least one error that
-/// cannot be replicated locally (paper §5.5.1: "only 2% snapshots have
-/// these errors").
-pub const UNREPLICABLE_SNAPSHOT_SHARE: f64 = 0.02;
-
 /// Share of metas using NSEC3 (vs NSEC); NSEC3 dominates the error set
 /// because of NZIC.
-pub const NSEC3_META_SHARE: f64 = 0.55;
+pub(crate) const NSEC3_META_SHARE: f64 = 0.55;
 
 /// Share of metas carrying a deprecated (substitutable) algorithm, and the
 /// share of those that exhaust all substitutes (paper: "a small fraction").
-pub const DEPRECATED_ALGO_SHARE: f64 = 0.03;
-pub const ALGO_EXHAUSTED_SHARE: f64 = 0.002;
-
-/// Fig 4 resolution-time calibration: 80th-percentile days for the marked
-/// subcategories (critical ①③④⑤⑥ vs non-critical ⑧⑨ per §3.6).
-pub fn resolution_p80_days(sub: Subcategory) -> f64 {
-    use Subcategory::*;
-    match sub {
-        InvalidDigest | MissingKskForAlgorithm => 2.5,
-        InconsistentDnskey => 4.0,
-        ExpiredSignature | InvalidSignature => 10.0,
-        IncompleteAlgorithmSetup => 7.0,
-        MissingNonexistenceProof => 5.0,
-        OriginalTtlExceedsRrsetTtl => 60.0,
-        NonzeroIterationCount => 250.0,
-        _ => 14.0,
-    }
-}
-
-/// Median days to first enable DNSSEC (Fig 4's black box: "more than a
-/// day").
-pub const DEPLOY_MEDIAN_DAYS: f64 = 1.4;
+pub(crate) const DEPRECATED_ALGO_SHARE: f64 = 0.03;
+pub(crate) const ALGO_EXHAUSTED_SHARE: f64 = 0.002;
 
 #[cfg(test)]
 mod tests {
@@ -181,7 +145,6 @@ mod tests {
     #[test]
     fn table1_consistency() {
         assert_eq!(table1::SLD_CD + table1::SLD_SD, table1::SLD_MULTI);
-        assert_eq!(table1::TLD_CD + table1::TLD_SD, table1::TLD_MULTI);
         // Constant relations checked at compile time.
         const _: () = assert!(table1::SLD_SNAPSHOTS > table1::SLD_DOMAINS);
     }

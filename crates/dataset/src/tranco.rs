@@ -14,11 +14,11 @@ pub struct TrancoBin {
     pub bin: usize,
     pub domains: u64,
     /// Domains appearing in the DNSViz dataset.
-    pub in_dataset: u64,
+    pub(crate) in_dataset: u64,
     /// Domains that were ever DNSSEC-signed.
-    pub ever_signed: u64,
+    pub(crate) ever_signed: u64,
     /// Ever-signed domains appearing in the dataset.
-    pub signed_in_dataset: u64,
+    pub(crate) signed_in_dataset: u64,
     /// Dataset domains that were ever misconfigured (sb/svm).
     pub misconfigured: u64,
 }

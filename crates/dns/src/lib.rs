@@ -10,24 +10,24 @@
 //! live in `ddx-dnssec` and `ddx-server`.
 
 pub mod base32;
-pub mod master;
-pub mod message;
-pub mod name;
-pub mod rdata;
-pub mod rrset;
-pub mod types;
-pub mod view;
+mod master;
+mod message;
+mod name;
+mod rdata;
+mod rrset;
+mod types;
+mod view;
 pub mod wire;
-pub mod zone;
+mod zone;
 
-pub use master::{parse_master, parse_record_line, record_to_line, zone_to_master, ParseError};
+pub use master::{parse_master, parse_record_line, record_to_line, zone_to_master};
 pub use message::{Edns, Flags, Message, Question};
-pub use name::{name, Label, Name, NameError};
+pub use name::{name, Name};
 pub use rdata::{
     Dnskey, Ds, Nsec, Nsec3, Nsec3Param, RData, Rrsig, Soa, DNSKEY_FLAG_REVOKE, DNSKEY_FLAG_SEP,
     DNSKEY_FLAG_ZONE, NSEC3_FLAG_OPT_OUT,
 };
 pub use rrset::{CanonicalScratch, RRset, Record};
 pub use types::{Rcode, RrClass, RrType, TypeBitmap};
-pub use view::{MessageView, NameRef, QuestionView, RecordIter, RecordView, WireLabels};
+pub use view::{MessageView, NameRef};
 pub use zone::Zone;

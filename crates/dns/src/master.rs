@@ -40,7 +40,7 @@ const B64: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz012
 
 /// Standard base64 with padding (RFC 4648 §4), as used for DNSKEY public
 /// keys and RRSIG signatures in presentation format.
-pub fn base64_encode(data: &[u8]) -> String {
+pub(crate) fn base64_encode(data: &[u8]) -> String {
     let mut out = String::with_capacity(data.len().div_ceil(3) * 4);
     for chunk in data.chunks(3) {
         let b = [
@@ -66,7 +66,7 @@ pub fn base64_encode(data: &[u8]) -> String {
 }
 
 /// Decodes standard base64 (padding optional, whitespace rejected).
-pub fn base64_decode(s: &str) -> Option<Vec<u8>> {
+pub(crate) fn base64_decode(s: &str) -> Option<Vec<u8>> {
     let s = s.trim_end_matches('=');
     let mut out = Vec::with_capacity(s.len() * 3 / 4);
     let mut acc: u32 = 0;

@@ -135,13 +135,8 @@ impl Message {
     }
 
     /// All answer RRsets.
-    pub fn answer_rrsets(&self) -> Vec<RRset> {
+    pub(crate) fn answer_rrsets(&self) -> Vec<RRset> {
         Self::rrsets_in(&self.answers)
-    }
-
-    /// All authority RRsets.
-    pub fn authority_rrsets(&self) -> Vec<RRset> {
-        Self::rrsets_in(&self.authorities)
     }
 
     /// Finds the answer RRset with the given name and type.

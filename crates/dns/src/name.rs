@@ -15,10 +15,10 @@ use std::str::FromStr;
 use ddx_json::{FromJson, ToJson};
 
 /// Maximum length of a single label in octets (RFC 1035 §2.3.4).
-pub const MAX_LABEL_LEN: usize = 63;
+pub(crate) const MAX_LABEL_LEN: usize = 63;
 /// Maximum length of a full name in wire format, including length octets and
 /// the root label (RFC 1035 §2.3.4).
-pub const MAX_NAME_LEN: usize = 255;
+pub(crate) const MAX_NAME_LEN: usize = 255;
 
 /// Errors produced while parsing or constructing a [`Name`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,7 +49,7 @@ pub struct Label(Vec<u8>);
 
 impl Label {
     /// Creates a label from raw octets, rejecting over-long labels.
-    pub fn new(bytes: &[u8]) -> Result<Self, NameError> {
+    pub(crate) fn new(bytes: &[u8]) -> Result<Self, NameError> {
         if bytes.len() > MAX_LABEL_LEN {
             return Err(NameError::LabelTooLong(bytes.len()));
         }
@@ -72,7 +72,7 @@ impl Label {
     }
 
     /// Case-insensitive equality (RFC 1035 §2.3.3).
-    pub fn eq_ignore_case(&self, other: &Label) -> bool {
+    pub(crate) fn eq_ignore_case(&self, other: &Label) -> bool {
         self.0.len() == other.0.len()
             && self
                 .0
@@ -165,7 +165,7 @@ impl Name {
 
     /// Wire-format length including per-label length octets and the root
     /// terminator.
-    pub fn wire_len(&self) -> usize {
+    pub(crate) fn wire_len(&self) -> usize {
         self.labels.iter().map(|l| l.len() + 1).sum::<usize>() + 1
     }
 
@@ -234,7 +234,7 @@ impl Name {
 
     /// Appends the canonical wire form to `out` without intermediate
     /// allocations — the hot path for bulk signing and NSEC3 hashing.
-    pub fn canonical_wire_into(&self, out: &mut Vec<u8>) {
+    pub(crate) fn canonical_wire_into(&self, out: &mut Vec<u8>) {
         out.reserve(self.wire_len());
         for label in &self.labels {
             out.push(label.len() as u8);

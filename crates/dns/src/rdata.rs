@@ -110,17 +110,10 @@ pub struct Rrsig {
 }
 
 impl Rrsig {
-    /// The RDATA prefix covered by the signature itself: everything up to
-    /// and excluding the signature field (RFC 4034 §3.1.8.1).
-    pub fn signed_prefix(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.signed_prefix_into(&mut out);
-        out
-    }
-
-    /// Appends the signed RDATA prefix to `out` (allocation-free form of
-    /// [`Rrsig::signed_prefix`]).
-    pub fn signed_prefix_into(&self, out: &mut Vec<u8>) {
+    /// Appends the RDATA prefix covered by the signature itself to `out`:
+    /// everything up to and excluding the signature field (RFC 4034
+    /// §3.1.8.1).
+    pub(crate) fn signed_prefix_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.type_covered.code().to_be_bytes());
         out.push(self.algorithm);
         out.push(self.labels);
@@ -251,12 +244,12 @@ impl RData {
     }
 
     /// Appends the wire RDATA (stored-case names) to `out`.
-    pub fn to_wire_into(&self, out: &mut Vec<u8>) {
+    pub(crate) fn to_wire_into(&self, out: &mut Vec<u8>) {
         self.encode_into(false, out);
     }
 
     /// Appends the canonical wire RDATA (lowercased names) to `out`.
-    pub fn canonical_wire_into(&self, out: &mut Vec<u8>) {
+    pub(crate) fn canonical_wire_into(&self, out: &mut Vec<u8>) {
         self.encode_into(true, out);
     }
 
@@ -505,7 +498,8 @@ mod tests {
             signature: vec![1, 2, 3],
         };
         let wire = RData::Rrsig(sig.clone()).to_wire();
-        let prefix = sig.signed_prefix();
+        let mut prefix = Vec::new();
+        sig.signed_prefix_into(&mut prefix);
         assert_eq!(&wire[..prefix.len()], &prefix[..]);
         assert_eq!(&wire[prefix.len()..], &[1, 2, 3]);
     }

@@ -125,7 +125,7 @@ impl RRset {
     /// Appends the canonical signing form to `out`, reusing `scratch` so a
     /// bulk signer encoding thousands of RRsets allocates nothing per record
     /// after warm-up (the per-RDATA `Vec` churn of the naive encoder).
-    pub fn canonical_signing_form_with(
+    pub(crate) fn canonical_signing_form_with(
         &self,
         original_ttl: u32,
         scratch: &mut CanonicalScratch,
@@ -161,16 +161,9 @@ impl RRset {
         }
     }
 
-    /// The full message a signature covers: RRSIG RDATA prefix followed by
-    /// the canonical RRset (RFC 4034 §3.1.8.1).
-    pub fn signing_payload(&self, rrsig: &Rrsig) -> Vec<u8> {
-        let mut payload = Vec::new();
-        self.signing_payload_with(rrsig, &mut CanonicalScratch::default(), &mut payload);
-        payload
-    }
-
-    /// Clears `out` and fills it with the full signed message, reusing
-    /// `scratch` (allocation-free form of [`RRset::signing_payload`]).
+    /// Clears `out` and fills it with the full signed message: the RRSIG
+    /// RDATA prefix followed by the canonical RRset (RFC 4034 §3.1.8.1),
+    /// reusing `scratch`.
     pub fn signing_payload_with(
         &self,
         rrsig: &Rrsig,
@@ -184,8 +177,7 @@ impl RRset {
 }
 
 /// Reusable buffers for canonical signing-form encoding. One instance,
-/// carried across [`RRset::canonical_signing_form_with`] /
-/// [`RRset::signing_payload_with`] calls, amortizes every intermediate
+/// carried across [`RRset::signing_payload_with`] calls, amortizes every intermediate
 /// allocation of the encoder to zero.
 #[derive(Debug, Default, Clone)]
 pub struct CanonicalScratch {

@@ -103,12 +103,6 @@ impl RrType {
             RrType::Unknown(c) => format!("TYPE{c}"),
         }
     }
-
-    /// True for DNSSEC meta-types that are not part of the zone's "data"
-    /// (RRSIG is never itself signed; NSEC3PARAM is signed though).
-    pub fn is_dnssec_meta(self) -> bool {
-        matches!(self, RrType::Rrsig | RrType::Opt)
-    }
 }
 
 impl fmt::Display for RrType {
@@ -284,7 +278,7 @@ impl TypeBitmap {
     /// `true` exactly when [`TypeBitmap::from_wire`] would return `Some`.
     /// Used by the zero-copy view parser, which must reject the same inputs
     /// as the owned decoder but cannot afford the allocation.
-    pub fn validate_wire(mut data: &[u8]) -> bool {
+    pub(crate) fn validate_wire(mut data: &[u8]) -> bool {
         while !data.is_empty() {
             if data.len() < 2 {
                 return false;
@@ -299,7 +293,7 @@ impl TypeBitmap {
     }
 
     /// Decodes window-block format; returns `None` on malformed input.
-    pub fn from_wire(mut data: &[u8]) -> Option<Self> {
+    pub(crate) fn from_wire(mut data: &[u8]) -> Option<Self> {
         let mut codes = Vec::new();
         while !data.is_empty() {
             if data.len() < 2 {

@@ -182,7 +182,7 @@ struct SectionSpan {
 ///
 /// `parse` fully validates the buffer up front (identically to
 /// [`wire::decode`]); accessors afterwards are allocation-free except where
-/// documented ([`NameRef::to_name`], [`RecordView::rdata`],
+/// documented ([`NameRef::to_name`], `RecordView::rdata`,
 /// [`MessageView::to_owned`]).
 #[derive(Debug, Clone, Copy)]
 pub struct MessageView<'buf> {
@@ -392,7 +392,7 @@ impl<'buf> QuestionView<'buf> {
     }
 
     /// Materializes an owned [`Question`] (allocates the qname).
-    pub fn to_question(&self) -> Question {
+    pub fn to_question(self) -> Question {
         Question {
             qname: self.qname.to_name(),
             qtype: self.qtype,
@@ -431,12 +431,6 @@ impl<'buf> RecordView<'buf> {
         self.ttl
     }
 
-    /// The raw RDATA window (names inside may point elsewhere in the
-    /// message; use [`RecordView::rdata`] for interpreted content).
-    pub fn rdata_bytes(&self) -> &'buf [u8] {
-        &self.buf[self.rd_start..self.rd_start + self.rd_len]
-    }
-
     /// Parses the RDATA for this record's type (allocates). Cannot fail:
     /// the window was validated by `MessageView::parse`.
     pub fn rdata(&self) -> RData {
@@ -446,7 +440,7 @@ impl<'buf> RecordView<'buf> {
 
     /// Materializes an owned [`Record`] — identical to the corresponding
     /// entry `wire::decode` would produce.
-    pub fn to_record(&self) -> Record {
+    pub fn to_record(self) -> Record {
         Record {
             name: self.name().to_name(),
             class: self.class,

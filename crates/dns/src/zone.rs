@@ -77,7 +77,7 @@ impl Zone {
     }
 
     /// True if `name` is at or below the apex.
-    pub fn contains_name(&self, name: &Name) -> bool {
+    pub(crate) fn contains_name(&self, name: &Name) -> bool {
         name.is_subdomain_of(&self.apex)
     }
 
@@ -207,15 +207,6 @@ impl Zone {
         }
     }
 
-    /// Names owning an NS RRset below the apex: the zone's delegation points.
-    pub fn delegation_names(&self) -> Vec<Name> {
-        self.nodes
-            .iter()
-            .filter(|(name, node)| *name != &self.apex && node.contains_key(&RrType::Ns.code()))
-            .map(|(name, _)| name.clone())
-            .collect()
-    }
-
     /// Returns the deepest delegation point that `name` falls under, if any.
     ///
     /// Walks `name`'s ancestor chain toward the apex instead of scanning
@@ -297,15 +288,6 @@ impl Zone {
     /// Total number of records (not RRsets).
     pub fn record_count(&self) -> usize {
         self.rrsets().map(|s| s.len()).sum()
-    }
-
-    /// Renders the zone in a master-file-like presentation, canonical order.
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        for set in self.rrsets() {
-            out.push_str(&set.to_string());
-        }
-        out
     }
 }
 
@@ -397,7 +379,6 @@ mod tests {
             3600,
             RData::A(Ipv4Addr::new(192, 0, 2, 53)),
         ));
-        assert_eq!(z.delegation_names(), vec![name("child.example.com")]);
         assert_eq!(
             z.delegation_covering(&name("x.child.example.com")),
             Some(name("child.example.com"))

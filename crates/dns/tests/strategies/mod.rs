@@ -13,16 +13,16 @@ use ddx_dns::{
     Soa, TypeBitmap,
 };
 
-pub fn arb_label(rng: &mut StdRng) -> String {
+pub(crate) fn arb_label(rng: &mut StdRng) -> String {
     string(rng, LOWER_DIGITS, 1..13)
 }
 
-pub fn arb_name(rng: &mut StdRng) -> Name {
+pub(crate) fn arb_name(rng: &mut StdRng) -> Name {
     let labels = vec(rng, 1..5, arb_label);
     labels.join(".").parse().expect("valid name")
 }
 
-pub fn arb_bitmap(rng: &mut StdRng) -> TypeBitmap {
+pub(crate) fn arb_bitmap(rng: &mut StdRng) -> TypeBitmap {
     let codes = vec(rng, 0..8, |r| r.gen_range(0u16..300));
     TypeBitmap::from_types(codes.into_iter().map(RrType::from_code))
 }
@@ -37,7 +37,7 @@ fn arb_ds(rng: &mut StdRng) -> Ds {
 }
 
 /// One of the rdata kinds, each equally likely.
-pub fn arb_rdata(rng: &mut StdRng) -> RData {
+pub(crate) fn arb_rdata(rng: &mut StdRng) -> RData {
     match rng.gen_range(0..14) {
         0 => {
             let mut o = [0u8; 4];
@@ -105,13 +105,13 @@ pub fn arb_rdata(rng: &mut StdRng) -> RData {
     }
 }
 
-pub fn arb_record(rng: &mut StdRng) -> Record {
+pub(crate) fn arb_record(rng: &mut StdRng) -> Record {
     let n = arb_name(rng);
     let ttl = rng.gen();
     Record::new(n, ttl, arb_rdata(rng))
 }
 
-pub fn arb_message(rng: &mut StdRng) -> Message {
+pub(crate) fn arb_message(rng: &mut StdRng) -> Message {
     let id = rng.gen();
     let qname = arb_name(rng);
     let qtype = RrType::from_code(rng.gen_range(0u16..300));
@@ -131,13 +131,13 @@ pub fn arb_message(rng: &mut StdRng) -> Message {
 
 /// Byte flips `(position, xor mask)` to corrupt an encoding of `len > 0`
 /// bytes with.
-pub fn arb_flips(rng: &mut StdRng, len: usize) -> Vec<(usize, u8)> {
+pub(crate) fn arb_flips(rng: &mut StdRng, len: usize) -> Vec<(usize, u8)> {
     vec(rng, 1..8, |r| (r.gen_range(0..len), r.gen()))
 }
 
 /// A richly-featured response exercising compression, DNSSEC rdata, and
 /// EDNS, used as the substrate for the deterministic adversarial cases.
-pub fn dense_response() -> Message {
+pub(crate) fn dense_response() -> Message {
     let mut r =
         Message::query(0x4242, "www.sub.example.com".parse().unwrap(), RrType::A).response();
     r.flags.aa = true;
@@ -182,7 +182,7 @@ pub fn dense_response() -> Message {
 }
 
 /// Builds a 12-byte header with the given question/answer section counts.
-pub fn header(qd: u16, an: u16) -> Vec<u8> {
+pub(crate) fn header(qd: u16, an: u16) -> Vec<u8> {
     let mut buf = vec![0u8; 12];
     buf[4..6].copy_from_slice(&qd.to_be_bytes());
     buf[6..8].copy_from_slice(&an.to_be_bytes());

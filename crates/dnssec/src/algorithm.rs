@@ -31,20 +31,6 @@ pub enum Algorithm {
     Ed448,
 }
 
-/// Every algorithm we model, in ascending code order.
-pub const ALL_ALGORITHMS: [Algorithm; 10] = [
-    Algorithm::Dsa,
-    Algorithm::RsaSha1,
-    Algorithm::DsaNsec3Sha1,
-    Algorithm::RsaSha1Nsec3Sha1,
-    Algorithm::RsaSha256,
-    Algorithm::RsaSha512,
-    Algorithm::EcdsaP256Sha256,
-    Algorithm::EcdsaP384Sha384,
-    Algorithm::Ed25519,
-    Algorithm::Ed448,
-];
-
 impl Algorithm {
     /// IANA algorithm number.
     pub fn code(self) -> u8 {
@@ -145,7 +131,7 @@ impl Algorithm {
     /// Signature length in octets produced by this algorithm (for a given
     /// key size). The simulation pads/derives signatures to this exact
     /// length so "Bad Signature Length" checks are meaningful.
-    pub fn signature_len(self, key_bits: u16) -> usize {
+    pub(crate) fn signature_len(self, key_bits: u16) -> usize {
         if self.is_rsa() {
             return usize::from(key_bits / 8);
         }
@@ -157,13 +143,6 @@ impl Algorithm {
             Algorithm::Ed448 => 114,
             _ => unreachable!("RSA handled above"),
         }
-    }
-
-    /// Whether the algorithm is defined for zones using NSEC3
-    /// (RFC 5155 §2: algorithm aliases 6/7 signal NSEC3 awareness; all
-    /// algorithms ≥ 8 are NSEC3-capable).
-    pub fn nsec3_capable(self) -> bool {
-        !matches!(self, Algorithm::Dsa | Algorithm::RsaSha1)
     }
 
     /// Preferred substitutes when this algorithm cannot be generated
@@ -208,15 +187,6 @@ impl DigestType {
         })
     }
 
-    /// Digest length in octets.
-    pub fn digest_len(self) -> usize {
-        match self {
-            DigestType::Sha1 => 20,
-            DigestType::Sha256 => 32,
-            DigestType::Sha384 => 48,
-        }
-    }
-
     /// `dnssec-dsfromkey` flag selecting this digest (`-1`, `-2`, `-a ...`).
     pub fn dsfromkey_flag(self) -> &'static str {
         match self {
@@ -233,7 +203,9 @@ mod tests {
 
     #[test]
     fn codes_round_trip() {
-        for alg in ALL_ALGORITHMS {
+        let modeled: Vec<Algorithm> = (0..=u8::MAX).filter_map(Algorithm::from_code).collect();
+        assert_eq!(modeled.len(), 10);
+        for alg in modeled {
             assert_eq!(Algorithm::from_code(alg.code()), Some(alg));
         }
         assert_eq!(Algorithm::from_code(0), None);
@@ -268,19 +240,10 @@ mod tests {
     }
 
     #[test]
-    fn nsec3_capability() {
-        assert!(!Algorithm::RsaSha1.nsec3_capable());
-        assert!(Algorithm::RsaSha1Nsec3Sha1.nsec3_capable());
-        assert!(Algorithm::EcdsaP256Sha256.nsec3_capable());
-    }
-
-    #[test]
     fn digest_types() {
         for d in [DigestType::Sha1, DigestType::Sha256, DigestType::Sha384] {
             assert_eq!(DigestType::from_code(d.code()), Some(d));
         }
         assert_eq!(DigestType::from_code(3), None);
-        assert_eq!(DigestType::Sha1.digest_len(), 20);
-        assert_eq!(DigestType::Sha256.digest_len(), 32);
     }
 }

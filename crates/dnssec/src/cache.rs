@@ -15,18 +15,17 @@
 //! wire or key tag, a validity-window rollover alters the embedded
 //! inception/expiration, and a serial bump alters the SOA RRset bytes —
 //! each lands on a fresh key and recomputes. Stale entries are never
-//! *wrong*, only unused, so eviction is a simple size cap.
+//! *wrong*, only unused, so eviction is by signing pass: each zone keeps the
+//! signatures its latest pass used, and a pass frees whatever of the
+//! zone's previous pass it did not reuse. The cache is as large as the
+//! signatures the zones hold, however many times they are re-signed.
 
 use std::collections::HashMap;
+use std::mem;
 
 use crate::sha::{Digest, Sha256};
 
-use ddx_dns::CanonicalScratch;
-
-/// Entry cap; a full cache resets rather than evicting piecemeal. 64Ki
-/// signatures (~4 MiB at RSA-2048 lengths) comfortably covers the largest
-/// sandbox zones while bounding a long-lived pipeline process.
-const MAX_ENTRIES: usize = 1 << 16;
+use ddx_dns::{CanonicalScratch, Name};
 
 /// Domain-separation tag for cache-key digests.
 const CACHE_TAG: &[u8] = b"ddx-sig-cache-v1";
@@ -39,6 +38,8 @@ pub(crate) struct SigKey {
     sig_len: usize,
 }
 
+type Sigs = HashMap<SigKey, Vec<u8>>;
+
 /// Memo cache mapping signing inputs to raw signature bytes, with reusable
 /// scratch buffers for the canonical-form encoder so a warm signing pass
 /// performs no per-RRset allocation.
@@ -50,7 +51,13 @@ pub(crate) struct SigKey {
 /// mutated instance.
 #[derive(Debug, Clone)]
 pub struct SigCache {
-    pub(crate) map: HashMap<SigKey, Vec<u8>>,
+    /// Per zone apex, the signatures its latest signing pass used.
+    zones: HashMap<Name, Sigs>,
+    /// Signatures the pass in progress has used so far.
+    used: Sigs,
+    /// The previous pass over the zone being signed: what is left of it
+    /// when the pass ends is stale.
+    previous: Sigs,
     /// Scratch: signing payload under construction.
     pub(crate) payload: Vec<u8>,
     /// Scratch: DNSKEY RDATA wire form of the signing key.
@@ -66,7 +73,9 @@ pub struct SigCache {
 impl Default for SigCache {
     fn default() -> Self {
         Self {
-            map: HashMap::new(),
+            zones: HashMap::new(),
+            used: HashMap::new(),
+            previous: HashMap::new(),
             payload: Vec::new(),
             key_wire: Vec::new(),
             canon: CanonicalScratch::default(),
@@ -86,7 +95,9 @@ impl SigCache {
     /// the global `dnssec.sig_cache.*` counters are monotonic and
     /// unaffected.
     pub fn clear(&mut self) {
-        self.map.clear();
+        self.zones.clear();
+        self.used.clear();
+        self.previous.clear();
         self.obs_entries.set(0);
     }
 
@@ -104,25 +115,55 @@ impl SigCache {
         }
     }
 
-    pub(crate) fn get(&mut self, key: &SigKey) -> Option<Vec<u8>> {
-        match self.map.get(key) {
-            Some(sig) => {
-                self.obs_hits.inc();
-                Some(sig.clone())
-            }
-            None => {
-                self.obs_misses.inc();
-                None
-            }
+    /// Starts a signing pass over the zone at `apex`: the signatures of
+    /// its previous pass become reusable.
+    pub(crate) fn begin_pass(&mut self, apex: &Name) {
+        if let Some(previous) = self.zones.remove(apex) {
+            self.previous = previous;
         }
     }
 
-    pub(crate) fn insert(&mut self, key: SigKey, sig: Vec<u8>) {
-        if self.map.len() >= MAX_ENTRIES {
-            self.map.clear();
+    /// Ends the pass over the zone at `apex`: the zone keeps the signatures
+    /// this pass used, and those of its previous pass that it did not reuse
+    /// are freed. The freed table is kept for the next pass to fill.
+    pub(crate) fn end_pass(&mut self, apex: Name) {
+        self.previous.clear();
+        let used = mem::replace(&mut self.used, mem::take(&mut self.previous));
+        self.zones.insert(apex, used);
+        self.obs_entries.set(self.len() as i64);
+    }
+
+    /// Signatures held, across every zone.
+    pub(crate) fn len(&self) -> usize {
+        self.zones.values().map(HashMap::len).sum::<usize>() + self.used.len()
+    }
+
+    pub(crate) fn get(&mut self, key: &SigKey) -> Option<Vec<u8>> {
+        let sig = match self.used.get(key) {
+            Some(sig) => Some(sig.clone()),
+            None => self.previous.remove_entry(key).map(|(key, sig)| {
+                self.used.insert(key, sig.clone());
+                sig
+            }),
+        };
+        match sig {
+            Some(_) => self.obs_hits.inc(),
+            None => self.obs_misses.inc(),
         }
-        self.map.insert(key, sig);
-        self.obs_entries.set(self.map.len() as i64);
+        sig
+    }
+
+    pub(crate) fn insert(&mut self, key: SigKey, sig: Vec<u8>) {
+        self.used.insert(key, sig);
+    }
+
+    /// Every cached signature, for tests that poison them.
+    #[cfg(test)]
+    pub(crate) fn signatures_mut(&mut self) -> impl Iterator<Item = &mut Vec<u8>> {
+        self.zones
+            .values_mut()
+            .flat_map(HashMap::values_mut)
+            .chain(self.used.values_mut())
     }
 }
 
@@ -166,15 +207,47 @@ mod tests {
     }
 
     #[test]
+    fn a_pass_keeps_only_the_signatures_it_used() {
+        let (a, b) = (ddx_dns::name("a.test"), ddx_dns::name("b.test"));
+        let k = |payload: &[u8]| SigCache::key(b"key", payload, 64);
+        let mut cache = SigCache::new();
+        cache.begin_pass(&a);
+        cache.insert(k(b"a soa 1"), vec![1; 64]);
+        cache.insert(k(b"a ns"), vec![2; 64]);
+        cache.end_pass(a.clone());
+        cache.begin_pass(&b);
+        cache.insert(k(b"b ns"), vec![3; 64]);
+        cache.end_pass(b.clone());
+
+        // Re-signing `a` after a serial bump reuses its NS signature and
+        // frees the superseded SOA one; `b`'s signatures are untouched.
+        cache.begin_pass(&a);
+        assert!(cache.get(&k(b"a ns")).is_some());
+        assert!(cache.get(&k(b"a soa 2")).is_none());
+        cache.insert(k(b"a soa 2"), vec![4; 64]);
+        cache.end_pass(a.clone());
+        assert_eq!(cache.len(), 3);
+
+        cache.begin_pass(&a);
+        assert!(cache.get(&k(b"a soa 1")).is_none(), "a stale signature");
+        assert!(cache.get(&k(b"a soa 2")).is_some());
+        cache.end_pass(a);
+        cache.begin_pass(&b);
+        assert!(cache.get(&k(b"b ns")).is_some());
+        cache.end_pass(b);
+        assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
     fn hit_miss_accounting() {
         let mut cache = SigCache::new();
         let k = SigCache::key(b"key", b"payload", 64);
         assert!(cache.get(&k).is_none());
         cache.insert(k.clone(), vec![0xAB; 64]);
         assert_eq!(cache.get(&k).as_deref(), Some(&[0xAB; 64][..]));
-        assert_eq!(cache.map.len(), 1);
+        assert_eq!(cache.len(), 1);
         cache.clear();
-        assert!(cache.map.is_empty());
+        assert_eq!(cache.len(), 0);
         assert!(cache.get(&k).is_none(), "a cleared cache misses");
     }
 }

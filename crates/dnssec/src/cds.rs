@@ -12,7 +12,7 @@ use crate::keys::{KeyRing, KeyRole};
 use crate::sign::{sign_rrset, verify_rrset, SignOptions};
 
 /// TTL used for CDS/CDNSKEY RRsets.
-pub const CDS_TTL: u32 = 3600;
+pub(crate) const CDS_TTL: u32 = 3600;
 
 /// Publishes CDS and CDNSKEY RRsets describing the ring's active KSKs, and
 /// signs them with an active ZSK (RFC 7344 §4.1 requires the RRsets to be
@@ -58,15 +58,6 @@ pub fn publish_cds(
             }
         }
     }
-}
-
-/// Removes published CDS/CDNSKEY RRsets (after the parent has acted).
-pub fn withdraw_cds(zone: &mut Zone) {
-    let apex = zone.apex().clone();
-    zone.remove(&apex, RrType::Cds);
-    zone.remove(&apex, RrType::Cdnskey);
-    crate::signer::remove_sigs_covering(zone, &apex, RrType::Cds);
-    crate::signer::remove_sigs_covering(zone, &apex, RrType::Cdnskey);
 }
 
 /// Why a parent-side CDS scan refused to act.
@@ -313,15 +304,5 @@ mod tests {
             scan_child_cds(&zone, &[], NOW),
             Err(CdsScanError::WouldBreakDelegation)
         );
-    }
-
-    #[test]
-    fn withdraw_removes_everything() {
-        let (mut zone, ring) = signed_zone();
-        publish_cds(&mut zone, &ring, DigestType::Sha256, NOW, window());
-        withdraw_cds(&mut zone);
-        assert!(zone.get(zone.apex(), RrType::Cds).is_none());
-        assert!(zone.get(zone.apex(), RrType::Cdnskey).is_none());
-        assert!(crate::signer::sigs_covering(&zone, zone.apex(), RrType::Cds).is_empty());
     }
 }

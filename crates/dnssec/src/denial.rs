@@ -277,7 +277,7 @@ fn closest_common_ancestor(a: &Name, b: &Name, apex: &Name) -> Name {
 
 /// Structural sanity checks on a single NSEC3 record (owner label decodes to
 /// a hash of the right length, hash field length, supported algorithm).
-pub fn check_nsec3_structure(
+pub(crate) fn check_nsec3_structure(
     owner: &Name,
     nsec3: &Nsec3,
     apex: &Name,

@@ -53,9 +53,9 @@ pub struct KeyPair {
     /// Retirement time (`dnssec-settime -I`): the key stays published but
     /// stops signing; `None` while the key signs.
     #[json(default)]
-    pub retire_at: Option<u32>,
+    pub(crate) retire_at: Option<u32>,
     /// Deletion time (`dnssec-settime -D`); `None` while the key lives.
-    pub delete_at: Option<u32>,
+    pub(crate) delete_at: Option<u32>,
 }
 
 impl KeyPair {
@@ -122,7 +122,7 @@ impl KeyPair {
     }
 
     /// True if the key should be published in the zone at time `now`.
-    pub fn is_published(&self, now: u32) -> bool {
+    pub(crate) fn is_published(&self, now: u32) -> bool {
         self.publish <= now && self.delete_at.map(|d| now < d).unwrap_or(true)
     }
 
@@ -170,10 +170,6 @@ impl KeyRing {
         &self.keys
     }
 
-    pub fn keys_mut(&mut self) -> &mut [KeyPair] {
-        &mut self.keys
-    }
-
     pub fn is_empty(&self) -> bool {
         self.keys.is_empty()
     }
@@ -200,11 +196,6 @@ impl KeyRing {
             .iter()
             .filter(|k| k.role == role && k.is_active(now) && !k.is_revoked())
             .collect()
-    }
-
-    /// Looks a key up by its current tag.
-    pub fn by_tag(&self, tag: u16) -> Option<&KeyPair> {
-        self.keys.iter().find(|k| k.key_tag() == tag)
     }
 
     /// Mutable lookup by tag.
@@ -320,7 +311,7 @@ mod tests {
         ring.add(zsk.clone());
         assert_eq!(ring.len(), 2);
         assert_eq!(ring.active(KeyRole::Ksk, 100).len(), 1);
-        assert_eq!(ring.by_tag(ksk_tag).unwrap().role, KeyRole::Ksk);
+        assert_eq!(ring.by_tag_mut(ksk_tag).unwrap().role, KeyRole::Ksk);
         assert_eq!(ring.algorithms(100), vec![8, 13]);
         // Revoked keys drop out of `active` but stay published.
         zsk.revoke();

@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use crate::sha::{Digest, Sha1};
 use ddx_json::ToJson;
 
-use ddx_dns::{base32, Name};
+use ddx_dns::Name;
 
 /// The only NSEC3 hash algorithm defined (RFC 5155 §11): SHA-1.
 pub const NSEC3_HASH_SHA1: u8 = 1;
@@ -151,15 +151,13 @@ mod memo_metrics_tests {
     }
 }
 
-/// The base32hex label under which the NSEC3 record for `name` lives.
-pub fn nsec3_label(name: &Name, salt: &[u8], iterations: u16) -> String {
-    base32::encode(&nsec3_hash(name, salt, iterations))
-}
-
 /// The full owner name of the NSEC3 record for `name` in `zone`.
-pub fn nsec3_owner(name: &Name, zone: &Name, salt: &[u8], iterations: u16) -> Name {
-    zone.child(&nsec3_label(name, salt, iterations))
-        .expect("nsec3 label fits")
+#[cfg(test)]
+pub(crate) fn nsec3_owner(name: &Name, zone: &Name, salt: &[u8], iterations: u16) -> Name {
+    zone.child(&ddx_dns::base32::encode(&nsec3_hash(
+        name, salt, iterations,
+    )))
+    .expect("nsec3 label fits")
 }
 
 /// True if `hash` falls strictly between `owner_hash` and `next_hash` on the
@@ -178,7 +176,7 @@ pub fn hash_covered(owner_hash: &[u8], next_hash: &[u8], hash: &[u8]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ddx_dns::name;
+    use ddx_dns::{base32, name};
     use ddx_prop::{check, string, Rng};
 
     #[test]

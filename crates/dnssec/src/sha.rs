@@ -3,7 +3,7 @@
 //! and the simulated signatures and `SigCache` keys (SHA-256).
 
 /// A cryptographic hash with a fixed-size output.
-pub trait Digest: Sized {
+pub(crate) trait Digest: Sized {
     /// The finished hash value.
     type Output: AsRef<[u8]>;
 
@@ -77,7 +77,7 @@ impl<const N: usize> BlockBuffer<N> {
 // ------------------------------------------------------------- SHA-1
 
 #[derive(Clone)]
-pub struct Sha1 {
+pub(crate) struct Sha1 {
     state: [u32; 5],
     buf: BlockBuffer<64>,
 }
@@ -322,7 +322,7 @@ fn compress512(state: &mut [u64; 8], block: &[u8; 128]) {
 }
 
 #[derive(Clone)]
-pub struct Sha256 {
+pub(crate) struct Sha256 {
     state: [u32; 8],
     buf: BlockBuffer<64>,
 }
@@ -357,7 +357,7 @@ impl Digest for Sha256 {
 }
 
 #[derive(Clone)]
-pub struct Sha384 {
+pub(crate) struct Sha384 {
     state: [u64; 8],
     buf: BlockBuffer<128>,
 }

@@ -171,7 +171,7 @@ pub fn sign_rrset(rrset: &RRset, key: &KeyPair, opts: SignOptions) -> Rrsig {
 /// key material, same payload, same length) was answered before, the cached
 /// bytes are replayed without recomputing the signature expansion. Output is
 /// byte-identical to the uncached path in all cases.
-pub fn sign_rrset_cached(
+pub(crate) fn sign_rrset_cached(
     rrset: &RRset,
     key: &KeyPair,
     opts: SignOptions,
@@ -361,8 +361,8 @@ mod tests {
         verify_rrset(&rs, &hit, &k.dnskey, &name("example.com"), 5000).unwrap();
         // One miss stored one signature; a poisoned entry proves the
         // repeat is served from it.
-        assert_eq!(cache.map.len(), 1);
-        cache.map.values_mut().for_each(|sig| sig.fill(0xEE));
+        assert_eq!(cache.len(), 1);
+        cache.signatures_mut().for_each(|sig| sig.fill(0xEE));
         let poisoned = sign_rrset_cached(&rs, &k, OPTS, &mut cache);
         assert!(poisoned.signature.iter().all(|&b| b == 0xEE));
     }

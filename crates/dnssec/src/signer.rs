@@ -142,6 +142,9 @@ fn sign_zone_impl(
         return Err(SignError::NoPublishableKeys);
     }
     let apex = zone.apex().clone();
+    if let Some(c) = cache.as_deref_mut() {
+        c.begin_pass(&apex);
+    }
     for key in &published {
         zone.add(Record::new(
             apex.clone(),
@@ -195,6 +198,9 @@ fn sign_zone_impl(
     }
     for sig in sigs {
         zone.add(sig);
+    }
+    if let Some(c) = cache {
+        c.end_pass(apex);
     }
     Ok(())
 }
@@ -515,7 +521,7 @@ mod tests {
         assert_eq!(cold, warm2, "warm cache pass must match uncached signing");
         // Poison every cached signature: a pass that hits the cache now
         // emits them.
-        cache.map.values_mut().for_each(|sig| sig.fill(0xEE));
+        cache.signatures_mut().for_each(|sig| sig.fill(0xEE));
         let mut poisoned = base_zone();
         sign_zone_cached(&mut poisoned, &r, &cfg, NOW, &mut cache).unwrap();
         assert_ne!(cold, poisoned, "second pass should hit the cache");

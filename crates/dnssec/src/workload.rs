@@ -47,7 +47,7 @@ thread_local! {
 }
 
 /// This thread's cumulative work ledger. Monotone within a thread; meter a
-/// region with [`WorkSnapshot::since`] around it.
+/// region with `WorkSnapshot::since` around it.
 pub fn work_snapshot() -> WorkSnapshot {
     LEDGER.with(|c| c.get())
 }

@@ -9,11 +9,10 @@ use std::net::Ipv4Addr;
 use ddx_prop::{btree_set, bytes, check, string, vec, Rng, StdRng, LOWER_DIGITS};
 
 use ddx_dns::{base32, name, Name, Nsec, Nsec3, RData, Record, RrType, Soa, TypeBitmap, Zone};
-use ddx_dnssec::denial::{nsec_covers, Nsec3View, NsecView};
-use ddx_dnssec::nsec3::hash_covered;
 use ddx_dnssec::{
-    build_nsec3_chain, build_nsec_chain, empty_non_terminals, nsec3_hash, verify_nsec3_denial,
-    verify_nsec_denial, DenialKind, Nsec3Config,
+    build_nsec3_chain, build_nsec_chain, empty_non_terminals, hash_covered, nsec3_hash,
+    nsec_covers, verify_nsec3_denial, verify_nsec_denial, DenialKind, Nsec3Config, Nsec3View,
+    NsecView,
 };
 use ddx_server::ZoneIndex;
 

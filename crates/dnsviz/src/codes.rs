@@ -627,13 +627,6 @@ pub enum WarningCode {
 }
 
 impl WarningCode {
-    pub const ALL: [WarningCode; 4] = [
-        WarningCode::Nsec3SaltPresent,
-        WarningCode::ShortSignatureLifetime,
-        WarningCode::SingleKeyZone,
-        WarningCode::Sha1DsDigest,
-    ];
-
     /// Human-readable message.
     pub fn message(self) -> &'static str {
         match self {

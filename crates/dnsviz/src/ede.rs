@@ -67,7 +67,7 @@ impl Ede {
 }
 
 /// The EDE a validating resolver would emit for an internal error code.
-pub fn ede_for(code: ErrorCode) -> Ede {
+pub(crate) fn ede_for(code: ErrorCode) -> Ede {
     use ErrorCode::*;
     match code {
         RrsigExpired => Ede::SignatureExpired,

@@ -189,7 +189,7 @@ impl GrokMemo {
     }
 
     /// Drops every cached entry (counted as invalidations).
-    pub fn invalidate_all(&mut self) {
+    pub(crate) fn invalidate_all(&mut self) {
         let dropped = (self.chain.len() + self.orphans.len()) as u64;
         self.invalidated(dropped);
         self.chain.clear();
@@ -223,7 +223,7 @@ impl GrokMemo {
     /// Incremental [`crate::probe::probe`]: reuses every clean cached zone
     /// cut, resumes the live walk at the first dirty one, and returns a
     /// [`ProbeResult`] indistinguishable (zone-wise) from a from-scratch
-    /// walk of the current state. `health`/`virtual_ms` cover only the
+    /// walk of the current state. `virtual_ms` covers only the
     /// queries actually issued.
     pub fn probe_incremental(
         &mut self,

@@ -20,8 +20,8 @@
 //! downstream consumers (DResolver, the resolver's NSEC3 policy) match on
 //! the variants instead of parsing strings.
 
-pub mod detail;
-pub mod memo;
+pub(crate) mod detail;
+pub(crate) mod memo;
 
 mod algorithms;
 mod classify;
@@ -92,7 +92,7 @@ impl ValidationBudget {
 ///
 /// Serialization note: the JSON shape keeps the legacy string field
 /// (`detail`, rendered via [`ErrorDetail`]'s `Display`) alongside the typed
-/// payload (`detail_data`); see the JSON impls in [`detail`].
+/// payload (`detail_data`); see the JSON impls in `grok::detail`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ErrorInstance {
     pub code: ErrorCode,
@@ -149,15 +149,6 @@ impl GrokReport {
     /// Distinct codes across the whole chain.
     pub fn codes(&self) -> BTreeSet<ErrorCode> {
         self.errors().map(|e| e.code).collect()
-    }
-
-    /// Distinct codes attributed to the query (leaf) zone and its
-    /// delegation — what the paper's pipeline extracts for replication.
-    pub fn target_zone_codes(&self) -> BTreeSet<ErrorCode> {
-        self.zones
-            .last()
-            .map(|z| z.errors.iter().map(|e| e.code).collect())
-            .unwrap_or_default()
     }
 
     /// True when no DNSSEC error was found anywhere.

@@ -72,9 +72,11 @@ fn nzic_yields_svm() {
     let report = run(&sb);
     assert_eq!(report.status, SnapshotStatus::Svm);
     assert!(report.codes().contains(&ErrorCode::Nsec3IterationsNonzero));
-    assert!(report
-        .target_zone_codes()
-        .contains(&ErrorCode::Nsec3IterationsNonzero));
+    let leaf = report.zones.last().expect("leaf zone analysed");
+    assert!(leaf
+        .errors
+        .iter()
+        .any(|e| e.code == ErrorCode::Nsec3IterationsNonzero));
     // The typed payload carries the iteration count directly.
     let e = report
         .errors()

@@ -6,25 +6,19 @@
 //! one of 47 error codes grouped per the paper's Table 3, finally
 //! classifying the snapshot into `sv/svm/sb/is/lm/ic`.
 
-pub mod codes;
-pub mod ede;
-pub mod grok;
-pub mod probe;
-pub mod resolver;
-pub mod status;
+mod codes;
+mod ede;
+mod grok;
+mod probe;
+mod resolver;
+mod status;
 
-pub use codes::{Category, ErrorCode, Subcategory, WarningCode};
-pub use ede::{ede_for, Ede};
+pub use codes::{Category, ErrorCode, Subcategory};
 pub use grok::memo::GrokMemo;
 pub use grok::{
     grok, grok_with_budget, AlgorithmScope, BudgetCounter, DsProblem, ErrorDetail, ErrorInstance,
     GrokReport, ValidationBudget, ZoneReport,
 };
-pub use probe::{
-    probe, FailureKind, ProbeConfig, ProbeResult, QueryFailure, RetryPolicy, ServerHealth,
-    ServerProbe, ZoneProbe, NX_PROBE_LABEL,
-};
-pub use resolver::{
-    resolve_validating, Nsec3IterationPolicy, Resolution, ResolverConfig, ValidationState,
-};
+pub use probe::{probe, ProbeConfig, ProbeResult, RetryPolicy, NODATA_PROBE_TYPE, NX_PROBE_LABEL};
+pub use resolver::{resolve_validating, Resolution, ResolverConfig, ValidationState};
 pub use status::SnapshotStatus;

@@ -3,7 +3,6 @@
 //! authoritative server of every zone cut for its DNSSEC material, negative
 //! responses, and (at the query zone) the target RRsets.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use ddx_dns::{Dnskey, Message, Name, RData, Rcode, RrType};
@@ -16,7 +15,7 @@ pub const NX_PROBE_LABEL: &str = "dnsviz-nx-probe";
 
 /// A second, high-sorting non-existent label, so the *wrap-around* denial
 /// record (last NSEC → apex) is also exercised.
-pub const NX_PROBE_LABEL_HI: &str = "zzz-dnsviz-nx-probe";
+pub(crate) const NX_PROBE_LABEL_HI: &str = "zzz-dnsviz-nx-probe";
 
 /// Private-use RR type queried to elicit a NODATA at an existing name.
 pub const NODATA_PROBE_TYPE: RrType = RrType::Unknown(65280);
@@ -31,7 +30,7 @@ pub struct RetryPolicy {
     /// Total attempts per (server, query); clamped to at least 1.
     pub attempts: u32,
     /// Virtual backoff before retry `k` (1-based): `backoff_base_ms << (k-1)`.
-    pub backoff_base_ms: u64,
+    pub(crate) backoff_base_ms: u64,
 }
 
 impl Default for RetryPolicy {
@@ -68,17 +67,6 @@ pub struct QueryFailure {
     pub attempts: u32,
 }
 
-/// Per-server attempt counters accumulated over one probe walk.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerHealth {
-    pub sent: u32,
-    pub ok: u32,
-    pub timeouts: u32,
-    pub truncated: u32,
-    pub malformed: u32,
-    pub refused: u32,
-}
-
 /// What to probe.
 #[derive(Debug, Clone)]
 pub struct ProbeConfig {
@@ -106,16 +94,16 @@ pub struct ProbeConfig {
 pub struct ServerProbe {
     pub server: ServerId,
     /// False when every query timed out.
-    pub responsive: bool,
+    pub(crate) responsive: bool,
     pub soa: Option<Arc<Message>>,
     pub ns: Option<Arc<Message>>,
     pub dnskey: Option<Arc<Message>>,
     /// Response to the non-existent-label query.
     pub nxdomain: Option<Arc<Message>>,
     /// Response to the high-sorting non-existent-label query.
-    pub nxdomain_hi: Option<Arc<Message>>,
+    pub(crate) nxdomain_hi: Option<Arc<Message>>,
     /// Response to the NODATA probe at the apex.
-    pub nodata: Option<Arc<Message>>,
+    pub(crate) nodata: Option<Arc<Message>>,
     /// NSEC3PARAM query at the apex (reveals the zone's declared NSEC3
     /// parameters, if any).
     pub nsec3param: Option<Arc<Message>>,
@@ -146,25 +134,25 @@ pub struct ZoneProbe {
     pub zone: Name,
     pub parent: Option<Name>,
     /// NS names from the parent-side referral (empty at the anchor).
-    pub delegation_ns: Vec<Name>,
+    pub(crate) delegation_ns: Vec<Name>,
     /// NS hostnames that did not resolve to any server.
-    pub unresolved_ns: Vec<Name>,
+    pub(crate) unresolved_ns: Vec<Name>,
     /// DS responses gathered from each parent-zone server.
     pub ds_responses: Vec<(ServerId, Option<Arc<Message>>)>,
     pub servers: Vec<ServerProbe>,
     /// True when the walk could not find this zone through the parent (no
     /// delegation NS) and it was only reachable via a hint — the paper's
     /// `ic` (incomplete) condition.
-    pub orphaned: bool,
+    pub(crate) orphaned: bool,
     /// Delegation-walk queries (referral lookups toward this zone's cut,
     /// DS queries at the parent) that exhausted their retries.
-    pub lookup_failures: Vec<(ServerId, QueryFailure)>,
+    pub(crate) lookup_failures: Vec<(ServerId, QueryFailure)>,
 }
 
 impl ZoneProbe {
     /// True if every known server failed to respond or the zone has no
     /// resolvable servers at all — the paper's `lm` (lame) condition.
-    pub fn is_lame(&self) -> bool {
+    pub(crate) fn is_lame(&self) -> bool {
         self.servers.is_empty() || self.servers.iter().all(|s| !s.responsive)
     }
 }
@@ -176,24 +164,22 @@ pub struct ProbeResult {
     pub time: u32,
     /// Zone cuts, anchor first, query zone last.
     pub zones: Vec<ZoneProbe>,
-    /// Per-server health counters, sorted by server id.
-    pub health: Vec<(ServerId, ServerHealth)>,
     /// Virtual milliseconds the walk took (per-query cost plus backoff).
     pub virtual_ms: u64,
 }
 
 impl ProbeResult {
     /// The zone containing the query domain (deepest probed cut).
-    pub fn query_zone(&self) -> Option<&ZoneProbe> {
+    pub(crate) fn query_zone(&self) -> Option<&ZoneProbe> {
         self.zones.last()
     }
 }
 
 /// Global-registry handles for the probe walk, looked up once per
-/// [`Prober`]. The per-outcome counters mirror [`ServerHealth`], but
-/// aggregated over every server and every walk in the process, so a
-/// metrics snapshot can check `probe.queries.sent` against the sum of the
-/// outcome counters and `probe.queries.sent >= probe.queries.ok`.
+/// [`Prober`]. The per-outcome counters aggregate every server and every
+/// walk in the process, so a metrics snapshot can check
+/// `probe.queries.sent` against the sum of the outcome counters and
+/// `probe.queries.sent >= probe.queries.ok`.
 struct ProbeObs {
     sent: ddx_obs::Counter,
     ok: ddx_obs::Counter,
@@ -225,13 +211,12 @@ impl ProbeObs {
 }
 
 /// The walk's query engine: wraps the network with the retry/backoff
-/// policy, tracks per-server health, and accumulates virtual time.
+/// policy, counts attempt outcomes, and accumulates virtual time.
 /// `pub(crate)` so the incremental layer (`grok::memo`) can resume a walk
 /// mid-chain with the same engine.
 pub(crate) struct Prober<'a> {
     net: &'a dyn Network,
     retry: RetryPolicy,
-    health: BTreeMap<ServerId, ServerHealth>,
     virtual_ms: u64,
     obs: ProbeObs,
 }
@@ -244,7 +229,6 @@ impl<'a> Prober<'a> {
         Prober {
             net,
             retry,
-            health: BTreeMap::new(),
             virtual_ms: 0,
             obs: ProbeObs::new(),
         }
@@ -278,32 +262,25 @@ impl<'a> Prober<'a> {
             }
             self.virtual_ms += QUERY_COST_MS;
             let outcome = self.net.query_outcome(server, &query);
-            let health = self.health.entry(server.clone()).or_default();
-            health.sent += 1;
             self.obs.sent.inc();
             match outcome {
                 QueryOutcome::Answer(m) if m.flags.tc => {
-                    health.truncated += 1;
                     self.obs.truncated.inc();
                     last = Some((FailureKind::Truncated, None));
                 }
                 QueryOutcome::Answer(m) if matches!(m.rcode, Rcode::Refused | Rcode::ServFail) => {
-                    health.refused += 1;
                     self.obs.refused.inc();
                     last = Some((FailureKind::Refused, Some(m)));
                 }
                 QueryOutcome::Answer(m) => {
-                    health.ok += 1;
                     self.obs.ok.inc();
                     return Some(m);
                 }
                 QueryOutcome::Timeout => {
-                    health.timeouts += 1;
                     self.obs.timeouts.inc();
                     last = Some((FailureKind::Timeout, None));
                 }
                 QueryOutcome::Malformed => {
-                    health.malformed += 1;
                     self.obs.malformed.inc();
                     last = Some((FailureKind::Malformed, None));
                 }
@@ -325,7 +302,6 @@ impl<'a> Prober<'a> {
             query_domain: cfg.query_domain.clone(),
             time: cfg.time,
             zones,
-            health: self.health.into_iter().collect(),
             virtual_ms: self.virtual_ms,
         }
     }
@@ -825,11 +801,6 @@ mod tests {
                 assert!(sp.failures.is_empty(), "{:?}", sp.failures);
             }
         }
-        assert!(!result.health.is_empty());
-        for (_, h) in &result.health {
-            assert_eq!(h.sent, h.ok, "clean network: every attempt succeeds");
-            assert_eq!(h.timeouts + h.truncated + h.malformed + h.refused, 0);
-        }
     }
 
     #[test]
@@ -858,8 +829,6 @@ mod tests {
                 );
             }
         }
-        // Health still remembers the transient trouble.
-        assert!(faulty.health.iter().any(|(_, h)| h.timeouts > 0));
         assert!(faulty.virtual_ms > clean.virtual_ms, "backoff takes time");
     }
 

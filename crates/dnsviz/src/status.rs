@@ -35,22 +35,6 @@ impl SnapshotStatus {
         }
     }
 
-    /// The four DNSSEC-related categories the analysis focuses on.
-    pub fn is_dnssec_related(self) -> bool {
-        matches!(
-            self,
-            SnapshotStatus::Sv | SnapshotStatus::Svm | SnapshotStatus::Sb | SnapshotStatus::Is
-        )
-    }
-
-    /// True when the domain is signed (sv/svm/sb).
-    pub fn is_signed(self) -> bool {
-        matches!(
-            self,
-            SnapshotStatus::Sv | SnapshotStatus::Svm | SnapshotStatus::Sb
-        )
-    }
-
     pub const ALL: [SnapshotStatus; 6] = [
         SnapshotStatus::Sv,
         SnapshotStatus::Svm,
@@ -79,13 +63,5 @@ mod tests {
         assert_eq!(SnapshotStatus::Is.label(), "is");
         assert_eq!(SnapshotStatus::Lm.label(), "lm");
         assert_eq!(SnapshotStatus::Ic.label(), "ic");
-    }
-
-    #[test]
-    fn classification_predicates() {
-        assert!(SnapshotStatus::Sb.is_dnssec_related());
-        assert!(!SnapshotStatus::Lm.is_dnssec_related());
-        assert!(SnapshotStatus::Svm.is_signed());
-        assert!(!SnapshotStatus::Is.is_signed());
     }
 }

@@ -12,25 +12,28 @@ use ddx_dnssec::Nsec3Config;
 use ddx_dnsviz::{ProbeConfig, RetryPolicy};
 use ddx_server::{build_sandbox, Sandbox, ZoneSpec};
 
-pub const NOW: u32 = 1_000_000;
+pub(crate) const NOW: u32 = 1_000_000;
 
 static REGISTRY: Mutex<()> = Mutex::new(());
 
 /// Serializes the tests of a binary that read exact deltas of the
 /// process-global metrics registry: each such test holds the guard for its
 /// whole run, so no sibling test bumps a counter between its snapshots.
-pub fn serial() -> MutexGuard<'static, ()> {
+pub(crate) fn serial() -> MutexGuard<'static, ()> {
     REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)
 }
-pub const SANDBOX_SEED: u64 = 0xC7A0;
-pub const QUERY_DOMAIN: &str = "www.chd.par.a.com";
-pub const LEAF_APEX: &str = "chd.par.a.com";
-pub const PAR_APEX: &str = "par.a.com";
-pub const ANCHOR_APEX: &str = "a.com";
+pub(crate) const SANDBOX_SEED: u64 = 0xC7A0;
+pub(crate) const QUERY_DOMAIN: &str = "www.chd.par.a.com";
+pub(crate) const LEAF_APEX: &str = "chd.par.a.com";
+pub(crate) const PAR_APEX: &str = "par.a.com";
+pub(crate) const ANCHOR_APEX: &str = "a.com";
 
 /// Builds one three-level sandbox (anchor → par → leaf) with the given leaf
 /// spec tweaks and post-build zone mutation.
-pub fn sandbox(tweak: impl FnOnce(&mut ZoneSpec), mutate: impl FnOnce(&mut Sandbox)) -> Sandbox {
+pub(crate) fn sandbox(
+    tweak: impl FnOnce(&mut ZoneSpec),
+    mutate: impl FnOnce(&mut Sandbox),
+) -> Sandbox {
     let mut leaf = ZoneSpec::conventional(name(LEAF_APEX));
     tweak(&mut leaf);
     let mut sb = build_sandbox(
@@ -47,7 +50,7 @@ pub fn sandbox(tweak: impl FnOnce(&mut ZoneSpec), mutate: impl FnOnce(&mut Sandb
 }
 
 /// The variant labels, in corpus order.
-pub const VARIANT_NAMES: [&str; 8] = [
+pub(crate) const VARIANT_NAMES: [&str; 8] = [
     "nsec",
     "nsec-wildcard",
     "nsec3",
@@ -60,7 +63,7 @@ pub const VARIANT_NAMES: [&str; 8] = [
 
 /// Builds one corpus variant from scratch — for tests that mutate the
 /// sandbox and therefore cannot share the [`variants`] statics.
-pub fn build_variant(label: &str) -> Sandbox {
+pub(crate) fn build_variant(label: &str) -> Sandbox {
     match label {
         "nsec" => sandbox(|_| {}, |_| {}),
         "nsec-wildcard" => sandbox(|s| s.wildcard = true, |_| {}),
@@ -111,7 +114,7 @@ pub fn build_variant(label: &str) -> Sandbox {
 }
 
 /// The read-only zone-variant corpus, built once per test binary.
-pub fn variants() -> &'static Vec<(&'static str, Sandbox)> {
+pub(crate) fn variants() -> &'static Vec<(&'static str, Sandbox)> {
     static VARIANTS: OnceLock<Vec<(&'static str, Sandbox)>> = OnceLock::new();
     VARIANTS.get_or_init(|| {
         VARIANT_NAMES
@@ -123,7 +126,7 @@ pub fn variants() -> &'static Vec<(&'static str, Sandbox)> {
 
 /// The standard probe configuration for a corpus sandbox: every sandbox
 /// zone is hinted, so incomplete delegations stay observable.
-pub fn probe_cfg(sb: &Sandbox) -> ProbeConfig {
+pub(crate) fn probe_cfg(sb: &Sandbox) -> ProbeConfig {
     ProbeConfig {
         anchor_zone: sb.anchor().apex.clone(),
         anchor_servers: sb.anchor().servers.clone(),

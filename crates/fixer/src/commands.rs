@@ -77,7 +77,11 @@ impl fmt::Display for ShellCommand {
 }
 
 /// Renders one instruction into the command sequence for `flavor`.
-pub fn render(instr: &Instruction, ctx: &ZoneContext, flavor: ServerFlavor) -> Vec<ShellCommand> {
+pub(crate) fn render(
+    instr: &Instruction,
+    ctx: &ZoneContext,
+    flavor: ServerFlavor,
+) -> Vec<ShellCommand> {
     match flavor {
         ServerFlavor::Bind => render_bind(instr, ctx),
         ServerFlavor::Nsd => render_nsd(instr, ctx),
@@ -87,7 +91,7 @@ pub fn render(instr: &Instruction, ctx: &ZoneContext, flavor: ServerFlavor) -> V
 }
 
 /// Renders a whole plan.
-pub fn render_plan(
+pub(crate) fn render_plan(
     plan: &[Instruction],
     ctx: &ZoneContext,
     flavor: ServerFlavor,

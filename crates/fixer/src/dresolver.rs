@@ -132,7 +132,7 @@ impl FixContext {
     /// parses the grok JSON of a zone the operator owns but the tool does
     /// not; key roles and sizes are inferred from the published DNSKEY
     /// RRset (SEP flag → KSK), and DS state from the parent's responses.
-    pub fn from_probe(report: &GrokReport, probe: &ddx_dnsviz::ProbeResult) -> Self {
+    pub(crate) fn from_probe(report: &GrokReport, probe: &ddx_dnsviz::ProbeResult) -> Self {
         let leaf = probe.zones.last();
         let zone = leaf
             .map(|z| z.zone.clone())

@@ -10,7 +10,7 @@ use ddx_dnsviz::ErrorCode;
 /// Directed edges `cause → effect`: when both codes appear in one report,
 /// the effect is (very likely) a cascade of the cause and needs no separate
 /// remediation.
-pub fn cascades_of(cause: ErrorCode) -> &'static [ErrorCode] {
+pub(crate) fn cascades_of(cause: ErrorCode) -> &'static [ErrorCode] {
     use ErrorCode::*;
     match cause {
         // A DS referencing a revoked key breaks the entry point and often
@@ -74,7 +74,7 @@ pub fn cascades_of(cause: ErrorCode) -> &'static [ErrorCode] {
 
 /// Returns the root causes among `present`: codes that are not a cascade of
 /// any *other* present code, ordered so that deeper causes come first.
-pub fn root_causes(present: &BTreeSet<ErrorCode>) -> Vec<ErrorCode> {
+pub(crate) fn root_causes(present: &BTreeSet<ErrorCode>) -> Vec<ErrorCode> {
     let mut effects: BTreeSet<ErrorCode> = BTreeSet::new();
     for &code in present {
         for &effect in cascades_of(code) {
@@ -89,19 +89,6 @@ pub fn root_causes(present: &BTreeSet<ErrorCode>) -> Vec<ErrorCode> {
         .copied()
         .filter(|c| !effects.contains(c))
         .collect()
-}
-
-/// Orders all present codes root-first (roots, then their cascades) — the
-/// "topological ordering" of the paper's pipeline.
-pub fn topological_order(present: &BTreeSet<ErrorCode>) -> Vec<ErrorCode> {
-    let roots = root_causes(present);
-    let mut out = roots.clone();
-    for code in present {
-        if !out.contains(code) {
-            out.push(*code);
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -144,22 +131,6 @@ mod tests {
         ]);
         let roots = root_causes(&present);
         assert_eq!(roots, vec![ErrorCode::DnskeyMissingForDs]);
-    }
-
-    #[test]
-    fn topological_order_keeps_everything() {
-        let present = set(&[
-            ErrorCode::DsDigestInvalid,
-            ErrorCode::NoSecureEntryPoint,
-            ErrorCode::RrsigExpired,
-            ErrorCode::TtlBeyondSignatureExpiry,
-        ]);
-        let ordered = topological_order(&present);
-        assert_eq!(ordered.len(), 4);
-        // Roots first.
-        let pos = |c: ErrorCode| ordered.iter().position(|x| *x == c).unwrap();
-        assert!(pos(ErrorCode::DsDigestInvalid) < pos(ErrorCode::NoSecureEntryPoint));
-        assert!(pos(ErrorCode::RrsigExpired) < pos(ErrorCode::TtlBeyondSignatureExpiry));
     }
 
     #[test]

@@ -48,18 +48,6 @@ impl InstructionKind {
             InstructionKind::PublishCds => "Publish CDS/CDNSKEY records",
         }
     }
-
-    /// The eight rows reported in Table 7, in the paper's order.
-    pub const TABLE7: [InstructionKind; 8] = [
-        InstructionKind::SignZone,
-        InstructionKind::RemoveIncorrectDs,
-        InstructionKind::UploadDs,
-        InstructionKind::GenerateKsk,
-        InstructionKind::SyncAuthServers,
-        InstructionKind::GenerateZsk,
-        InstructionKind::ReduceTtl,
-        InstructionKind::RemoveRevokedKey,
-    ];
 }
 
 impl fmt::Display for InstructionKind {
@@ -165,18 +153,18 @@ impl Instruction {
 /// Zone context used to populate command parameters (paths, names,
 /// algorithms) when rendering plans into shell commands.
 #[derive(Debug, Clone)]
-pub struct ZoneContext {
+pub(crate) struct ZoneContext {
     pub zone: Name,
     /// Directory holding key files.
-    pub key_dir: String,
+    pub(crate) key_dir: String,
     /// Path of the unsigned zone file.
-    pub zone_file: String,
+    pub(crate) zone_file: String,
     /// Key file stems by tag, for `dnssec-settime`/`dnssec-dsfromkey`.
-    pub key_files: Vec<(u16, String)>,
+    pub(crate) key_files: Vec<(u16, String)>,
 }
 
 impl ZoneContext {
-    pub fn new(zone: Name) -> Self {
+    pub(crate) fn new(zone: Name) -> Self {
         let stem = zone.to_string().trim_end_matches('.').replace('.', "_");
         ZoneContext {
             key_dir: format!("/etc/bind/keys/{stem}"),
@@ -187,7 +175,7 @@ impl ZoneContext {
     }
 
     /// The key file stem for a tag, or a placeholder.
-    pub fn key_file(&self, tag: u16) -> String {
+    pub(crate) fn key_file(&self, tag: u16) -> String {
         self.key_files
             .iter()
             .find(|(t, _)| *t == tag)
@@ -203,7 +191,6 @@ mod tests {
 
     #[test]
     fn kinds_cover_table7() {
-        assert_eq!(InstructionKind::TABLE7.len(), 8);
         assert_eq!(InstructionKind::SignZone.label(), "Sign the zone");
         assert_eq!(
             InstructionKind::SyncAuthServers.label(),

@@ -19,7 +19,7 @@ use crate::instructions::Instruction;
 
 /// Produces the naive plan: one generic suggestion per error code present,
 /// in arbitrary (code) order, deduplicated only by exact equality.
-pub fn naive_plan(report: &GrokReport) -> Vec<Instruction> {
+pub(crate) fn naive_plan(report: &GrokReport) -> Vec<Instruction> {
     use ErrorCode::*;
     let codes: BTreeSet<ErrorCode> = report.codes();
     let mut plan: Vec<Instruction> = Vec::new();

@@ -26,7 +26,7 @@ use ddx_json::ToJson;
 use ddx_dns::{wire, Message, MessageView, Name, Rcode, RrType};
 
 /// The traffic-shaping generator: tiny, seedable, statistically fine.
-pub use rand::SplitMix64;
+use rand::SplitMix64;
 
 /// Which traffic shape a client thread generates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, ToJson)]
@@ -57,7 +57,7 @@ impl QueryMix {
 
 /// Builds the next query of `mix` against the zone rooted at `apex`.
 /// Deterministic in (`mix`, rng state, `id`).
-pub fn synth_query(mix: QueryMix, rng: &mut SplitMix64, apex: &Name, id: u16) -> Message {
+pub(crate) fn synth_query(mix: QueryMix, rng: &mut SplitMix64, apex: &Name, id: u16) -> Message {
     let shape = match mix {
         QueryMix::Probe => 0,
         QueryMix::Hostile => 1,
@@ -152,20 +152,20 @@ impl Default for LoadConfig {
 pub struct LoadReport {
     pub mix: String,
     pub clients: usize,
-    pub target_qps: u64,
+    pub(crate) target_qps: u64,
     pub sent: u64,
     pub received: u64,
     pub timeouts: u64,
     pub refused: u64,
     pub truncated: u64,
-    pub elapsed_ms: u64,
+    pub(crate) elapsed_ms: u64,
     /// Answered queries per wall-clock second.
     pub achieved_qps: f64,
     pub p50_us: u64,
-    pub p90_us: u64,
+    pub(crate) p90_us: u64,
     pub p99_us: u64,
     pub p999_us: u64,
-    pub max_us: u64,
+    pub(crate) max_us: u64,
 }
 
 impl LoadReport {
@@ -196,7 +196,7 @@ impl LoadReport {
 
 /// Exact percentile over raw samples (nearest-rank). `samples` need not be
 /// sorted; returns 0 when empty.
-pub fn percentile_us(samples: &mut [u64], q: f64) -> u64 {
+pub(crate) fn percentile_us(samples: &mut [u64], q: f64) -> u64 {
     if samples.is_empty() {
         return 0;
     }
@@ -371,9 +371,9 @@ fn client_loop(
 mod tests {
     use super::*;
     use ddx_dns::name;
-    use ddx_server::sandbox::{build_sandbox, ZoneSpec};
-    use ddx_server::udp::{TransportConfig, UdpServerHandle};
     use ddx_server::RateLimitConfig;
+    use ddx_server::{build_sandbox, ZoneSpec};
+    use ddx_server::{TransportConfig, UdpServerHandle};
 
     #[test]
     fn splitmix_is_deterministic_and_spreads() {
@@ -416,7 +416,14 @@ mod tests {
         let apex = name("load.test");
         let sb = build_sandbox(&[ZoneSpec::conventional(apex.clone())], 1_000_000, 99);
         let server = sb.testbed.server(&sb.zones[0].servers[0]).unwrap().clone();
-        let handle = UdpServerHandle::spawn_sharded(server, 2).unwrap();
+        let handle = UdpServerHandle::spawn_with(
+            server,
+            TransportConfig {
+                workers: 2,
+                ..TransportConfig::default()
+            },
+        )
+        .unwrap();
         let cfg = LoadConfig {
             qps: 500,
             duration: Duration::from_millis(300),

@@ -17,9 +17,9 @@ use std::time::Duration;
 
 use ddx_dns::name;
 use ddx_loadgen::{run_load, LoadConfig, LoadReport, QueryMix};
-use ddx_server::sandbox::{build_sandbox, ZoneSpec};
-use ddx_server::udp::{TransportConfig, UdpServerHandle};
 use ddx_server::RateLimitConfig;
+use ddx_server::{build_sandbox, ZoneSpec};
+use ddx_server::{TransportConfig, UdpServerHandle};
 
 struct Args {
     qps: u64,
@@ -41,7 +41,7 @@ fn parse_args() -> Args {
         duration: Duration::from_millis(1_000),
         clients: 4,
         server_workers: 4,
-        batch: ddx_server::batch::DEFAULT_BATCH,
+        batch: ddx_server::DEFAULT_BATCH,
         mix: QueryMix::Mixed,
         seed: 0xDD5EC,
         rate_limit: None,
@@ -120,7 +120,6 @@ fn spawn_server(args: &Args, workers: usize) -> (UdpServerHandle, ddx_dns::Name)
             workers,
             batch: args.batch,
             rate_limit: args.rate_limit,
-            ..TransportConfig::default()
         },
     )
     .expect("spawn loopback server");

@@ -30,7 +30,8 @@
 
 mod snapshot;
 
-pub use snapshot::{HistogramSnapshot, MetricsSnapshot};
+use snapshot::HistogramSnapshot;
+pub use snapshot::MetricsSnapshot;
 
 /// The FNV-1a offset basis: the start of an [`fnv1a`] chain.
 pub const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
@@ -55,7 +56,7 @@ use std::time::{Duration, Instant};
 /// Default histogram bucket upper bounds, in microseconds. Chosen to span
 /// the sub-millisecond memo hits up through multi-second corpus stages;
 /// values above the last bound land in a final overflow bucket.
-pub const DEFAULT_LATENCY_BOUNDS_US: &[u64] = &[
+pub(crate) const DEFAULT_LATENCY_BOUNDS_US: &[u64] = &[
     50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 500_000,
     1_000_000, 2_500_000, 5_000_000,
 ];
@@ -173,7 +174,7 @@ impl Histogram {
         self.0.sum.fetch_add(value, Ordering::Relaxed);
     }
 
-    pub fn record_duration(&self, d: Duration) {
+    pub(crate) fn record_duration(&self, d: Duration) {
         self.record(u64::try_from(d.as_micros()).unwrap_or(u64::MAX));
     }
 
@@ -240,7 +241,7 @@ fn write_lock<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 }
 
 impl Registry {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 

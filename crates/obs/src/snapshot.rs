@@ -23,27 +23,6 @@ impl HistogramSnapshot {
             self.sum as f64 / self.count as f64
         }
     }
-
-    /// Quantile estimate from the bucketed counts: the upper bound of the
-    /// bucket holding the q-th sample (`0.0 < q <= 1.0`). Samples in the
-    /// overflow bucket report the last finite bound. Returns 0 when empty.
-    /// An upper-bound estimate is coarse but monotone and never understates
-    /// a tail — the right bias for latency SLO reporting.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 || self.bounds.is_empty() {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                let idx = i.min(self.bounds.len() - 1);
-                return self.bounds[idx];
-            }
-        }
-        *self.bounds.last().expect("bounds checked non-empty")
-    }
 }
 
 /// Every registered metric at one instant, keyed by the rendered
@@ -52,7 +31,7 @@ impl HistogramSnapshot {
 #[derive(Debug, Clone, Default, PartialEq, Eq, ToJson, FromJson)]
 pub struct MetricsSnapshot {
     pub counters: BTreeMap<String, u64>,
-    pub gauges: BTreeMap<String, i64>,
+    pub(crate) gauges: BTreeMap<String, i64>,
     pub histograms: BTreeMap<String, HistogramSnapshot>,
 }
 
@@ -99,14 +78,6 @@ impl MetricsSnapshot {
             out.histograms.insert(k.clone(), d);
         }
         out
-    }
-
-    /// True when every counter and gauge is zero and every histogram is
-    /// empty — what `now.diff(&now)` produces.
-    pub fn is_zero(&self) -> bool {
-        self.counters.values().all(|&v| v == 0)
-            && self.gauges.values().all(|&v| v == 0)
-            && self.histograms.values().all(|h| h.count == 0 && h.sum == 0)
     }
 
     /// Pretty-printed JSON; deterministic for a given snapshot.
@@ -198,7 +169,13 @@ mod tests {
         let before = reg.snapshot();
         let after = reg.snapshot();
         let d = after.diff(&before);
-        assert!(d.is_zero(), "no-op diff must be all zeros: {}", d.to_json());
+        assert!(
+            d.counters.values().all(|&v| v == 0)
+                && d.gauges.values().all(|&v| v == 0)
+                && d.histograms.values().all(|h| h.count == 0 && h.sum == 0),
+            "no-op diff must be all zeros: {}",
+            d.to_json()
+        );
         // Same keys survive with zero values.
         assert_eq!(
             d.counters.keys().collect::<Vec<_>>(),
@@ -222,25 +199,6 @@ mod tests {
         let h = d.histograms.get("a.lat_us").unwrap();
         assert_eq!(h.count, 1);
         assert_eq!(h.sum, 60);
-    }
-
-    #[test]
-    fn quantile_reads_bucket_upper_bounds() {
-        let reg = Registry::new();
-        let h = reg.histogram_with_bounds("q.lat_us", &[], &[10, 100, 1_000]);
-        for _ in 0..98 {
-            h.record(5); // bucket ≤10
-        }
-        h.record(500); // bucket ≤1_000
-        h.record(5_000); // overflow bucket
-        let snap = reg.snapshot();
-        let hs = snap.histograms.get("q.lat_us").unwrap();
-        assert_eq!(hs.quantile(0.50), 10);
-        assert_eq!(hs.quantile(0.98), 10);
-        assert_eq!(hs.quantile(0.99), 1_000);
-        // Overflow samples clamp to the last finite bound.
-        assert_eq!(hs.quantile(1.0), 1_000);
-        assert_eq!(HistogramSnapshot::default().quantile(0.5), 0);
     }
 
     #[test]

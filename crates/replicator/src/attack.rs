@@ -27,27 +27,27 @@ use crate::replicate::{replicate, Replication, ReplicationRequest};
 /// Colliding-tag signature copies SigJam plants on one RRset. Comfortably
 /// above the default per-zone signature budget (512) so a single server's
 /// material trips it.
-pub const SIGJAM_SIG_COPIES: usize = 600;
+pub(crate) const SIGJAM_SIG_COPIES: usize = 600;
 
 /// Foreign keys LockCram publishes, each contributing one more DNSKEY
 /// record *and* one more RRSIG over the (ever larger) DNSKEY RRset.
-pub const LOCKCRAM_KEYS: usize = 560;
+pub(crate) const LOCKCRAM_KEYS: usize = 560;
 
 /// NSEC3 iteration count of the high-iteration family — far beyond the
 /// RFC 9276 guidance of 0, and high enough that a single denial proof's
 /// pre-flight estimate exceeds the default hash budget (16 384 rounds).
-pub const NSEC3_ATTACK_ITERATIONS: u16 = 2_500;
+pub(crate) const NSEC3_ATTACK_ITERATIONS: u16 = 2_500;
 
 /// Empty-non-terminal depth of the high-iteration family's decoy name:
 /// each extra label is one more closest-encloser candidate to hash.
-pub const NSEC3_ATTACK_ENT_DEPTH: usize = 8;
+pub(crate) const NSEC3_ATTACK_ENT_DEPTH: usize = 8;
 
 /// Foreign keys the oversized-RRset family adds to the DNSKEY RRset.
-pub const OVERSIZED_KEYS: usize = 64;
+pub(crate) const OVERSIZED_KEYS: usize = 64;
 
 /// Tampered signature copies the oversized-RRset family plants on the
 /// apex SOA RRset.
-pub const OVERSIZED_SIG_COPIES: usize = 560;
+pub(crate) const OVERSIZED_SIG_COPIES: usize = 560;
 
 /// The four adversarial zone shapes of the attack corpus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -87,7 +87,7 @@ impl AttackFamily {
     }
 
     /// Whether the family needs an NSEC3 leaf zone.
-    pub fn wants_nsec3(&self) -> bool {
+    pub(crate) fn wants_nsec3(&self) -> bool {
         matches!(self, AttackFamily::LockCram | AttackFamily::Nsec3Iterations)
     }
 

@@ -40,7 +40,7 @@ impl std::fmt::Display for SkipReason {
 /// A stable ordering so that multi-error injections do not stomp each
 /// other: key-set surgery first, then DS manipulation, then signature
 /// tampering, then denial-chain tampering.
-pub fn injection_phase(code: ErrorCode) -> u8 {
+pub(crate) fn injection_phase(code: ErrorCode) -> u8 {
     use ErrorCode::*;
     match code {
         // Whole-zone re-signs (parameter changes) must come before any
@@ -160,7 +160,11 @@ fn leaf_uses_nsec3(sb: &Sandbox, apex: &Name) -> bool {
 /// injection has no single natural payload). A subsequent probe+grok run
 /// should list `code` among the leaf-zone errors (possibly alongside benign
 /// companion errors, per the paper's footnote 4).
-pub fn inject(sb: &mut Sandbox, code: ErrorCode, now: u32) -> Result<ErrorDetail, SkipReason> {
+pub(crate) fn inject(
+    sb: &mut Sandbox,
+    code: ErrorCode,
+    now: u32,
+) -> Result<ErrorDetail, SkipReason> {
     use ErrorCode::*;
     if !code.replicable() {
         return Err(SkipReason::Unreplicable);
@@ -696,7 +700,7 @@ pub fn inject(sb: &mut Sandbox, code: ErrorCode, now: u32) -> Result<ErrorDetail
             }
             let key = zsk(sb, &apex, now).ok_or(SkipReason::MissingKeyMaterial)?;
             let opts = window(now);
-            let probe_type = ddx_dnsviz::probe::NODATA_PROBE_TYPE;
+            let probe_type = ddx_dnsviz::NODATA_PROBE_TYPE;
             sb.testbed.mutate_zone_everywhere(&apex, |zone| {
                 let target = apex.clone();
                 if let Some(set) = zone.get_mut(&target, RrType::Nsec) {
@@ -720,7 +724,7 @@ pub fn inject(sb: &mut Sandbox, code: ErrorCode, now: u32) -> Result<ErrorDetail
             }
             let key = zsk(sb, &apex, now).ok_or(SkipReason::MissingKeyMaterial)?;
             let opts = window(now);
-            let probe_type = ddx_dnsviz::probe::NODATA_PROBE_TYPE;
+            let probe_type = ddx_dnsviz::NODATA_PROBE_TYPE;
             let owner = nsec3_owner_of(sb, &apex, &apex).ok_or(SkipReason::MissingKeyMaterial)?;
             sb.testbed.mutate_zone_everywhere(&apex, |zone| {
                 if let Some(set) = zone.get_mut(&owner, RrType::Nsec3) {
@@ -758,9 +762,7 @@ pub fn inject(sb: &mut Sandbox, code: ErrorCode, now: u32) -> Result<ErrorDetail
                 resign_rrset(zone, &target, RrType::Nsec, &key, opts);
             });
             ErrorDetail::NotCovered {
-                qname: apex
-                    .child(ddx_dnsviz::probe::NX_PROBE_LABEL)
-                    .expect("label fits"),
+                qname: apex.child(ddx_dnsviz::NX_PROBE_LABEL).expect("label fits"),
                 nsec3: false,
             }
         }
@@ -770,9 +772,7 @@ pub fn inject(sb: &mut Sandbox, code: ErrorCode, now: u32) -> Result<ErrorDetail
             }
             // Remove the NSEC3 record covering the hash of the NX probe
             // label, without touching the closest-encloser match.
-            let nx = apex
-                .child(ddx_dnsviz::probe::NX_PROBE_LABEL)
-                .expect("label fits");
+            let nx = apex.child(ddx_dnsviz::NX_PROBE_LABEL).expect("label fits");
             let cover = nsec3_cover_of(sb, &apex, &nx).ok_or(SkipReason::MissingKeyMaterial)?;
             let apex_match = nsec3_owner_of(sb, &apex, &apex);
             if Some(&cover) == apex_match.as_ref() {
@@ -859,9 +859,7 @@ pub fn inject(sb: &mut Sandbox, code: ErrorCode, now: u32) -> Result<ErrorDetail
                 resign_rrset(zone, &aaaa, RrType::Nsec, &key, opts);
             });
             ErrorDetail::WildcardUnproven {
-                qname: apex
-                    .child(ddx_dnsviz::probe::NX_PROBE_LABEL)
-                    .expect("label fits"),
+                qname: apex.child(ddx_dnsviz::NX_PROBE_LABEL).expect("label fits"),
             }
         }
         Nsec3MissingWildcardProof => {
@@ -869,9 +867,7 @@ pub fn inject(sb: &mut Sandbox, code: ErrorCode, now: u32) -> Result<ErrorDetail
                 return Err(SkipReason::DenialModeMismatch);
             }
             let wildcard = apex.child("*").expect("label fits");
-            let nx = apex
-                .child(ddx_dnsviz::probe::NX_PROBE_LABEL)
-                .expect("label fits");
+            let nx = apex.child(ddx_dnsviz::NX_PROBE_LABEL).expect("label fits");
             let wc_cover =
                 nsec3_cover_of(sb, &apex, &wildcard).ok_or(SkipReason::MissingKeyMaterial)?;
             let nx_cover = nsec3_cover_of(sb, &apex, &nx);
@@ -1046,9 +1042,7 @@ pub fn inject(sb: &mut Sandbox, code: ErrorCode, now: u32) -> Result<ErrorDetail
                 zone.remove(&owner, RrType::Rrsig);
             });
             ErrorDetail::NoClosestEncloser {
-                qname: apex
-                    .child(ddx_dnsviz::probe::NX_PROBE_LABEL)
-                    .expect("label fits"),
+                qname: apex.child(ddx_dnsviz::NX_PROBE_LABEL).expect("label fits"),
             }
         }
         // Explicitly unreplicable (also caught by the guard above).
@@ -1185,7 +1179,7 @@ fn nsec3_cover_of(sb: &Sandbox, apex: &Name, target: &Name) -> Option<Name> {
                 return false;
             };
             s.rdatas.iter().any(|rd| match rd {
-                RData::Nsec3(n) => ddx_dnssec::nsec3::hash_covered(&oh, &n.next_hashed_owner, &h),
+                RData::Nsec3(n) => ddx_dnssec::hash_covered(&oh, &n.next_hashed_owner, &h),
                 _ => false,
             })
         })

@@ -8,17 +8,13 @@
 //! algorithms are substituted per §5.5.1; and each intended error code is
 //! injected by surgical zone tampering.
 
-pub mod attack;
-pub mod inject;
-pub mod meta;
-pub mod replicate;
+mod attack;
+mod inject;
+mod meta;
+mod replicate;
 
 pub use attack::{inject_attack, replicate_attack, AttackFamily};
-pub use inject::{inject, injection_phase, SkipReason};
-pub use meta::{
-    plan_digests, plan_keys, KeyPlan, KeySpec, MetaError, Nsec3Meta, Substitution, ZoneMeta,
-};
+pub use meta::{KeySpec, Nsec3Meta, ZoneMeta};
 pub use replicate::{
-    anchor_apex, parent_apex, probe_config_for, replicate, target_apex, Replication,
-    ReplicationRequest,
+    anchor_apex, parent_apex, replicate, target_apex, Replication, ReplicationRequest,
 };

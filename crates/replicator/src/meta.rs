@@ -26,7 +26,7 @@ pub struct Nsec3Meta {
 
 impl Nsec3Meta {
     /// Concrete chain parameters (salt bytes derived deterministically).
-    pub fn to_config(&self) -> Nsec3Config {
+    pub(crate) fn to_config(&self) -> Nsec3Config {
         Nsec3Config {
             hash_algorithm: ddx_dnssec::NSEC3_HASH_SHA1,
             iterations: self.iterations,
@@ -100,7 +100,7 @@ impl std::fmt::Display for MetaError {
 
 /// The realizable key plan after substitution.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KeyPlan {
+pub(crate) struct KeyPlan {
     pub keys: Vec<(KeyRole, Algorithm, u16)>,
     pub substitutions: Vec<Substitution>,
 }
@@ -108,7 +108,7 @@ pub struct KeyPlan {
 /// Maps observed key specs onto generatable ones, substituting deprecated
 /// algorithms (e.g. DSA-NSEC3-SHA1 → RSASHA256) while never colliding with
 /// an algorithm the zone already uses (§5.5.1).
-pub fn plan_keys(meta: &ZoneMeta) -> Result<KeyPlan, MetaError> {
+pub(crate) fn plan_keys(meta: &ZoneMeta) -> Result<KeyPlan, MetaError> {
     if meta.keys.is_empty() {
         return Err(MetaError::NoKeys);
     }
@@ -170,7 +170,7 @@ pub fn plan_keys(meta: &ZoneMeta) -> Result<KeyPlan, MetaError> {
 }
 
 /// DS digest types, defaulting unknown codes to SHA-256.
-pub fn plan_digests(meta: &ZoneMeta) -> Vec<DigestType> {
+pub(crate) fn plan_digests(meta: &ZoneMeta) -> Vec<DigestType> {
     let mut out: Vec<DigestType> = meta
         .ds_digest_types
         .iter()

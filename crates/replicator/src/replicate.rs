@@ -35,12 +35,7 @@ pub struct Replication {
     pub now: u32,
 }
 
-impl Replication {
-    /// The leaf (target) zone apex: `inv-chd.par.a.com`.
-    pub fn target_zone(&self) -> Name {
-        self.sandbox.leaf().apex.clone()
-    }
-}
+impl Replication {}
 
 /// The fixed sandbox layout from the paper.
 pub fn anchor_apex() -> Name {
@@ -56,7 +51,7 @@ pub fn target_apex() -> Name {
 }
 
 /// Builds the probe configuration for a sandbox rooted at `a.com`.
-pub fn probe_config_for(sandbox: &Sandbox, now: u32) -> ProbeConfig {
+pub(crate) fn probe_config_for(sandbox: &Sandbox, now: u32) -> ProbeConfig {
     ProbeConfig {
         anchor_zone: sandbox.anchor().apex.clone(),
         anchor_servers: sandbox.anchor().servers.clone(),

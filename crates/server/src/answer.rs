@@ -40,7 +40,7 @@ use ddx_dns::{Edns, Message, MessageView, Name, NameRef, RrClass, RrType};
 /// Also the per-server key half of [`CachingNetwork`](crate::CachingNetwork),
 /// so client- and server-side caches agree on what identifies a question.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct AnswerKey {
+pub(crate) struct AnswerKey {
     pub qname: Name,
     pub qtype: RrType,
     pub qclass: RrClass,
@@ -54,7 +54,7 @@ pub struct AnswerKey {
 impl AnswerKey {
     /// Builds the key for a query message; `None` when the query has no
     /// question (such messages are answered FORMERR and never cached).
-    pub fn for_query(query: &Message) -> Option<AnswerKey> {
+    pub(crate) fn for_query(query: &Message) -> Option<AnswerKey> {
         let q = query.question.as_ref()?;
         Some(AnswerKey {
             qname: q.qname.clone(),
@@ -71,7 +71,7 @@ impl AnswerKey {
 /// `AnswerKey` that [`WireKey::to_key`] builds — which equals what
 /// [`AnswerKey::for_query`] builds for the decoded message.
 #[derive(Debug, Clone, Copy)]
-pub struct WireKey<'buf> {
+pub(crate) struct WireKey<'buf> {
     pub qname: NameRef<'buf>,
     pub qtype: RrType,
     pub qclass: RrClass,
@@ -81,7 +81,7 @@ pub struct WireKey<'buf> {
 
 impl<'buf> WireKey<'buf> {
     /// The key of a query view; `None` when it has no question.
-    pub fn from_view(view: &MessageView<'buf>) -> Option<WireKey<'buf>> {
+    pub(crate) fn from_view(view: &MessageView<'buf>) -> Option<WireKey<'buf>> {
         let q = view.question()?;
         Some(WireKey {
             qname: q.qname(),
@@ -93,7 +93,7 @@ impl<'buf> WireKey<'buf> {
     }
 
     /// The owned key (allocates the qname).
-    pub fn to_key(&self) -> AnswerKey {
+    pub(crate) fn to_key(self) -> AnswerKey {
         AnswerKey {
             qname: self.qname.to_name(),
             qtype: self.qtype,
@@ -106,13 +106,13 @@ impl<'buf> WireKey<'buf> {
 
 /// Default shard count: enough to keep 8 transport workers from serializing
 /// on one mutex.
-pub const DEFAULT_SHARDS: usize = 8;
+pub(crate) const DEFAULT_SHARDS: usize = 8;
 
 /// Default per-shard entry cap. With [`DEFAULT_SHARDS`] shards this keeps
 /// the historical 8,192-entry process total; reaching the cap clears that
 /// shard only (stale generations dominate a full table, so wholesale
 /// per-shard eviction is both simplest and correct).
-pub const DEFAULT_SHARD_CAP: usize = 1_024;
+pub(crate) const DEFAULT_SHARD_CAP: usize = 1_024;
 
 /// Stable FNV-1a over the lowercased label bytes of a qname (length-
 /// prefixed, so `("ab","c")` and `("a","bc")` hash apart). Case-insensitive
@@ -274,7 +274,7 @@ impl Eq for Stored {}
 /// counts every [`AnswerMemo::get`] and [`AnswerMemo::get_wire`] call, so
 /// `hits + misses == lookups` is an invariant a metrics snapshot can check.
 #[derive(Debug)]
-pub struct AnswerMemo<V> {
+pub(crate) struct AnswerMemo<V> {
     shards: Vec<Mutex<HashMap<Stored, V>>>,
     /// Per-shard entry cap; a shard reaching it is cleared wholesale.
     shard_cap: usize,
@@ -291,13 +291,13 @@ impl<V> Default for AnswerMemo<V> {
 }
 
 impl<V> AnswerMemo<V> {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         AnswerMemo::default()
     }
 
     /// A memo with `shards` shards of at most `shard_cap` entries each.
     /// `shards` is clamped to at least 1.
-    pub fn with_config(shards: usize, shard_cap: usize) -> Self {
+    pub(crate) fn with_config(shards: usize, shard_cap: usize) -> Self {
         let shards = shards.max(1);
         AnswerMemo {
             shards: (0..shards).map(|_| Mutex::default()).collect(),
@@ -310,12 +310,12 @@ impl<V> AnswerMemo<V> {
     }
 
     /// Number of shards this memo was built with.
-    pub fn shard_count(&self) -> usize {
+    pub(crate) fn shard_count(&self) -> usize {
         self.shards.len()
     }
 
     /// Per-shard entry cap this memo was built with.
-    pub fn shard_cap(&self) -> usize {
+    pub(crate) fn shard_cap(&self) -> usize {
         self.shard_cap
     }
 
@@ -331,7 +331,7 @@ impl<V> AnswerMemo<V> {
 
     /// Stores a freshly computed value in the qname's shard, flushing the
     /// shard first when it is at capacity (counted as evictions).
-    pub fn insert(&self, generation: u64, key: AnswerKey, value: V) {
+    pub(crate) fn insert(&self, generation: u64, key: AnswerKey, value: V) {
         let mut entries = self.shard(Qname::Owned(&key.qname));
         if entries.len() >= self.shard_cap {
             self.obs_evictions.add(entries.len() as u64);
@@ -344,13 +344,13 @@ impl<V> AnswerMemo<V> {
 impl<V: Clone> AnswerMemo<V> {
     /// Looks up the value cached for `key` under zone generation
     /// `generation`, counting a hit or a miss.
-    pub fn get(&self, generation: u64, key: &AnswerKey) -> Option<V> {
+    pub(crate) fn get(&self, generation: u64, key: &AnswerKey) -> Option<V> {
         self.lookup(Parts::owned(generation, key))
     }
 
     /// [`AnswerMemo::get`] for a key still in a query's wire bytes: the
     /// probe allocates nothing.
-    pub fn get_wire(&self, generation: u64, key: &WireKey<'_>) -> Option<V> {
+    pub(crate) fn get_wire(&self, generation: u64, key: &WireKey<'_>) -> Option<V> {
         self.lookup(Parts::wire(generation, key))
     }
 

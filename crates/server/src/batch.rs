@@ -7,8 +7,8 @@
 //! by hand (`extern "C"` against the libc the Rust std library already
 //! links) because this workspace deliberately carries no FFI crates.
 //!
-//! Everywhere else — or when a caller forces [`BatchMode::Single`] — the
-//! same [`BatchSocket`] API degrades to one blocking `recv_from` per
+//! Everywhere else — or when the unit tests force [`BatchMode::Single`] to
+//! cover the portable path on Linux — the same [`BatchSocket`] API degrades to one blocking `recv_from` per
 //! "batch" and a `send_to` loop, which is exactly the pre-sharding
 //! transport behavior. The fallback matrix:
 //!
@@ -20,18 +20,17 @@
 
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
-use std::time::Duration;
 
 /// Largest DNS query we accept per datagram slot. Queries are small (a
 /// question plus OPT), but EDNS allows clients to pad; 4 KiB is generous.
-pub const RECV_SLOT_BYTES: usize = 4_096;
+pub(crate) const RECV_SLOT_BYTES: usize = 4_096;
 
 /// Default datagrams per batch.
 pub const DEFAULT_BATCH: usize = 32;
 
 /// How a [`BatchSocket`] moves datagrams.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchMode {
+pub(crate) enum BatchMode {
     /// `recvmmsg`/`sendmmsg` (Linux fast path).
     Mmsg,
     /// One `recv_from` per batch call, `send_to` loop (portable).
@@ -40,7 +39,7 @@ pub enum BatchMode {
 
 impl BatchMode {
     /// The fastest mode this build supports.
-    pub fn fastest() -> BatchMode {
+    pub(crate) fn fastest() -> BatchMode {
         if mmsg_supported() {
             BatchMode::Mmsg
         } else {
@@ -50,7 +49,7 @@ impl BatchMode {
 }
 
 /// True when the mmsg fast path is compiled in.
-pub const fn mmsg_supported() -> bool {
+pub(crate) const fn mmsg_supported() -> bool {
     cfg!(all(
         target_os = "linux",
         any(target_arch = "x86_64", target_arch = "aarch64")
@@ -59,7 +58,7 @@ pub const fn mmsg_supported() -> bool {
 
 /// One received datagram: the filled prefix of its slot plus the peer.
 #[derive(Debug)]
-pub struct RecvSlot {
+pub(crate) struct RecvSlot {
     pub buf: Vec<u8>,
     pub len: usize,
     pub peer: SocketAddr,
@@ -68,14 +67,14 @@ pub struct RecvSlot {
 /// Reusable receive-side state: `batch` slots of [`RECV_SLOT_BYTES`] each.
 /// Allocated once per worker and recycled across batches.
 #[derive(Debug)]
-pub struct RecvBatch {
+pub(crate) struct RecvBatch {
     slots: Vec<RecvSlot>,
     /// Number of slots filled by the last `recv_batch` call.
     filled: usize,
 }
 
 impl RecvBatch {
-    pub fn new(batch: usize) -> Self {
+    pub(crate) fn new(batch: usize) -> Self {
         let batch = batch.clamp(1, 1_024);
         RecvBatch {
             slots: (0..batch)
@@ -89,12 +88,8 @@ impl RecvBatch {
         }
     }
 
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
     /// The datagrams filled by the last `recv_batch` call.
-    pub fn received(&self) -> impl Iterator<Item = (&[u8], SocketAddr)> {
+    pub(crate) fn received(&self) -> impl Iterator<Item = (&[u8], SocketAddr)> {
         self.slots[..self.filled]
             .iter()
             .map(|s| (&s.buf[..s.len], s.peer))
@@ -103,7 +98,7 @@ impl RecvBatch {
 
 /// An outgoing datagram queued for `send_batch`.
 #[derive(Debug)]
-pub struct SendItem {
+pub(crate) struct SendItem {
     pub bytes: Vec<u8>,
     pub peer: SocketAddr,
 }
@@ -120,13 +115,13 @@ pub struct SendItem {
 /// on [`SendQueue::items`], call [`SendQueue::clear`] to start the next
 /// batch without dropping any buffer.
 #[derive(Debug, Default)]
-pub struct SendQueue {
+pub(crate) struct SendQueue {
     items: Vec<SendItem>,
     committed: usize,
 }
 
 impl SendQueue {
-    pub fn with_capacity(batch: usize) -> Self {
+    pub(crate) fn with_capacity(batch: usize) -> Self {
         SendQueue {
             items: Vec::with_capacity(batch),
             committed: 0,
@@ -135,7 +130,7 @@ impl SendQueue {
 
     /// The next outgoing buffer: cleared, but retaining whatever capacity
     /// it grew in earlier batches.
-    pub fn slot(&mut self) -> &mut Vec<u8> {
+    pub(crate) fn slot(&mut self) -> &mut Vec<u8> {
         if self.committed == self.items.len() {
             self.items.push(SendItem {
                 bytes: Vec::with_capacity(RECV_SLOT_BYTES),
@@ -148,26 +143,26 @@ impl SendQueue {
     }
 
     /// Enqueues the buffer last returned by [`SendQueue::slot`] for `peer`.
-    pub fn commit(&mut self, peer: SocketAddr) {
+    pub(crate) fn commit(&mut self, peer: SocketAddr) {
         self.items[self.committed].peer = peer;
         self.committed += 1;
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.committed
     }
 
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.committed == 0
     }
 
     /// The committed datagrams, ready for [`BatchSocket::send_batch`].
-    pub fn items(&self) -> &[SendItem] {
+    pub(crate) fn items(&self) -> &[SendItem] {
         &self.items[..self.committed]
     }
 
     /// Forgets the committed items but keeps every buffer for reuse.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.committed = 0;
     }
 }
@@ -175,7 +170,7 @@ impl SendQueue {
 /// A UDP socket with batch send/receive on top of either the mmsg fast
 /// path or the portable single-datagram fallback.
 #[derive(Debug)]
-pub struct BatchSocket {
+pub(crate) struct BatchSocket {
     sock: UdpSocket,
     mode: BatchMode,
 }
@@ -183,7 +178,7 @@ pub struct BatchSocket {
 impl BatchSocket {
     /// Wraps an already bound socket. Falls back to [`BatchMode::Single`]
     /// when the requested mode is not compiled in.
-    pub fn new(sock: UdpSocket, mode: BatchMode) -> Self {
+    pub(crate) fn new(sock: UdpSocket, mode: BatchMode) -> Self {
         let mode = match mode {
             BatchMode::Mmsg if mmsg_supported() => BatchMode::Mmsg,
             _ => BatchMode::Single,
@@ -191,23 +186,11 @@ impl BatchSocket {
         BatchSocket { sock, mode }
     }
 
-    pub fn mode(&self) -> BatchMode {
-        self.mode
-    }
-
-    pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.sock.local_addr()
-    }
-
-    pub fn set_read_timeout(&self, d: Option<Duration>) -> io::Result<()> {
-        self.sock.set_read_timeout(d)
-    }
-
     /// Receives up to `batch.capacity()` datagrams, blocking (subject to
     /// the socket's read timeout) for the first one. Returns the number of
     /// datagrams filled; timeout surfaces as the usual
     /// `WouldBlock`/`TimedOut` error so callers can re-check stop flags.
-    pub fn recv_batch(&self, batch: &mut RecvBatch) -> io::Result<usize> {
+    pub(crate) fn recv_batch(&self, batch: &mut RecvBatch) -> io::Result<usize> {
         batch.filled = 0;
         match self.mode {
             #[cfg(all(
@@ -239,7 +222,7 @@ impl BatchSocket {
     /// number of datagrams handed to the kernel; per-datagram send errors
     /// (e.g. a vanished peer) are skipped, matching the old loop's
     /// `let _ = socket.send_to(..)`.
-    pub fn send_batch(&self, items: &[SendItem]) -> io::Result<usize> {
+    pub(crate) fn send_batch(&self, items: &[SendItem]) -> io::Result<usize> {
         if items.is_empty() {
             return Ok(0);
         }
@@ -273,7 +256,7 @@ impl BatchSocket {
 /// the same port succeeds and the kernel spreads clients across the
 /// sockets by 4-tuple hash. Elsewhere this is a plain bind — callers share
 /// one socket via `try_clone` instead (see [`mmsg_supported`]).
-pub fn bind_worker_socket(port: u16) -> io::Result<UdpSocket> {
+pub(crate) fn bind_worker_socket(port: u16) -> io::Result<UdpSocket> {
     #[cfg(all(
         target_os = "linux",
         any(target_arch = "x86_64", target_arch = "aarch64")
@@ -291,7 +274,7 @@ pub fn bind_worker_socket(port: u16) -> io::Result<UdpSocket> {
 }
 
 /// True when [`bind_worker_socket`] produces port-sharing sockets.
-pub const fn reuseport_supported() -> bool {
+pub(crate) const fn reuseport_supported() -> bool {
     mmsg_supported()
 }
 
@@ -386,7 +369,7 @@ mod mmsg {
     }
 
     /// Creates a 127.0.0.1 UDP socket with `SO_REUSEPORT` set before bind.
-    pub fn bind_reuseport(port: u16) -> io::Result<UdpSocket> {
+    pub(super) fn bind_reuseport(port: u16) -> io::Result<UdpSocket> {
         unsafe {
             let fd = socket(AF_INET, SOCK_DGRAM, 0);
             if fd < 0 {
@@ -419,7 +402,7 @@ mod mmsg {
     /// One `recvmmsg` call: blocks for the first datagram (honoring the
     /// socket's `SO_RCVTIMEO`), then drains whatever else is queued, up to
     /// `slots.len()` datagrams.
-    pub fn recv_batch(sock: &UdpSocket, slots: &mut [RecvSlot]) -> io::Result<usize> {
+    pub(super) fn recv_batch(sock: &UdpSocket, slots: &mut [RecvSlot]) -> io::Result<usize> {
         let vlen = slots.len();
         let mut names: Vec<SockAddrIn> = (0..vlen)
             .map(|_| SockAddrIn::new(SocketAddrV4::new(Ipv4Addr::LOCALHOST, 0)))
@@ -467,7 +450,7 @@ mod mmsg {
 
     /// Sends every item with as few `sendmmsg` calls as possible. IPv6
     /// peers never occur on the loopback testbed, but are skipped safely.
-    pub fn send_batch(sock: &UdpSocket, items: &[SendItem]) -> io::Result<usize> {
+    pub(super) fn send_batch(sock: &UdpSocket, items: &[SendItem]) -> io::Result<usize> {
         let v4: Vec<(&SendItem, SocketAddrV4)> = items
             .iter()
             .filter_map(|it| match it.peer {
@@ -533,14 +516,16 @@ mod mmsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn single_mode_round_trip() {
         let server = BatchSocket::new(UdpSocket::bind("127.0.0.1:0").unwrap(), BatchMode::Single);
         server
+            .sock
             .set_read_timeout(Some(Duration::from_millis(500)))
             .unwrap();
-        let addr = server.local_addr().unwrap();
+        let addr = server.sock.local_addr().unwrap();
         let client = UdpSocket::bind("127.0.0.1:0").unwrap();
         client.send_to(b"ping", addr).unwrap();
         let mut batch = RecvBatch::new(8);
@@ -570,9 +555,10 @@ mod tests {
         let sock = bind_worker_socket(0).unwrap();
         let server = BatchSocket::new(sock, BatchMode::fastest());
         server
+            .sock
             .set_read_timeout(Some(Duration::from_millis(500)))
             .unwrap();
-        let addr = server.local_addr().unwrap();
+        let addr = server.sock.local_addr().unwrap();
         let client = UdpSocket::bind("127.0.0.1:0").unwrap();
         client
             .set_read_timeout(Some(Duration::from_millis(500)))
@@ -659,6 +645,7 @@ mod tests {
             BatchMode::fastest(),
         );
         server
+            .sock
             .set_read_timeout(Some(Duration::from_millis(50)))
             .unwrap();
         let mut batch = RecvBatch::new(4);

@@ -1,5 +1,5 @@
 //! Per-generation lookup indexes for the denial-of-existence scans in
-//! [`Server::handle`](crate::Server::handle).
+//! [`Server::handle_arc`](crate::Server::handle_arc).
 //!
 //! The naive answer path finds NSEC/NSEC3 proof records by scanning every
 //! RRset in the zone per query. This module precomputes, once per zone
@@ -23,9 +23,9 @@ use std::collections::HashMap;
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 use ddx_dns::{base32, Name, RData, RrType, Zone};
-use ddx_dnssec::denial::nsec_covers;
-use ddx_dnssec::nsec3::hash_covered;
+use ddx_dnssec::hash_covered;
 use ddx_dnssec::nsec3_hash;
+use ddx_dnssec::nsec_covers;
 
 /// One NSEC-typed RRset: owner plus the `next_name` of every NSEC RDATA it
 /// holds (injected zones may hold zero or several).

@@ -54,7 +54,7 @@ const CLIENT_CAP: usize = 16_384;
 
 /// A shared-nothing per-worker token-bucket table.
 #[derive(Debug)]
-pub struct RateLimiter {
+pub(crate) struct RateLimiter {
     cfg: RateLimitConfig,
     buckets: HashMap<IpAddr, Bucket>,
     epoch: Instant,
@@ -64,7 +64,7 @@ pub struct RateLimiter {
 }
 
 impl RateLimiter {
-    pub fn new(cfg: RateLimitConfig) -> Self {
+    pub(crate) fn new(cfg: RateLimitConfig) -> Self {
         RateLimiter {
             cfg,
             buckets: HashMap::new(),
@@ -76,7 +76,7 @@ impl RateLimiter {
     }
 
     /// Charges one query to `client` at wall-clock now.
-    pub fn allow(&mut self, client: IpAddr) -> bool {
+    pub(crate) fn allow(&mut self, client: IpAddr) -> bool {
         let now_us = u64::try_from(self.epoch.elapsed().as_micros()).unwrap_or(u64::MAX);
         self.allow_at(client, now_us)
     }
@@ -84,7 +84,7 @@ impl RateLimiter {
     /// Deterministic core: charges one query to `client` at `now_us`
     /// microseconds since this limiter's epoch. Timestamps must be
     /// monotone per limiter (a stale timestamp just grants no refill).
-    pub fn allow_at(&mut self, client: IpAddr, now_us: u64) -> bool {
+    pub(crate) fn allow_at(&mut self, client: IpAddr, now_us: u64) -> bool {
         if self.buckets.len() >= CLIENT_CAP && !self.buckets.contains_key(&client) {
             self.buckets.clear();
             self.obs_flushes.inc();
@@ -108,11 +108,6 @@ impl RateLimiter {
             self.obs_refused.inc();
             false
         }
-    }
-
-    /// Clients currently tracked.
-    pub fn client_count(&self) -> usize {
-        self.buckets.len()
     }
 }
 
@@ -145,7 +140,7 @@ mod tests {
         assert!(!rl.allow_at(ip(1), 0));
         // A different source is untouched by client 1's drain.
         assert!(rl.allow_at(ip(2), 0));
-        assert_eq!(rl.client_count(), 2);
+        assert_eq!(rl.buckets.len(), 2);
     }
 
     #[test]

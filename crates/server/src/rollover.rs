@@ -84,7 +84,7 @@ impl Rollover {
     }
 
     /// True once every phase has run.
-    pub fn is_complete(&self) -> bool {
+    pub(crate) fn is_complete(&self) -> bool {
         self.phase >= self.total_phases()
     }
 

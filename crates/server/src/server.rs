@@ -118,11 +118,6 @@ impl Server {
         self.zones.get_mut(apex)
     }
 
-    /// All zone apexes this server is authoritative for.
-    pub fn apexes(&self) -> Vec<Name> {
-        self.zones.keys().cloned().collect()
-    }
-
     /// Replaces both answer memos (in-process and encoded) with ones of
     /// `shards` shards capped at `shard_cap` entries each, dropping every
     /// cached answer and index; intended to be called at setup time, before
@@ -234,7 +229,7 @@ impl Server {
     /// answer to the decoded query, encoded and truncated by that rule.
     ///
     /// Answers are memoized encoded, keyed as the in-process memo keys
-    /// them, and probed with a [`WireKey`] borrowed from the view: a hit is
+    /// them, and probed with a key borrowed from the view: a hit is
     /// a copy of the stored bytes plus the query id stamped into them, and
     /// allocates nothing.
     pub fn respond_into(&self, view: &MessageView<'_>, limit: usize, buf: &mut Vec<u8>) -> bool {
@@ -296,12 +291,6 @@ impl Server {
         self.wire_memo
             .insert(generation, key, Arc::from(buf.as_slice()));
         Encoded::InBuf
-    }
-
-    /// Answers a query, returning an owned message (the memoized path plus
-    /// one clone). Prefer [`Server::handle_arc`] on hot paths.
-    pub fn handle(&self, query: &Message) -> Option<Message> {
-        self.handle_arc(query).map(|resp| (*resp).clone())
     }
 
     /// The original uncached, unindexed answer path: every lookup is a
@@ -656,12 +645,8 @@ fn attach_nsec_denial(
                 if nxdomain || s.name != target {
                     s.rdatas.iter().any(|rd| match rd {
                         RData::Nsec(n) => {
-                            ddx_dnssec::denial::nsec_covers(
-                                &s.name,
-                                &n.next_name,
-                                &target,
-                                zone.apex(),
-                            ) || s.name == target
+                            ddx_dnssec::nsec_covers(&s.name, &n.next_name, &target, zone.apex())
+                                || s.name == target
                         }
                         _ => false,
                     })
@@ -800,9 +785,7 @@ fn attach_nsec3_denial(
                     .iter()
                     .find(|(s, n3)| {
                         owner_hash(s)
-                            .map(|oh| {
-                                ddx_dnssec::nsec3::hash_covered(&oh, &n3.next_hashed_owner, &h)
-                            })
+                            .map(|oh| ddx_dnssec::hash_covered(&oh, &n3.next_hashed_owner, &h))
                             .unwrap_or(false)
                     })
                     .map(|(s, _)| *s)
@@ -915,8 +898,9 @@ mod tests {
         s
     }
 
-    fn ask(s: &Server, qname: &str, qtype: RrType) -> Message {
-        s.handle(&Message::query(1, name(qname), qtype)).unwrap()
+    fn ask(s: &Server, qname: &str, qtype: RrType) -> Arc<Message> {
+        s.handle_arc(&Message::query(1, name(qname), qtype))
+            .unwrap()
     }
 
     #[test]
@@ -936,7 +920,7 @@ mod tests {
         let s = server(signed_zone(false));
         let mut q = Message::query(1, name("www.example.com"), RrType::A);
         q.edns = None;
-        let r = s.handle(&q).unwrap();
+        let r = s.handle_arc(&q).unwrap();
         assert!(Message::sigs_covering(&r.answers, &name("www.example.com"), RrType::A).is_empty());
     }
 
@@ -1073,7 +1057,7 @@ mod tests {
         assert_eq!(ask(&s, "www.example.com", RrType::A).rcode, Rcode::Refused);
         s.behavior = ServerBehavior::Unresponsive;
         assert!(s
-            .handle(&Message::query(1, name("www.example.com"), RrType::A))
+            .handle_arc(&Message::query(1, name("www.example.com"), RrType::A))
             .is_none());
     }
 
@@ -1194,11 +1178,8 @@ mod tests {
         broken.question = None;
         let bytes = wire::encode(&broken);
         let view = MessageView::parse(&bytes).expect("parses");
-        assert_eq!(
-            s.handle_view(&view).map(|r| (*r).clone()),
-            s.handle(&broken)
-        );
-        assert_eq!(s.handle(&broken).unwrap().rcode, Rcode::FormErr);
+        assert_eq!(s.handle_view(&view), s.handle_arc(&broken));
+        assert_eq!(s.handle_arc(&broken).unwrap().rcode, Rcode::FormErr);
 
         // Unresponsive servers answer neither path.
         let mut mute = server(plain_zone());
@@ -1223,8 +1204,8 @@ mod tests {
                     // Twice: the second pass serves from the memo.
                     for _ in 0..2 {
                         assert_eq!(
-                            s.handle(&q),
-                            s.handle_uncached(&q),
+                            s.handle_arc(&q).as_deref(),
+                            s.handle_uncached(&q).as_ref(),
                             "{qname}/{qtype:?} nsec3={nsec3}"
                         );
                     }

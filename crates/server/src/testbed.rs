@@ -56,7 +56,7 @@ pub enum QueryOutcome {
 
 impl QueryOutcome {
     /// Collapses to the legacy `Option` view (`Malformed` → `None`).
-    pub fn into_answer(self) -> Option<Arc<Message>> {
+    pub(crate) fn into_answer(self) -> Option<Arc<Message>> {
         match self {
             QueryOutcome::Answer(m) => Some(m),
             QueryOutcome::Timeout | QueryOutcome::Malformed => None,
@@ -138,11 +138,6 @@ impl Testbed {
         self.ns_hosts.remove(host)
     }
 
-    /// Resolves an NS hostname to its server.
-    pub fn server_for_host(&self, host: &Name) -> Option<&ServerId> {
-        self.ns_hosts.get(host)
-    }
-
     pub fn server(&self, id: &ServerId) -> Option<&Server> {
         self.servers.get(id)
     }
@@ -151,15 +146,28 @@ impl Testbed {
         self.servers.get_mut(id)
     }
 
-    /// All registered server ids, sorted for determinism.
-    pub fn server_ids(&self) -> Vec<ServerId> {
-        let mut ids: Vec<ServerId> = self.servers.keys().cloned().collect();
-        ids.sort();
-        ids
+    /// Content hash of the topology: every server id with its behaviour and
+    /// every NS-host mapping, in sorted order. Unlike the topology
+    /// generation it is the same for equal topologies in any process.
+    pub(crate) fn topology_fingerprint(&self) -> u64 {
+        let mut servers: Vec<&Server> = self.servers.values().collect();
+        servers.sort_by(|a, b| a.id.cmp(&b.id));
+        let mut acc = FNV_OFFSET;
+        for s in servers {
+            acc = fnv1a(acc, s.id.0.as_bytes());
+            acc = fnv1a(acc, &[s.behavior as u8]);
+        }
+        let mut hosts: Vec<(&Name, &ServerId)> = self.ns_hosts.iter().collect();
+        hosts.sort();
+        for (host, id) in hosts {
+            acc = fnv1a(acc, &host.canonical_wire());
+            acc = fnv1a(acc, id.0.as_bytes());
+        }
+        acc
     }
 
     /// Servers that have a copy of the zone rooted at `apex`, sorted.
-    pub fn servers_hosting(&self, apex: &Name) -> Vec<ServerId> {
+    pub(crate) fn servers_hosting(&self, apex: &Name) -> Vec<ServerId> {
         let mut ids: Vec<ServerId> = self
             .servers
             .values()
@@ -213,22 +221,6 @@ impl GenerationSource for Testbed {
     }
 }
 
-/// A [`Network`] view of a testbed that bypasses the answer memo and the
-/// zone indexes: every query runs the original linear-scan path. Exists for
-/// equivalence testing and as the before-side of `bench_probe`.
-#[derive(Debug, Clone, Copy)]
-pub struct UncachedNetwork<'a>(pub &'a Testbed);
-
-impl Network for UncachedNetwork<'_> {
-    fn query(&self, server: &ServerId, query: &Message) -> Option<Arc<Message>> {
-        self.0.server(server)?.handle_uncached(query).map(Arc::new)
-    }
-
-    fn resolve_ns(&self, host: &Name) -> Option<ServerId> {
-        self.0.resolve_ns(host)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,8 +269,8 @@ mod tests {
         assert!(r.flags.aa);
         assert!(tb.query(&ServerId("missing#9".into()), &q).is_none());
         assert_eq!(
-            tb.server_for_host(&name("ns1.a.com")),
-            Some(&ServerId("a#0".into()))
+            tb.resolve_ns(&name("ns1.a.com")),
+            Some(ServerId("a#0".into()))
         );
     }
 
@@ -387,6 +379,6 @@ mod tests {
         let mut tb = Testbed::new();
         tb.register_ns(name("ns1.a.com"), ServerId("a#0".into()));
         assert!(tb.unregister_ns(&name("ns1.a.com")).is_some());
-        assert!(tb.server_for_host(&name("ns1.a.com")).is_none());
+        assert!(tb.resolve_ns(&name("ns1.a.com")).is_none());
     }
 }

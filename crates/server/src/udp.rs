@@ -26,6 +26,10 @@ use crate::ratelimit::{RateLimitConfig, RateLimiter};
 use crate::server::{Server, ServerId};
 use crate::testbed::{Network, QueryOutcome};
 
+/// Socket read timeout: the cadence at which idle workers re-check the
+/// stop flag.
+const READ_TIMEOUT: Duration = Duration::from_millis(50);
+
 /// Tuning for one spawned server transport.
 #[derive(Debug, Clone)]
 pub struct TransportConfig {
@@ -33,13 +37,8 @@ pub struct TransportConfig {
     pub workers: usize,
     /// Datagrams per batched receive/send.
     pub batch: usize,
-    /// Syscall strategy; downgraded automatically where unsupported.
-    pub mode: BatchMode,
     /// Per-client token buckets; `None` disables rate limiting.
     pub rate_limit: Option<RateLimitConfig>,
-    /// Socket read timeout — the cadence at which idle workers re-check
-    /// the stop flag.
-    pub read_timeout: Duration,
 }
 
 impl Default for TransportConfig {
@@ -47,9 +46,7 @@ impl Default for TransportConfig {
         TransportConfig {
             workers: 1,
             batch: DEFAULT_BATCH,
-            mode: BatchMode::fastest(),
             rate_limit: None,
-            read_timeout: Duration::from_millis(50),
         }
     }
 }
@@ -75,18 +72,6 @@ impl UdpServerHandle {
         Self::spawn_with(server, TransportConfig::default())
     }
 
-    /// Spawns `server` with `workers` shared-nothing UDP workers and
-    /// otherwise default tuning.
-    pub fn spawn_sharded(server: Server, workers: usize) -> std::io::Result<Self> {
-        Self::spawn_with(
-            server,
-            TransportConfig {
-                workers,
-                ..TransportConfig::default()
-            },
-        )
-    }
-
     /// Spawns `server` with explicit transport tuning.
     pub fn spawn_with(server: Server, cfg: TransportConfig) -> std::io::Result<Self> {
         let workers = cfg.workers.max(1);
@@ -106,7 +91,7 @@ impl UdpServerHandle {
             sockets.push(sock);
         }
         for sock in &sockets {
-            sock.set_read_timeout(Some(cfg.read_timeout))?;
+            sock.set_read_timeout(Some(READ_TIMEOUT))?;
         }
         let listener = TcpListener::bind(addr)?;
         let id = server.id.clone();
@@ -195,7 +180,7 @@ fn udp_worker_loop(
         &[],
         &[1, 2, 4, 8, 16, 32, 64, 128],
     );
-    let bsock = BatchSocket::new(sock, cfg.mode);
+    let bsock = BatchSocket::new(sock, BatchMode::fastest());
     let mut batch = RecvBatch::new(cfg.batch);
     let mut limiter = cfg.rate_limit.map(RateLimiter::new);
     let mut out = SendQueue::with_capacity(cfg.batch);
@@ -310,7 +295,7 @@ pub struct UdpNetwork {
     pub timeout: Duration,
     /// Retry truncated answers over TCP (on by default, like a stub
     /// resolver). Disable to observe raw TC responses.
-    pub tcp_fallback: bool,
+    pub(crate) tcp_fallback: bool,
 }
 
 impl UdpNetwork {
@@ -518,7 +503,14 @@ mod tests {
     fn sharded_transport_answers_from_many_client_threads() {
         let mut server = Server::new(ServerId("udp#3".into()));
         server.load_zone(zone());
-        let handle = UdpServerHandle::spawn_sharded(server, 4).unwrap();
+        let handle = UdpServerHandle::spawn_with(
+            server,
+            TransportConfig {
+                workers: 4,
+                ..TransportConfig::default()
+            },
+        )
+        .unwrap();
         let addr_id = ServerId("udp#3".into());
         let handle = Arc::new(handle);
         let threads: Vec<_> = (0..4u16)
@@ -582,7 +574,14 @@ mod tests {
     fn shutdown_joins_quickly_without_polling() {
         let mut server = Server::new(ServerId("udp#5".into()));
         server.load_zone(zone());
-        let handle = UdpServerHandle::spawn_sharded(server, 2).unwrap();
+        let handle = UdpServerHandle::spawn_with(
+            server,
+            TransportConfig {
+                workers: 2,
+                ..TransportConfig::default()
+            },
+        )
+        .unwrap();
         // Exercise both transports once so the threads are demonstrably live.
         let mut net = UdpNetwork::new();
         net.add_route(&handle);
@@ -759,7 +758,7 @@ mod axfr_tests {
         let sb = build_sandbox(&[ZoneSpec::conventional(name("xfer.test"))], 1_000_000, 32);
         let server = sb.testbed.server(&sb.zones[0].servers[0]).unwrap();
         let q = Message::query(10, name("www.xfer.test"), RrType::Axfr);
-        let r = server.handle(&q).unwrap();
+        let r = server.handle_arc(&q).unwrap();
         assert_eq!(r.rcode, ddx_dns::Rcode::Refused);
     }
 }

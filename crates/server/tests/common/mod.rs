@@ -13,18 +13,18 @@ use ddx_server::{Server, ServerId, Testbed};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-pub const NOW: u32 = 1_000_000;
+pub(crate) const NOW: u32 = 1_000_000;
 
 static REGISTRY: Mutex<()> = Mutex::new(());
 
 /// Serializes the tests of a binary that read exact deltas of the
 /// process-global metrics registry: each such test holds the guard for its
 /// whole run, so no sibling test bumps a counter between its snapshots.
-pub fn serial() -> MutexGuard<'static, ()> {
+pub(crate) fn serial() -> MutexGuard<'static, ()> {
     REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-pub fn base_zone(wildcard: bool) -> Zone {
+pub(crate) fn base_zone(wildcard: bool) -> Zone {
     let mut z = Zone::new(name("example.com"));
     z.add(Record::new(
         name("example.com"),
@@ -86,7 +86,7 @@ pub fn base_zone(wildcard: bool) -> Zone {
     z
 }
 
-pub fn sign(z: &mut Zone, nsec3: Option<Nsec3Config>) {
+pub(crate) fn sign(z: &mut Zone, nsec3: Option<Nsec3Config>) {
     let mut ring = KeyRing::new();
     let mut rng = StdRng::seed_from_u64(7);
     for role in [KeyRole::Ksk, KeyRole::Zsk] {
@@ -108,7 +108,7 @@ pub fn sign(z: &mut Zone, nsec3: Option<Nsec3Config>) {
 
 /// The eight zone variants: well-signed NSEC/NSEC3 (with and without
 /// wildcards and opt-out), post-signing breakage, and unsigned.
-pub fn variant_zones() -> Vec<(&'static str, Zone)> {
+pub(crate) fn variant_zones() -> Vec<(&'static str, Zone)> {
     let mut out: Vec<(&'static str, Zone)> = Vec::new();
 
     let mut z = base_zone(false);
@@ -167,7 +167,7 @@ pub fn variant_zones() -> Vec<(&'static str, Zone)> {
 
 /// The zone variants loaded into standalone servers. Built once; servers
 /// are only ever read.
-pub fn variants() -> &'static Vec<(&'static str, Server)> {
+pub(crate) fn variants() -> &'static Vec<(&'static str, Server)> {
     static VARIANTS: OnceLock<Vec<(&'static str, Server)>> = OnceLock::new();
     VARIANTS.get_or_init(|| {
         variant_zones()
@@ -183,7 +183,7 @@ pub fn variants() -> &'static Vec<(&'static str, Server)> {
 
 /// The zone variants loaded into one-server testbeds (`ns1.example.com`
 /// routes to the server), for tests that exercise the [`Network`] surface.
-pub fn testbeds() -> &'static Vec<(&'static str, Testbed)> {
+pub(crate) fn testbeds() -> &'static Vec<(&'static str, Testbed)> {
     static TESTBEDS: OnceLock<Vec<(&'static str, Testbed)>> = OnceLock::new();
     TESTBEDS.get_or_init(|| {
         variant_zones()
@@ -201,7 +201,7 @@ pub fn testbeds() -> &'static Vec<(&'static str, Testbed)> {
     })
 }
 
-pub fn qnames() -> Vec<Name> {
+pub(crate) fn qnames() -> Vec<Name> {
     vec![
         name("example.com"),
         name("www.example.com"),
@@ -221,7 +221,7 @@ pub fn qnames() -> Vec<Name> {
     ]
 }
 
-pub const QTYPES: &[RrType] = &[
+pub(crate) const QTYPES: &[RrType] = &[
     RrType::A,
     RrType::Aaaa,
     RrType::Ns,

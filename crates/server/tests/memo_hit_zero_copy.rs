@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use ddx_dns::{name, wire, Message, MessageView, RrType};
-use ddx_server::sandbox::{build_sandbox, ZoneSpec};
+use ddx_server::{build_sandbox, ZoneSpec};
 
 #[test]
 fn memo_hit_answers_without_materializing_the_query() {
@@ -41,7 +41,7 @@ fn memo_hit_answers_without_materializing_the_query() {
     // Byte equivalence with the owned request path: stamping the query id
     // into the encoded wire bytes (as the transports do) reproduces the
     // owned handler's response exactly.
-    let owned = server.handle(&query).expect("owned-path answer");
+    let owned = server.handle_arc(&query).expect("owned-path answer");
     let mut from_view = wire::encode(&second);
     from_view[0..2].copy_from_slice(&query.id.to_be_bytes());
     assert_eq!(from_view, wire::encode(&owned));

@@ -1,5 +1,5 @@
 //! Property test pinning the tentpole invariant of the query-path overhaul:
-//! the memoized, index-backed answer path ([`Server::handle`]) is
+//! the memoized, index-backed answer path ([`Server::handle_arc`]) is
 //! byte-for-byte identical to the original linear-scan path
 //! ([`Server::handle_uncached`]) — across NSEC and NSEC3 zones (with and
 //! without opt-out), wildcards, broken/corrupted denial chains, stripped
@@ -14,8 +14,8 @@ use common::{qnames, variants, QTYPES};
 use ddx_dns::{name, wire, Message, RrType};
 use ddx_prop::{check, Rng};
 
-fn encode_opt(resp: &Option<Message>) -> Option<Vec<u8>> {
-    resp.as_ref().map(wire::encode)
+fn encode_opt(resp: Option<&Message>) -> Option<Vec<u8>> {
+    resp.map(wire::encode)
 }
 
 /// For every (zone variant, qname, qtype, DO, RD) combination the
@@ -39,10 +39,10 @@ fn cached_path_is_byte_identical_to_naive() {
         }
         let naive = server.handle_uncached(&q);
         for round in 0..2 {
-            let cached = server.handle(&q);
+            let cached = server.handle_arc(&q);
             assert_eq!(
-                encode_opt(&cached),
-                encode_opt(&naive),
+                encode_opt(cached.as_deref()),
+                encode_opt(naive.as_ref()),
                 "zone={} round={} q={:?}",
                 label,
                 round,

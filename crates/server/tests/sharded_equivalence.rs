@@ -62,9 +62,9 @@ fn concurrent_sharded_path_matches_naive_oracle() {
                     for i in 0..QUERIES_PER_THREAD {
                         let q = nth_query(&mut stream, (t * QUERIES_PER_THREAD + i) as u16);
                         let naive = server.handle_uncached(&q);
-                        let cached = server.handle(&q);
+                        let cached = server.handle_arc(&q);
                         assert_eq!(
-                            cached.as_ref().map(wire::encode),
+                            cached.as_deref().map(wire::encode),
                             naive.as_ref().map(wire::encode),
                             "zone={label} thread={t} q={:?}",
                             q.question
@@ -93,7 +93,7 @@ fn shard_accounting_is_exact_under_contention() {
                 for _ in 0..QUERIES_PER_THREAD {
                     let id = (NEXT.fetch_add(1, Ordering::Relaxed) % 0xFFFF) as u16;
                     let q = nth_query(&mut stream, id);
-                    let _ = server.handle(&q);
+                    let _ = server.handle_arc(&q);
                 }
             });
         }
@@ -118,7 +118,7 @@ fn cap_overflow_reports_evictions() {
     let mut stream = SplitMix64::new(0xFEED);
     for id in 0..512u16 {
         let q = nth_query(&mut stream, id);
-        let _ = server.handle(&q);
+        let _ = server.handle_arc(&q);
     }
     assert!(
         memo_delta(&before, "evictions") > 0,
