@@ -25,8 +25,8 @@ use std::net::{SocketAddr, UdpSocket};
 /// question plus OPT), but EDNS allows clients to pad; 4 KiB is generous.
 pub(crate) const RECV_SLOT_BYTES: usize = 4_096;
 
-/// Default datagrams per batch.
-pub const DEFAULT_BATCH: usize = 32;
+/// Datagrams per batched receive/send.
+pub(crate) const BATCH: usize = 32;
 
 /// How a [`BatchSocket`] moves datagrams.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,7 +75,6 @@ pub(crate) struct RecvBatch {
 
 impl RecvBatch {
     pub(crate) fn new(batch: usize) -> Self {
-        let batch = batch.clamp(1, 1_024);
         RecvBatch {
             slots: (0..batch)
                 .map(|_| RecvSlot {
@@ -219,9 +218,9 @@ impl BatchSocket {
     }
 
     /// Sends every item, batching syscalls on the fast path. Returns the
-    /// number of datagrams handed to the kernel; per-datagram send errors
-    /// (e.g. a vanished peer) are skipped, matching the old loop's
-    /// `let _ = socket.send_to(..)`.
+    /// number of datagrams handed to the kernel. A datagram the kernel
+    /// refuses (e.g. a vanished peer or an oversized payload) is skipped
+    /// and the rest are still sent, in both modes.
     pub(crate) fn send_batch(&self, items: &[SendItem]) -> io::Result<usize> {
         if items.is_empty() {
             return Ok(0);
@@ -231,7 +230,7 @@ impl BatchSocket {
                 target_os = "linux",
                 any(target_arch = "x86_64", target_arch = "aarch64")
             ))]
-            BatchMode::Mmsg => mmsg::send_batch(&self.sock, items),
+            BatchMode::Mmsg => Ok(mmsg::send_batch(&self.sock, items)),
             #[cfg(not(all(
                 target_os = "linux",
                 any(target_arch = "x86_64", target_arch = "aarch64")
@@ -450,7 +449,7 @@ mod mmsg {
 
     /// Sends every item with as few `sendmmsg` calls as possible. IPv6
     /// peers never occur on the loopback testbed, but are skipped safely.
-    pub(super) fn send_batch(sock: &UdpSocket, items: &[SendItem]) -> io::Result<usize> {
+    pub(super) fn send_batch(sock: &UdpSocket, items: &[SendItem]) -> usize {
         let v4: Vec<(&SendItem, SocketAddrV4)> = items
             .iter()
             .filter_map(|it| match it.peer {
@@ -482,34 +481,33 @@ mod mmsg {
                 msg_len: 0,
             })
             .collect();
+        // `sendmmsg` stops at the first datagram it cannot send: it returns
+        // the count before it, or -1 when that datagram is the first.
+        let mut next = 0usize;
         let mut sent = 0usize;
-        while sent < hdrs.len() {
+        while next < hdrs.len() {
             let n = unsafe {
                 sendmmsg(
                     sock.as_raw_fd(),
-                    hdrs[sent..].as_mut_ptr(),
-                    (hdrs.len() - sent) as u32,
+                    hdrs[next..].as_mut_ptr(),
+                    (hdrs.len() - next) as u32,
                     0,
                 )
             };
             if n < 0 {
-                let err = io::Error::last_os_error();
-                if err.kind() == io::ErrorKind::Interrupted {
-                    continue;
+                if io::Error::last_os_error().kind() != io::ErrorKind::Interrupted {
+                    // Skip the refused datagram and send the rest.
+                    next += 1;
                 }
-                // Give up on the rest; per-datagram errors are non-fatal
-                // for a UDP responder.
-                if sent > 0 {
-                    return Ok(sent);
-                }
-                return Err(err);
+                continue;
             }
             if n == 0 {
                 break;
             }
+            next += n as usize;
             sent += n as usize;
         }
-        Ok(sent)
+        sent
     }
 }
 
@@ -625,6 +623,30 @@ mod tests {
         q.commit(peer);
         assert_eq!(q.items()[0].bytes.as_ptr(), before, "no reallocation");
         assert_eq!(q.items()[0].bytes, vec![2u8; 100]);
+    }
+
+    #[test]
+    fn unsendable_datagram_skips_only_itself() {
+        // 65,508 bytes is one past the largest IPv4 UDP payload, so the
+        // kernel refuses the middle datagram; the ones around it still go.
+        for mode in [BatchMode::Mmsg, BatchMode::Single] {
+            let server = BatchSocket::new(bind_worker_socket(0).unwrap(), mode);
+            let client = UdpSocket::bind("127.0.0.1:0").unwrap();
+            client
+                .set_read_timeout(Some(Duration::from_millis(500)))
+                .unwrap();
+            let peer = client.local_addr().unwrap();
+            let items: Vec<SendItem> = [vec![1u8; 5], vec![2u8; 65_508], vec![3u8; 5]]
+                .into_iter()
+                .map(|bytes| SendItem { bytes, peer })
+                .collect();
+            assert_eq!(server.send_batch(&items).unwrap(), 2, "{mode:?}");
+            let mut buf = [0u8; 16];
+            for want in [1u8, 3] {
+                let (len, _) = client.recv_from(&mut buf).unwrap();
+                assert_eq!(&buf[..len], &[want; 5], "{mode:?}");
+            }
+        }
     }
 
     #[test]

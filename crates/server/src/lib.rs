@@ -11,18 +11,15 @@ mod batch;
 mod cache;
 mod fault;
 mod index;
-mod ratelimit;
 mod rollover;
 mod sandbox;
 mod server;
 mod testbed;
 mod udp;
 
-pub use batch::DEFAULT_BATCH;
 pub use cache::CachingNetwork;
 pub use fault::{FaultNetwork, FaultPlan, FlapSchedule};
 pub use index::ZoneIndex;
-pub use ratelimit::RateLimitConfig;
 pub use rollover::{botched_ksk_rollover, Rollover, RolloverKind};
 pub use sandbox::{build_sandbox, Sandbox, ZoneSpec};
 pub use server::{Server, ServerBehavior, ServerId};

@@ -357,7 +357,7 @@ fn response_for(id: u16, key: &AnswerKey) -> Message {
 
 /// Replicates `Message::response()` for a wire view, including the
 /// question-less case (FORMERR/REFUSED replies to broken queries).
-pub(crate) fn response_skeleton(view: &MessageView<'_>) -> Message {
+fn response_skeleton(view: &MessageView<'_>) -> Message {
     Message {
         id: view.id(),
         flags: Flags {

@@ -1,16 +1,15 @@
 //! A real loopback UDP transport: each server runs on one or more worker
 //! threads speaking genuine RFC 1035 wire format via `ddx_dns::wire`. Used
-//! by integration tests, the transport benchmark, and `ddx-loadgen` to show
+//! by integration tests and the transport benchmark (`perfbench`) to show
 //! the testbed is not tied to in-process shortcuts.
 //!
 //! The transport is a shared-nothing worker pool: every worker owns its own
 //! socket (`SO_REUSEPORT` port sharing on Linux, `try_clone` elsewhere —
-//! see [`crate::batch`] for the fallback matrix), its own batched
+//! see [`crate::batch`] for the fallback matrix) and its own batched
 //! send/receive buffers ([`recvmmsg`/`sendmmsg`](crate::batch::BatchSocket)
-//! on the fast path), and its own per-client token-bucket
-//! [`RateLimiter`]. Workers share only the
-//! `Server` itself, whose answer memo is internally sharded by qname
-//! ([`crate::answer`]), so the hot path takes no exclusive lock.
+//! on the fast path). Workers share only the `Server` itself, whose answer
+//! memo is internally sharded by qname ([`crate::answer`]), so the hot path
+//! takes no exclusive lock.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
@@ -19,10 +18,9 @@ use std::sync::{Arc, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use ddx_dns::{wire, Message, MessageView, Rcode};
+use ddx_dns::{wire, Message, MessageView};
 
-use crate::batch::{BatchMode, BatchSocket, RecvBatch, SendQueue, DEFAULT_BATCH};
-use crate::ratelimit::{RateLimitConfig, RateLimiter};
+use crate::batch::{BatchMode, BatchSocket, RecvBatch, SendQueue, BATCH};
 use crate::server::{Server, ServerId};
 use crate::testbed::{Network, QueryOutcome};
 
@@ -31,23 +29,15 @@ use crate::testbed::{Network, QueryOutcome};
 const READ_TIMEOUT: Duration = Duration::from_millis(50);
 
 /// Tuning for one spawned server transport.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct TransportConfig {
     /// UDP worker threads. 1 reproduces the historical single-socket loop.
     pub workers: usize,
-    /// Datagrams per batched receive/send.
-    pub batch: usize,
-    /// Per-client token buckets; `None` disables rate limiting.
-    pub rate_limit: Option<RateLimitConfig>,
 }
 
 impl Default for TransportConfig {
     fn default() -> Self {
-        TransportConfig {
-            workers: 1,
-            batch: DEFAULT_BATCH,
-            rate_limit: None,
-        }
+        TransportConfig { workers: 1 }
     }
 }
 
@@ -103,8 +93,7 @@ impl UdpServerHandle {
             .map(|(i, sock)| {
                 let server = Arc::clone(&server);
                 let stop = Arc::clone(&stop);
-                let cfg = cfg.clone();
-                std::thread::spawn(move || udp_worker_loop(i, sock, &cfg, &server, &stop))
+                std::thread::spawn(move || udp_worker_loop(i, sock, &server, &stop))
             })
             .collect();
         let tcp_thread = {
@@ -156,12 +145,11 @@ impl Drop for UdpServerHandle {
     }
 }
 
-/// One shared-nothing UDP worker: batched receive, decode, rate-limit,
-/// answer through the sharded memo, batched send.
+/// One shared-nothing UDP worker: batched receive, decode, answer through
+/// the sharded memo, batched send.
 fn udp_worker_loop(
     worker: usize,
     sock: UdpSocket,
-    cfg: &TransportConfig,
     server: &Arc<RwLock<Server>>,
     stop: &Arc<AtomicBool>,
 ) {
@@ -181,9 +169,8 @@ fn udp_worker_loop(
         &[1, 2, 4, 8, 16, 32, 64, 128],
     );
     let bsock = BatchSocket::new(sock, BatchMode::fastest());
-    let mut batch = RecvBatch::new(cfg.batch);
-    let mut limiter = cfg.rate_limit.map(RateLimiter::new);
-    let mut out = SendQueue::with_capacity(cfg.batch);
+    let mut batch = RecvBatch::new(BATCH);
+    let mut out = SendQueue::with_capacity(BATCH);
     while !stop.load(Ordering::Relaxed) {
         let n = match bsock.recv_batch(&mut batch) {
             Ok(n) => n,
@@ -214,17 +201,6 @@ fn udp_worker_loop(
                     continue;
                 };
                 obs_queries.inc();
-                if let Some(rl) = limiter.as_mut() {
-                    if !rl.allow(peer.ip()) {
-                        // Bucket dry: answer REFUSED without touching the
-                        // zone store.
-                        let mut resp = crate::server::response_skeleton(&view);
-                        resp.rcode = Rcode::Refused;
-                        wire::encode_into(&resp, out.slot());
-                        out.commit(peer);
-                        continue;
-                    }
-                }
                 if server.respond_into(&view, udp_payload_limit(&view), out.slot()) {
                     out.commit(peer);
                 }
@@ -237,11 +213,16 @@ fn udp_worker_loop(
     }
 }
 
+/// The largest UDP payload IPv4 can carry: 65,535 minus the 8-byte UDP and
+/// 20-byte IP headers. A larger datagram is never sent at all.
+const MAX_UDP_PAYLOAD: usize = 65_507;
+
 /// The largest UDP answer the client of `view` accepts: its advertised
-/// EDNS payload size (never below 512), or 512 bytes without EDNS.
+/// EDNS payload size (never below 512 nor above [`MAX_UDP_PAYLOAD`]), or
+/// 512 bytes without EDNS.
 fn udp_payload_limit(view: &MessageView<'_>) -> usize {
     view.edns()
-        .map(|e| e.udp_size.max(512) as usize)
+        .map(|e| (e.udp_size as usize).clamp(512, MAX_UDP_PAYLOAD))
         .unwrap_or(512)
 }
 
@@ -427,8 +408,9 @@ impl Network for UdpNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sandbox::{build_sandbox, ZoneSpec};
     use crate::server::ServerBehavior;
-    use ddx_dns::{name, RData, Record, RrType, Soa, Zone};
+    use ddx_dns::{name, RData, Rcode, Record, RrType, Soa, Zone};
     use std::net::Ipv4Addr;
 
     fn zone() -> Zone {
@@ -503,14 +485,7 @@ mod tests {
     fn sharded_transport_answers_from_many_client_threads() {
         let mut server = Server::new(ServerId("udp#3".into()));
         server.load_zone(zone());
-        let handle = UdpServerHandle::spawn_with(
-            server,
-            TransportConfig {
-                workers: 4,
-                ..TransportConfig::default()
-            },
-        )
-        .unwrap();
+        let handle = UdpServerHandle::spawn_with(server, TransportConfig { workers: 4 }).unwrap();
         let addr_id = ServerId("udp#3".into());
         let handle = Arc::new(handle);
         let threads: Vec<_> = (0..4u16)
@@ -539,49 +514,70 @@ mod tests {
     }
 
     #[test]
-    fn rate_limited_client_gets_refused() {
-        let mut server = Server::new(ServerId("udp#4".into()));
-        server.load_zone(zone());
-        let handle = UdpServerHandle::spawn_with(
-            server,
-            TransportConfig {
-                rate_limit: Some(RateLimitConfig::new(1, 1)),
-                ..TransportConfig::default()
-            },
-        )
-        .unwrap();
+    fn sharded_transport_answers_hostile_queries() {
+        // The memo-miss side of the load: fresh denials, out-of-zone names,
+        // private-use types and a plain-DNS AXFR, through two workers.
+        let apex = name("hostile.test");
+        let sb = build_sandbox(&[ZoneSpec::conventional(apex.clone())], 1_000_000, 99);
+        let server = sb.testbed.server(&sb.zones[0].servers[0]).unwrap().clone();
+        let id = server.id.clone();
+        let handle = UdpServerHandle::spawn_with(server, TransportConfig { workers: 2 }).unwrap();
         let mut net = UdpNetwork::new();
         net.add_route(&handle);
-        let id = ServerId("udp#4".into());
-        let mut ok = 0;
-        let mut refused = 0;
-        for i in 0..10u16 {
-            let q = Message::query(200 + i, name("www.udp.test"), RrType::A);
-            match net.query(&id, &q) {
-                Some(r) if r.rcode == Rcode::Refused => refused += 1,
-                Some(_) => ok += 1,
-                None => {}
-            }
-        }
-        assert!(ok >= 1, "the burst allowance must admit the first query");
+
+        let q = Message::query(301, name("x0123456789abcdef.hostile.test"), RrType::A);
+        let r = net.query(&id, &q).expect("NXDOMAIN answer");
+        assert_eq!(r.rcode, Rcode::NxDomain);
         assert!(
-            refused >= 5,
-            "a 1 qps bucket must refuse most of a 10-query burst (ok={ok}, refused={refused})"
+            r.authorities
+                .iter()
+                .any(|rec| matches!(rec.rtype(), RrType::Nsec | RrType::Nsec3)),
+            "a signed NXDOMAIN carries its denial records"
         );
+
+        let q = Message::query(302, name("x1.nowhere.invalid"), RrType::A);
+        assert_eq!(net.query(&id, &q).unwrap().rcode, Rcode::Refused);
+
+        let q = Message::query(303, apex.clone(), RrType::Unknown(65_280));
+        assert_eq!(net.query(&id, &q).unwrap().rcode, Rcode::NoError);
+
+        // The signed zone never fits 512 bytes: TC over UDP, then the
+        // whole SOA-bracketed transfer over the TCP retry.
+        let mut q = Message::query(304, apex.clone(), RrType::Axfr);
+        q.edns = None;
+        let mut raw = UdpNetwork::new();
+        raw.tcp_fallback = false;
+        raw.add_route(&handle);
+        assert!(raw.query(&id, &q).unwrap().flags.tc);
+        let r = net.query(&id, &q).unwrap();
+        assert!(!r.flags.tc);
+        assert_eq!(r.answers.first().map(|r| r.rtype()), Some(RrType::Soa));
+        assert_eq!(r.answers.last().map(|r| r.rtype()), Some(RrType::Soa));
+    }
+
+    #[test]
+    fn payload_limit_is_the_edns_size_within_udp_bounds() {
+        let limit = |edns: Option<u16>| {
+            let mut q = Message::query(1, name("www.udp.test"), RrType::A);
+            q.edns = edns.map(|udp_size| ddx_dns::Edns {
+                udp_size,
+                dnssec_ok: true,
+            });
+            let bytes = wire::encode(&q);
+            udp_payload_limit(&MessageView::parse(&bytes).unwrap())
+        };
+        assert_eq!(limit(None), 512);
+        assert_eq!(limit(Some(100)), 512);
+        assert_eq!(limit(Some(4096)), 4096);
+        assert_eq!(limit(Some(65_507)), 65_507);
+        assert_eq!(limit(Some(65_535)), 65_507);
     }
 
     #[test]
     fn shutdown_joins_quickly_without_polling() {
         let mut server = Server::new(ServerId("udp#5".into()));
         server.load_zone(zone());
-        let handle = UdpServerHandle::spawn_with(
-            server,
-            TransportConfig {
-                workers: 2,
-                ..TransportConfig::default()
-            },
-        )
-        .unwrap();
+        let handle = UdpServerHandle::spawn_with(server, TransportConfig { workers: 2 }).unwrap();
         // Exercise both transports once so the threads are demonstrably live.
         let mut net = UdpNetwork::new();
         net.add_route(&handle);
