@@ -5,15 +5,11 @@
 //! tags, algorithms, owner names, RR types, TTLs and server identities the
 //! fix planner needs.
 //!
-//! Two compatibility layers keep pre-refactor consumers working:
-//!
-//! * [`Display`](std::fmt::Display) reproduces, byte for byte, the
-//!   human-readable detail strings grok used to emit, so `render_text()`
-//!   output and operator-facing logs are unchanged;
-//! * the JSON impls on [`ErrorInstance`] write both the legacy string
-//!   `detail` field (via `Display`) and a typed `detail_data` field, and on
-//!   read fall back to [`ErrorDetail::Note`] for JSON produced before this
-//!   model existed.
+//! [`Display`](std::fmt::Display) reproduces, byte for byte, the
+//! human-readable detail strings grok used to emit, so `render_text()`
+//! output and operator-facing logs are unchanged. In JSON an
+//! [`ErrorInstance`](super::ErrorInstance) writes its typed detail under
+//! `detail`.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -23,9 +19,6 @@ use ddx_json::{FromJson, ToJson};
 use ddx_dns::{Name, RrType};
 use ddx_dnssec::{Algorithm, DenialKind, VerifyError};
 use ddx_server::ServerId;
-
-use super::ErrorInstance;
-use crate::codes::ErrorCode;
 
 /// How a DS record fails (or qualifies) its DNSKEY linkage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, ToJson, FromJson)]
@@ -80,14 +73,13 @@ pub enum AlgorithmScope {
 
 /// Structured specifics of one detected violation. One variant per family
 /// of the 47 error codes that carries payload, plus [`ErrorDetail::Note`]
-/// as the free-form escape hatch (also the landing spot for legacy JSON).
+/// as the free-form escape hatch.
 #[derive(Debug, Clone, Default, PartialEq, Eq, ToJson, FromJson)]
 pub enum ErrorDetail {
     /// No specifics beyond the error code itself.
     #[default]
     None,
-    /// Free-form text: the escape hatch for one-off findings and the
-    /// deserialization target for pre-refactor reports.
+    /// Free-form text: the escape hatch for one-off findings.
     Note(String),
 
     // ------------------------------------------------------------- keys
@@ -442,52 +434,6 @@ impl fmt::Display for ErrorDetail {
                 "validation budget exceeded: {counter} used={used} cap={cap}"
             ),
         }
-    }
-}
-
-// ------------------------------------------------------- JSON compat shim
-
-/// The on-disk/JSON shape of an [`ErrorInstance`]: the legacy string field
-/// plus the typed payload. Pre-refactor readers keep consuming `detail`;
-/// pre-refactor *writers* produce JSON without `detail_data`, which lands in
-/// [`ErrorDetail::Note`] on read.
-#[derive(ToJson, FromJson)]
-struct ErrorInstanceWire {
-    code: ErrorCode,
-    zone: Name,
-    critical: bool,
-    detail: String,
-    #[json(default, skip_serializing_if = "Option::is_none")]
-    detail_data: Option<ErrorDetail>,
-}
-
-impl ToJson for ErrorInstance {
-    fn to_json(&self) -> ddx_json::Value {
-        ErrorInstanceWire {
-            code: self.code,
-            zone: self.zone.clone(),
-            critical: self.critical,
-            detail: self.detail.to_string(),
-            detail_data: Some(self.detail.clone()),
-        }
-        .to_json()
-    }
-}
-
-impl FromJson for ErrorInstance {
-    fn from_json(v: &ddx_json::Value) -> Result<Self, ddx_json::Error> {
-        let wire = ErrorInstanceWire::from_json(v)?;
-        let detail = match wire.detail_data {
-            Some(d) => d,
-            None if wire.detail.is_empty() => ErrorDetail::None,
-            None => ErrorDetail::Note(wire.detail),
-        };
-        Ok(ErrorInstance {
-            code: wire.code,
-            zone: wire.zone,
-            critical: wire.critical,
-            detail,
-        })
     }
 }
 

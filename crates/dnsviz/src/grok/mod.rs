@@ -89,11 +89,7 @@ impl ValidationBudget {
 }
 
 /// One detected violation.
-///
-/// Serialization note: the JSON shape keeps the legacy string field
-/// (`detail`, rendered via [`ErrorDetail`]'s `Display`) alongside the typed
-/// payload (`detail_data`); see the JSON impls in `grok::detail`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, ToJson, FromJson)]
 pub struct ErrorInstance {
     pub code: ErrorCode,
     /// The zone the error is attributed to.

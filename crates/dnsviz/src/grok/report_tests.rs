@@ -1,6 +1,6 @@
 //! Tests for the report surface: per-zone error attribution, text
-//! rendering, and the stable JSON schema (including the legacy `detail`
-//! string + typed `detail_data` compatibility shim).
+//! rendering, and the stable JSON schema (including the typed `detail` of
+//! each error).
 
 use super::*;
 use crate::probe::{probe, ProbeConfig};
@@ -139,8 +139,7 @@ fn report_json_field_names_are_stable() {
     }
 }
 
-/// Errors serialize with both the legacy string `detail` and the typed
-/// `detail_data`, and legacy JSON (string only) still deserializes.
+/// Errors serialize their typed detail under `detail` and round-trip.
 #[test]
 fn error_instance_serde_shim() {
     let instance = ErrorInstance {
@@ -150,21 +149,8 @@ fn error_instance_serde_shim() {
         detail: ErrorDetail::Nsec3Iterations { iterations: 10 },
     };
     let v = instance.to_json();
-    assert_eq!(v["detail"], "NSEC3 iterations=10");
-    assert!(v.get("detail_data").is_some());
+    assert_eq!(v["detail"], instance.detail.to_json());
+    assert!(v.get("detail_data").is_none());
     let back = ErrorInstance::from_json(&v).unwrap();
     assert_eq!(back, instance);
-
-    // Pre-refactor JSON: no detail_data field at all.
-    let mut legacy = v;
-    legacy
-        .as_object_mut()
-        .unwrap()
-        .retain(|(k, _)| k != "detail_data");
-    let back = ErrorInstance::from_json(&legacy).unwrap();
-    assert_eq!(
-        back.detail,
-        ErrorDetail::Note("NSEC3 iterations=10".to_string())
-    );
-    assert_eq!(back.detail.to_string(), "NSEC3 iterations=10");
 }

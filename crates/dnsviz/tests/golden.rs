@@ -5,7 +5,7 @@
 //! the pretty-printed report JSON is compared byte-for-byte against a
 //! checked-in golden file. Any change to the serialized shape of
 //! [`GrokReport`], [`ddx_dnsviz::ErrorInstance`], or the typed
-//! `detail_data` payloads shows up as a diff here before it silently
+//! `detail` payloads shows up as a diff here before it silently
 //! breaks downstream consumers of the JSON.
 //!
 //! The goldens are self-bootstrapping: when a golden file is absent (or
@@ -146,12 +146,15 @@ fn check_golden(tag: &str, report: &GrokReport, expect: ErrorCode) {
     assert_ne!(report.status, SnapshotStatus::Sv, "{tag}: sandbox is valid");
 
     let json = report.to_json();
-    // Independent of the golden: the JSON must parse back, and the legacy
-    // `detail` string must accompany every typed `detail_data` payload.
+    // Independent of the golden: the JSON must parse back, and every error
+    // must carry its typed `detail`.
     let value = ddx_json::parse(&json).expect("report JSON parses back into a Value");
     for zone in value["zones"].as_array().expect("zones is an array") {
         for err in zone["errors"].as_array().expect("errors is an array") {
-            assert!(err["detail"].is_string(), "{tag}: legacy detail missing");
+            assert!(
+                <ErrorDetail as ddx_json::FromJson>::from_json(&err["detail"]).is_ok(),
+                "{tag}: typed detail missing"
+            );
         }
     }
     let back = GrokReport::from_json(&json).expect("report JSON parses back into a GrokReport");

@@ -1,41 +1,40 @@
-//! Generation-stamped, qname-sharded answer memoization for
-//! [`Server`](crate::Server).
+//! Generation-stamped, qname-sharded memo of encoded answers for
+//! [`Server::respond_into`](crate::Server::respond_into), the entry point of
+//! the UDP and TCP transports.
 //!
-//! The probe→grok→fix loop re-issues the same ~7 queries per server per
-//! zone on every DFixer iteration, and most iterations change nothing on
-//! most servers. The memo keys each response on the serving zone's
+//! The memo keys each encoded answer on the serving zone's
 //! [`generation`](ddx_dns::Zone::generation) stamp plus everything the
 //! response bytes depend on (qname, qtype, qclass, the RD flag, and the
 //! EDNS state carrying the DO bit), so an unchanged zone answers a repeated
 //! query from the memo. Any zone mutation draws a fresh generation, which
 //! makes every old entry unreachable — invalidation is implicit in the key.
 //!
-//! The memo is generic over what it holds. The in-process path keeps
-//! `Arc<Message>` answers; the UDP/TCP transports keep each answer encoded
-//! (`Arc<[u8]>`) and probe with a [`WireKey`] borrowed from the query's
-//! wire view, so a transport hit builds no name and an eviction frees one
-//! buffer per entry.
+//! Answers are stored encoded (`Arc<[u8]>`) and probed with a [`WireKey`]
+//! borrowed from the query's wire view, so a hit builds no name and an
+//! eviction frees one buffer per entry. The in-process query path keeps no
+//! answer memo: the DFixer loop's re-asked questions are reused one layer
+//! up, per zone cut, by the probe/grok memo.
 //!
 //! # Sharding
 //!
-//! The memo is split into [`AnswerMemo::shard_count`] independent shards,
-//! selected by an FNV-1a hash of the query name's lowercased label bytes.
-//! Each shard owns its own entry map, so transport workers hammering one
-//! server from many threads contend only when two in-flight queries hash to
-//! the same shard. Entries for one qname always land in one shard (the hash
-//! ignores qtype/DO), which makes the clear-at-cap eviction local: a hot
-//! shard flushing does not dump the whole process's working set.
+//! The memo is split into [`SHARDS`] independent shards, selected by an
+//! FNV-1a hash of the query name's lowercased label bytes. Each shard owns
+//! its own entry map, so transport workers hammering one server from many
+//! threads contend only when two in-flight queries hash to the same shard.
+//! Entries for one qname always land in one shard (the hash ignores
+//! qtype/DO), which makes the clear-at-cap eviction local: a hot shard
+//! flushing does not dump the whole process's working set.
 
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use ddx_dns::{Edns, Message, MessageView, Name, NameRef, RrClass, RrType};
 
 /// Everything (besides the zone content and the server behavior, both
 /// handled outside the memo) that the bytes of a response depend on —
-/// except the message id, which the cache layer patches on mismatch.
+/// except the message id, which the transport stamps into every answer.
 ///
 /// Also the per-server key half of [`CachingNetwork`](crate::CachingNetwork),
 /// so client- and server-side caches agree on what identifies a question.
@@ -104,15 +103,15 @@ impl<'buf> WireKey<'buf> {
     }
 }
 
-/// Default shard count: enough to keep 8 transport workers from serializing
-/// on one mutex.
-pub(crate) const DEFAULT_SHARDS: usize = 8;
+/// Shard count: enough to keep 8 transport workers from serializing on one
+/// mutex.
+const SHARDS: usize = 8;
 
-/// Default per-shard entry cap. With [`DEFAULT_SHARDS`] shards this keeps
-/// the historical 8,192-entry process total; reaching the cap clears that
-/// shard only (stale generations dominate a full table, so wholesale
-/// per-shard eviction is both simplest and correct).
-pub(crate) const DEFAULT_SHARD_CAP: usize = 1_024;
+/// Per-shard entry cap. With [`SHARDS`] shards this keeps the historical
+/// 8,192-entry process total; reaching the cap clears that shard only
+/// (stale generations dominate a full table, so wholesale per-shard
+/// eviction is both simplest and correct).
+const SHARD_CAP: usize = 1_024;
 
 /// Stable FNV-1a over the lowercased label bytes of a qname (length-
 /// prefixed, so `("ab","c")` and `("a","bc")` hash apart). Case-insensitive
@@ -264,44 +263,28 @@ impl PartialEq for Stored {
 
 impl Eq for Stored {}
 
-/// Per-server answer memo holding values of type `V`, sharded by qname
-/// hash. Interior-mutable (the server answers through `&self` from
-/// multiple transport threads).
+/// Per-server memo of encoded answers, sharded by qname hash.
+/// Interior-mutable (the server answers through `&self` from multiple
+/// transport threads).
 ///
 /// Hits, misses and evictions are counted once, in the process-wide
 /// `server.answer_memo.{lookups,hits,misses,evictions}` counters of the
 /// [`ddx_obs`] registry, which every memo of the process shares. `lookups`
-/// counts every [`AnswerMemo::get`] and [`AnswerMemo::get_wire`] call, so
-/// `hits + misses == lookups` is an invariant a metrics snapshot can check.
+/// counts every [`AnswerMemo::get_wire`] call, so `hits + misses ==
+/// lookups` is an invariant a metrics snapshot can check.
 #[derive(Debug)]
-pub(crate) struct AnswerMemo<V> {
-    shards: Vec<Mutex<HashMap<Stored, V>>>,
-    /// Per-shard entry cap; a shard reaching it is cleared wholesale.
-    shard_cap: usize,
+pub(crate) struct AnswerMemo {
+    shards: [Mutex<HashMap<Stored, Arc<[u8]>>>; SHARDS],
     obs_lookups: ddx_obs::Counter,
     obs_hits: ddx_obs::Counter,
     obs_misses: ddx_obs::Counter,
     obs_evictions: ddx_obs::Counter,
 }
 
-impl<V> Default for AnswerMemo<V> {
-    fn default() -> Self {
-        AnswerMemo::with_config(DEFAULT_SHARDS, DEFAULT_SHARD_CAP)
-    }
-}
-
-impl<V> AnswerMemo<V> {
+impl AnswerMemo {
     pub(crate) fn new() -> Self {
-        AnswerMemo::default()
-    }
-
-    /// A memo with `shards` shards of at most `shard_cap` entries each.
-    /// `shards` is clamped to at least 1.
-    pub(crate) fn with_config(shards: usize, shard_cap: usize) -> Self {
-        let shards = shards.max(1);
         AnswerMemo {
-            shards: (0..shards).map(|_| Mutex::default()).collect(),
-            shard_cap: shard_cap.max(1),
+            shards: std::array::from_fn(|_| Mutex::default()),
             obs_lookups: ddx_obs::counter("server.answer_memo.lookups", &[]),
             obs_hits: ddx_obs::counter("server.answer_memo.hits", &[]),
             obs_misses: ddx_obs::counter("server.answer_memo.misses", &[]),
@@ -309,53 +292,29 @@ impl<V> AnswerMemo<V> {
         }
     }
 
-    /// Number of shards this memo was built with.
-    pub(crate) fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Per-shard entry cap this memo was built with.
-    pub(crate) fn shard_cap(&self) -> usize {
-        self.shard_cap
-    }
-
-    fn shard_index(&self, qname: Qname<'_>) -> usize {
-        (qname.shard_hash() % self.shards.len() as u64) as usize
-    }
-
-    fn shard(&self, qname: Qname<'_>) -> MutexGuard<'_, HashMap<Stored, V>> {
-        self.shards[self.shard_index(qname)]
+    fn shard(&self, qname: Qname<'_>) -> MutexGuard<'_, HashMap<Stored, Arc<[u8]>>> {
+        self.shards[(qname.shard_hash() % SHARDS as u64) as usize]
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Stores a freshly computed value in the qname's shard, flushing the
+    /// Stores a freshly encoded answer in the qname's shard, flushing the
     /// shard first when it is at capacity (counted as evictions).
-    pub(crate) fn insert(&self, generation: u64, key: AnswerKey, value: V) {
+    pub(crate) fn insert(&self, generation: u64, key: AnswerKey, value: Arc<[u8]>) {
         let mut entries = self.shard(Qname::Owned(&key.qname));
-        if entries.len() >= self.shard_cap {
+        if entries.len() >= SHARD_CAP {
             self.obs_evictions.add(entries.len() as u64);
             entries.clear();
         }
         entries.insert(Stored { generation, key }, value);
     }
-}
 
-impl<V: Clone> AnswerMemo<V> {
-    /// Looks up the value cached for `key` under zone generation
-    /// `generation`, counting a hit or a miss.
-    pub(crate) fn get(&self, generation: u64, key: &AnswerKey) -> Option<V> {
-        self.lookup(Parts::owned(generation, key))
-    }
-
-    /// [`AnswerMemo::get`] for a key still in a query's wire bytes: the
-    /// probe allocates nothing.
-    pub(crate) fn get_wire(&self, generation: u64, key: &WireKey<'_>) -> Option<V> {
-        self.lookup(Parts::wire(generation, key))
-    }
-
-    fn lookup(&self, parts: Parts<'_>) -> Option<V> {
+    /// Looks up the answer encoded for `key` under zone generation
+    /// `generation`, counting a hit or a miss. The key stays in the query's
+    /// wire bytes, so the probe allocates nothing.
+    pub(crate) fn get_wire(&self, generation: u64, key: &WireKey<'_>) -> Option<Arc<[u8]>> {
         self.obs_lookups.inc();
+        let parts = Parts::wire(generation, key);
         let hit = self
             .shard(parts.qname)
             .get(&parts as &dyn EntryKey)
@@ -372,7 +331,6 @@ impl<V: Clone> AnswerMemo<V> {
 mod tests {
     use super::*;
     use ddx_dns::{name, wire};
-    use std::sync::Arc;
 
     fn key(qname: &str) -> AnswerKey {
         AnswerKey {
@@ -384,12 +342,26 @@ mod tests {
         }
     }
 
-    fn resp() -> Arc<Message> {
-        Arc::new(Message::query(1, name("x.test"), RrType::A))
+    fn answer(tag: &str) -> Arc<[u8]> {
+        Arc::from(tag.as_bytes())
+    }
+
+    /// Looks `key` up the way the transports do: from a parsed query.
+    fn probe(memo: &AnswerMemo, generation: u64, key: &AnswerKey) -> Option<Arc<[u8]>> {
+        let mut q = Message::query(9, key.qname.clone(), key.qtype);
+        q.flags.rd = key.rd;
+        q.edns = key.edns;
+        let bytes = wire::encode(&q);
+        let view = MessageView::parse(&bytes).unwrap();
+        memo.get_wire(generation, &WireKey::from_view(&view).unwrap())
     }
 
     fn shard_hash(qname: &str) -> u64 {
         Qname::Owned(&name(qname)).shard_hash()
+    }
+
+    fn shard_of(key: &AnswerKey) -> u64 {
+        Qname::Owned(&key.qname).shard_hash() % SHARDS as u64
     }
 
     #[test]
@@ -400,23 +372,23 @@ mod tests {
 
     #[test]
     fn miss_then_insert_then_hit_returns_the_stored_answer() {
-        let memo = AnswerMemo::with_config(4, 64);
+        let memo = AnswerMemo::new();
         for i in 0..32 {
             let k = key(&format!("q{i}.example.com"));
-            assert!(memo.get(1, &k).is_none());
-            let stored = resp();
+            assert!(probe(&memo, 1, &k).is_none());
+            let stored = answer(&format!("a{i}"));
             memo.insert(1, k.clone(), Arc::clone(&stored));
-            let hit = memo.get(1, &k).expect("hit after insert");
+            let hit = probe(&memo, 1, &k).expect("hit after insert");
             assert!(Arc::ptr_eq(&hit, &stored));
             // Another generation of the same zone never sees the entry.
-            assert!(memo.get(2, &k).is_none());
+            assert!(probe(&memo, 2, &k).is_none());
         }
     }
 
     #[test]
     fn wire_key_probes_find_the_owned_entry() {
-        let memo: AnswerMemo<Arc<[u8]>> = AnswerMemo::with_config(8, 64);
-        let stored: Arc<[u8]> = Arc::from(&b"answer"[..]);
+        let memo = AnswerMemo::new();
+        let stored = answer("answer");
         memo.insert(3, key("www.example.com"), Arc::clone(&stored));
         for (qname, qtype, hit) in [
             ("WWW.Example.com", RrType::A, true),
@@ -438,28 +410,40 @@ mod tests {
 
     #[test]
     fn cap_flush_drops_the_full_shard_and_stays_local() {
-        // One shard, cap 4: the fifth insert flushes the first four.
-        let memo = AnswerMemo::with_config(1, 4);
-        for i in 0..5 {
-            memo.insert(1, key(&format!("q{i}.example.com")), resp());
+        let memo = AnswerMemo::new();
+        // An entry in another shard, which no flush of shard 0 may touch.
+        let bystander = (0..)
+            .map(|i| key(&format!("b{i}.example.com")))
+            .find(|k| shard_of(k) != 0)
+            .unwrap();
+        memo.insert(1, bystander.clone(), answer("bystander"));
+        // SHARD_CAP + 1 names of shard 0: the last insert flushes the rest.
+        let names: Vec<AnswerKey> = (0..)
+            .map(|i| key(&format!("q{i}.example.com")))
+            .filter(|k| shard_of(k) == 0)
+            .take(SHARD_CAP + 1)
+            .collect();
+        for k in &names {
+            memo.insert(1, k.clone(), answer("full"));
         }
-        // The freshly inserted fifth entry survived the flush.
-        assert!(memo.get(1, &key("q4.example.com")).is_some());
+        // The freshly inserted last entry survived the flush.
+        assert!(probe(&memo, 1, &names[SHARD_CAP]).is_some());
         // Every pre-flush entry is gone (miss).
-        for i in 0..4 {
-            assert!(memo.get(1, &key(&format!("q{i}.example.com"))).is_none());
+        for k in &names[..SHARD_CAP] {
+            assert!(probe(&memo, 1, k).is_none(), "{}", k.qname);
         }
+        assert!(probe(&memo, 1, &bystander).is_some(), "flush stays local");
     }
 
     #[test]
     fn same_qname_different_types_share_a_shard() {
-        let memo = AnswerMemo::with_config(8, 64);
+        let memo = AnswerMemo::new();
         let mut k1 = key("multi.example.com");
         let mut k2 = key("multi.example.com");
         k1.qtype = RrType::A;
         k2.qtype = RrType::Aaaa;
-        memo.insert(1, k1, resp());
-        memo.insert(1, k2, resp());
+        memo.insert(1, k1, answer("a"));
+        memo.insert(1, k2, answer("aaaa"));
         let populated: Vec<_> = memo
             .shards
             .iter()

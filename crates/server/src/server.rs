@@ -5,14 +5,14 @@
 //! injected misconfigurations surface faithfully in responses).
 //!
 //! The query path comes in two flavors sharing one resolution algorithm:
-//! [`Server::handle_arc`] serves through a generation-stamped answer memo
-//! and per-generation lookup indexes (see [`crate::answer`] and
-//! [`crate::index`]), while [`Server::handle_uncached`] recomputes every
-//! answer with the original linear scans. The two are byte-identical by
-//! construction (the indexes fall back to the same first-match scans on
+//! [`Server::handle_arc`] resolves through per-generation lookup indexes
+//! (see [`crate::index`]), while [`Server::handle_uncached`] recomputes
+//! every answer with the original linear scans. The two are byte-identical
+//! by construction (the indexes fall back to the same first-match scans on
 //! malformed chains) and a property test pins that equivalence. The UDP and
 //! TCP transports answer through [`Server::respond_into`], which memoizes
-//! the same answers encoded.
+//! the same answers encoded (see [`crate::answer`]); it is the server's one
+//! answer cache.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -57,11 +57,9 @@ pub struct Server {
     pub id: ServerId,
     pub behavior: ServerBehavior,
     zones: HashMap<Name, Zone>,
-    /// Generation-keyed answers of the in-process path.
-    memo: AnswerMemo<Arc<Message>>,
-    /// The same answers encoded, for the UDP/TCP transports.
-    wire_memo: AnswerMemo<Arc<[u8]>>,
-    /// Per-generation zone indexes, shared by both memos' misses.
+    /// Generation-keyed encoded answers, for the UDP/TCP transports.
+    memo: AnswerMemo,
+    /// Per-generation zone indexes, used by every indexed resolution.
     indexes: ZoneIndexes,
 }
 
@@ -82,8 +80,7 @@ impl Clone for Server {
             id: self.id.clone(),
             behavior: self.behavior,
             zones: self.zones.clone(),
-            memo: AnswerMemo::with_config(self.memo.shard_count(), self.memo.shard_cap()),
-            wire_memo: AnswerMemo::with_config(self.memo.shard_count(), self.memo.shard_cap()),
+            memo: AnswerMemo::new(),
             indexes: ZoneIndexes::default(),
         }
     }
@@ -96,7 +93,6 @@ impl Server {
             behavior: ServerBehavior::Normal,
             zones: HashMap::new(),
             memo: AnswerMemo::new(),
-            wire_memo: AnswerMemo::new(),
             indexes: ZoneIndexes::default(),
         }
     }
@@ -118,16 +114,6 @@ impl Server {
         self.zones.get_mut(apex)
     }
 
-    /// Replaces both answer memos (in-process and encoded) with ones of
-    /// `shards` shards capped at `shard_cap` entries each, dropping every
-    /// cached answer and index; intended to be called at setup time, before
-    /// the server starts answering.
-    pub fn configure_memo(&mut self, shards: usize, shard_cap: usize) {
-        self.memo = AnswerMemo::with_config(shards, shard_cap);
-        self.wire_memo = AnswerMemo::with_config(shards, shard_cap);
-        self.indexes = ZoneIndexes::default();
-    }
-
     /// The deepest zone whose apex `in_zone` accepts: called with each apex,
     /// it answers whether the query name is that apex or below it.
     fn best_zone(&self, in_zone: impl Fn(&Name) -> bool) -> Option<&Zone> {
@@ -137,10 +123,9 @@ impl Server {
             .max_by_key(|z| z.apex().label_count())
     }
 
-    /// Answers a query through the generation-stamped memo; a repeat query
-    /// against an unchanged zone is an `Arc` clone. Returns `None` when the
-    /// server is unresponsive (the transport layer turns that into a
-    /// timeout).
+    /// Answers a query, resolved afresh through the zone's index. Returns
+    /// `None` when the server is unresponsive (the transport layer turns
+    /// that into a timeout).
     pub fn handle_arc(&self, query: &Message) -> Option<Arc<Message>> {
         match self.behavior {
             ServerBehavior::Unresponsive => return None,
@@ -156,19 +141,13 @@ impl Server {
             resp.rcode = Rcode::FormErr;
             return Some(Arc::new(resp));
         };
-        Some(patch_id(self.resolve_key(query.id, key), query.id))
+        Some(self.resolve_key(query.id, &key))
     }
 
-    /// Answers a parsed wire view through the in-process memo without ever
-    /// materializing an owned query `Message`. The transports answer
+    /// Answers a parsed wire view without ever materializing an owned query
+    /// `Message`; the answer carries the view's id. The transports answer
     /// through [`Server::respond_into`] instead, which memoizes encoded
     /// answers.
-    ///
-    /// Unlike [`Server::handle_arc`], the returned `Arc` is NOT id-patched:
-    /// a memo hit comes back under whatever id it was first computed for.
-    /// A caller that encodes it stamps the real id into the first two wire
-    /// bytes — the id does not participate in name compression, so the
-    /// restamped bytes are identical to encoding an id-patched message.
     pub fn handle_view(&self, view: &MessageView<'_>) -> Option<Arc<Message>> {
         match self.behavior {
             ServerBehavior::Unresponsive => return None,
@@ -184,30 +163,22 @@ impl Server {
             resp.rcode = Rcode::FormErr;
             return Some(Arc::new(resp));
         };
-        Some(self.resolve_key(view.id(), key))
+        Some(self.resolve_key(view.id(), &key))
     }
 
     /// The shared resolution core behind [`Server::handle_arc`] and
     /// [`Server::handle_view`]: resolves an extracted key for a
-    /// Normal-behavior server. On a memo hit the cached `Arc` comes back
-    /// unpatched — its id is whatever query first populated the entry;
-    /// callers own id fidelity.
-    fn resolve_key(&self, id: u16, key: AnswerKey) -> Arc<Message> {
+    /// Normal-behavior server, answering under `id`.
+    fn resolve_key(&self, id: u16, key: &AnswerKey) -> Arc<Message> {
         let Some(zone) = self.best_zone(|apex| key.qname.is_subdomain_of(apex)) else {
-            let mut resp = response_for(id, &key);
+            let mut resp = response_for(id, key);
             resp.rcode = Rcode::Refused;
             return Arc::new(resp);
         };
         if key.qtype == RrType::Axfr {
-            return Arc::new(axfr_response(id, &key, zone));
+            return Arc::new(axfr_response(id, key, zone));
         }
-        let generation = zone.generation();
-        if let Some(cached) = self.memo.get(generation, &key) {
-            return cached;
-        }
-        let resp = Arc::new(self.answer(id, &key, zone));
-        self.memo.insert(generation, key, Arc::clone(&resp));
-        resp
+        Arc::new(self.answer(id, key, zone))
     }
 
     /// Resolves `key` against `zone` afresh, through the zone's index.
@@ -228,9 +199,9 @@ impl Server {
     /// retries over TCP. The bytes are those of [`Server::handle_arc`]'s
     /// answer to the decoded query, encoded and truncated by that rule.
     ///
-    /// Answers are memoized encoded, keyed as the in-process memo keys
-    /// them, and probed with a key borrowed from the view: a hit is
-    /// a copy of the stored bytes plus the query id stamped into them, and
+    /// Answers are memoized encoded, keyed on the zone generation and the
+    /// question, and probed with a key borrowed from the view: a hit is a
+    /// copy of the stored bytes plus the query id stamped into them, and
     /// allocates nothing.
     pub fn respond_into(&self, view: &MessageView<'_>, limit: usize, buf: &mut Vec<u8>) -> bool {
         let Some(encoded) = self.encode_answer(view, buf) else {
@@ -283,19 +254,18 @@ impl Server {
     /// encoded into `buf` and stored.
     fn memoized(&self, id: u16, key: &WireKey<'_>, zone: &Zone, buf: &mut Vec<u8>) -> Encoded {
         let generation = zone.generation();
-        if let Some(full) = self.wire_memo.get_wire(generation, key) {
+        if let Some(full) = self.memo.get_wire(generation, key) {
             return Encoded::Memo(full);
         }
         let key = key.to_key();
         wire::encode_into(&self.answer(id, &key, zone), buf);
-        self.wire_memo
-            .insert(generation, key, Arc::from(buf.as_slice()));
+        self.memo.insert(generation, key, Arc::from(buf.as_slice()));
         Encoded::InBuf
     }
 
-    /// The original uncached, unindexed answer path: every lookup is a
-    /// fresh linear scan. Kept as the semantic reference the memoized path
-    /// is property-tested against.
+    /// The original unindexed answer path: every lookup is a fresh linear
+    /// scan. Kept as the semantic reference the indexed and memoized paths
+    /// are property-tested against.
     pub fn handle_uncached(&self, query: &Message) -> Option<Message> {
         match self.behavior {
             ServerBehavior::Unresponsive => return None,
@@ -374,22 +344,9 @@ fn response_skeleton(view: &MessageView<'_>) -> Message {
     }
 }
 
-/// Returns `resp` as-is when its id already matches, else a patched copy —
-/// so steady-state cache hits (probes reuse fixed per-slot ids) stay
-/// allocation-free.
-fn patch_id(resp: Arc<Message>, id: u16) -> Arc<Message> {
-    if resp.id == id {
-        resp
-    } else {
-        let mut patched = (*resp).clone();
-        patched.id = id;
-        Arc::new(patched)
-    }
-}
-
 /// The answer to an AXFR query (RFC 5936): the SOA-bracketed zone for an
 /// exact apex match, REFUSED below it. Never memoized — transfers are rare
-/// and large, exactly what the memos should not hold.
+/// and large, exactly what the memo should not hold.
 fn axfr_response(id: u16, key: &AnswerKey, zone: &Zone) -> Message {
     let mut resp = response_for(id, key);
     if &key.qname != zone.apex() {
@@ -1092,34 +1049,27 @@ mod tests {
             .is_some());
     }
 
-    #[test]
-    fn repeat_query_is_a_memo_hit_sharing_one_allocation() {
-        let s = server(signed_zone(false));
-        let q = Message::query(1, name("www.example.com"), RrType::A);
-        let r1 = s.handle_arc(&q).unwrap();
-        let r2 = s.handle_arc(&q).unwrap();
-        assert!(Arc::ptr_eq(&r1, &r2), "same id + same zone ⇒ pointer bump");
-        // A different id still hits, via a patched copy.
-        let mut q2 = q.clone();
-        q2.id = 77;
-        let r3 = s.handle_arc(&q2).unwrap();
-        assert_eq!(r3.id, 77);
-        assert_eq!(r3.answers, r1.answers);
-        // The unpatched view path shows the hit is the first allocation.
-        let wire = ddx_dns::wire::encode(&q2);
-        let view = MessageView::parse(&wire).unwrap();
-        assert!(Arc::ptr_eq(&s.handle_view(&view).unwrap(), &r1));
+    /// The transport answer to `qname`/`qtype`, decoded.
+    fn respond(s: &Server, qname: &str, qtype: RrType) -> Message {
+        let bytes = ddx_dns::wire::encode(&Message::query(1, name(qname), qtype));
+        let view = MessageView::parse(&bytes).unwrap();
+        let mut buf = Vec::new();
+        assert!(s.respond_into(&view, usize::from(u16::MAX), &mut buf));
+        ddx_dns::wire::decode(&buf).unwrap()
     }
 
     #[test]
     fn mutation_bumps_generation_and_evicts_stale_answers() {
         let mut s = server(signed_zone(false));
-        let q = Message::query(1, name("www.example.com"), RrType::A);
-        let before = s.handle_arc(&q).unwrap();
+        let before = respond(&s, "www.example.com", RrType::A);
         assert!(before
             .find_answer(&name("www.example.com"), RrType::A)
             .is_some());
-        assert!(Arc::ptr_eq(&s.handle_arc(&q).unwrap(), &before));
+        // The repeat is a memo hit with the same bytes.
+        let hits = ddx_obs::counter("server.answer_memo.hits", &[]);
+        let hits_before = hits.get();
+        assert_eq!(respond(&s, "www.example.com", RrType::A), before);
+        assert!(hits.get() > hits_before, "the repeat must hit the memo");
 
         let apex = name("example.com");
         let gen_before = s.zone(&apex).unwrap().generation();
@@ -1128,10 +1078,9 @@ mod tests {
             .remove(&name("www.example.com"), RrType::A);
         assert!(s.zone(&apex).unwrap().generation() > gen_before);
 
-        // The stale cached answer is unreachable under the new generation:
-        // the same question now recomputes and reflects the mutation.
-        let after = s.handle_arc(&q).unwrap();
-        assert!(!Arc::ptr_eq(&after, &before), "recomputed, not a hit");
+        // The stale memoized answer is unreachable under the new
+        // generation: the same question now reflects the mutation.
+        let after = respond(&s, "www.example.com", RrType::A);
         assert!(after
             .find_answer(&name("www.example.com"), RrType::A)
             .is_none());
@@ -1155,20 +1104,13 @@ mod tests {
                 let q = Message::query(0x55AA, name(qname), qtype);
                 let bytes = wire::encode(&q);
                 let view = MessageView::parse(&bytes).expect("query parses");
-                // Twice so the second round exercises the memo-hit path.
-                for round in 0..2 {
-                    let owned = s.handle_arc(&q).expect("answer");
-                    let viewed = s.handle_view(&view).expect("answer");
-                    // handle_view leaves memo-hit ids unpatched by contract;
-                    // stamp the id as the transports do before comparing.
-                    let mut enc = wire::encode(&viewed);
-                    enc[0..2].copy_from_slice(&q.id.to_be_bytes());
-                    assert_eq!(
-                        enc,
-                        wire::encode(&owned),
-                        "{behavior:?} {qname}/{qtype:?} round {round}"
-                    );
-                }
+                let owned = s.handle_arc(&q).expect("answer");
+                let viewed = s.handle_view(&view).expect("answer");
+                assert_eq!(
+                    wire::encode(&viewed),
+                    wire::encode(&owned),
+                    "{behavior:?} {qname}/{qtype:?}"
+                );
             }
         }
 
@@ -1201,14 +1143,11 @@ mod tests {
             ] {
                 for qtype in [RrType::A, RrType::Aaaa, RrType::Ds, RrType::Soa] {
                     let q = Message::query(9, name(qname), qtype);
-                    // Twice: the second pass serves from the memo.
-                    for _ in 0..2 {
-                        assert_eq!(
-                            s.handle_arc(&q).as_deref(),
-                            s.handle_uncached(&q).as_ref(),
-                            "{qname}/{qtype:?} nsec3={nsec3}"
-                        );
-                    }
+                    assert_eq!(
+                        s.handle_arc(&q).as_deref(),
+                        s.handle_uncached(&q).as_ref(),
+                        "{qname}/{qtype:?} nsec3={nsec3}"
+                    );
                 }
             }
         }

@@ -18,7 +18,7 @@ use std::sync::{Arc, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use ddx_dns::{wire, Message, MessageView};
+use ddx_dns::{wire, Edns, Message, MessageView};
 
 use crate::batch::{BatchMode, BatchSocket, RecvBatch, SendQueue, BATCH};
 use crate::server::{Server, ServerId};
@@ -201,7 +201,7 @@ fn udp_worker_loop(
                     continue;
                 };
                 obs_queries.inc();
-                if server.respond_into(&view, udp_payload_limit(&view), out.slot()) {
+                if server.respond_into(&view, udp_payload_limit(view.edns()), out.slot()) {
                     out.commit(peer);
                 }
             }
@@ -217,12 +217,12 @@ fn udp_worker_loop(
 /// 20-byte IP headers. A larger datagram is never sent at all.
 const MAX_UDP_PAYLOAD: usize = 65_507;
 
-/// The largest UDP answer the client of `view` accepts: its advertised
-/// EDNS payload size (never below 512 nor above [`MAX_UDP_PAYLOAD`]), or
-/// 512 bytes without EDNS.
-fn udp_payload_limit(view: &MessageView<'_>) -> usize {
-    view.edns()
-        .map(|e| (e.udp_size as usize).clamp(512, MAX_UDP_PAYLOAD))
+/// The largest UDP answer a query with EDNS state `edns` accepts: its
+/// advertised payload size (never below 512 nor above [`MAX_UDP_PAYLOAD`]),
+/// or 512 bytes without EDNS. The server truncates to it and the client
+/// sizes its receive buffer by it.
+fn udp_payload_limit(edns: Option<Edns>) -> usize {
+    edns.map(|e| (e.udp_size as usize).clamp(512, MAX_UDP_PAYLOAD))
         .unwrap_or(512)
 }
 
@@ -301,21 +301,31 @@ impl UdpNetwork {
 }
 
 thread_local! {
-    /// One reusable client socket per thread. Binding a fresh ephemeral
-    /// socket used to dominate the cost of small queries; reuse keeps the
-    /// same source-address/ID verification on every response.
-    static CLIENT_SOCKET: std::cell::RefCell<Option<UdpSocket>> =
+    /// One reusable client socket per thread, with its receive buffer.
+    /// Binding a fresh ephemeral socket used to dominate the cost of small
+    /// queries; reuse keeps the same source-address/ID verification on
+    /// every response. The buffer only grows, so a query allocates nothing
+    /// once the thread has received an answer as large.
+    static CLIENT_SOCKET: std::cell::RefCell<Option<(UdpSocket, Vec<u8>)>> =
         const { std::cell::RefCell::new(None) };
 }
 
-/// Runs `f` with this thread's client socket, binding it on first use.
-fn with_client_socket<R>(f: impl FnOnce(&UdpSocket) -> Option<R>) -> Option<R> {
+/// Runs `f` with this thread's client socket and a receive buffer of at
+/// least `len` bytes, binding the socket on first use.
+fn with_client_socket<R>(
+    len: usize,
+    f: impl FnOnce(&UdpSocket, &mut [u8]) -> Option<R>,
+) -> Option<R> {
     CLIENT_SOCKET.with(|slot| {
         let mut slot = slot.borrow_mut();
         if slot.is_none() {
-            *slot = UdpSocket::bind("127.0.0.1:0").ok();
+            *slot = UdpSocket::bind("127.0.0.1:0").ok().map(|s| (s, Vec::new()));
         }
-        slot.as_ref().and_then(f)
+        let (socket, buf) = slot.as_mut()?;
+        if buf.len() < len {
+            buf.resize(len, 0);
+        }
+        f(socket, &mut buf[..len])
     })
 }
 
@@ -337,12 +347,13 @@ impl UdpNetwork {
     /// borrowed [`MessageView`]; `to_owned` runs once, only for the
     /// accepted answer that the caller retains.
     fn udp_exchange(&self, addr: &SocketAddr, query: &Message) -> UdpReply {
-        let out = with_client_socket(|socket| {
+        // Room for the largest answer the server may send this query.
+        let limit = udp_payload_limit(query.edns);
+        let out = with_client_socket(limit, |socket, buf| {
             socket.set_read_timeout(Some(self.timeout)).ok()?;
             socket.send_to(&wire::encode(query), addr).ok()?;
-            let mut buf = [0u8; 4096];
             loop {
-                let (len, peer) = socket.recv_from(&mut buf).ok()?;
+                let (len, peer) = socket.recv_from(buf).ok()?;
                 // The socket outlives a single query: besides checking the
                 // source address and ID, skip datagrams that do not echo
                 // this query's question (stale answers from an earlier,
@@ -558,13 +569,10 @@ mod tests {
     #[test]
     fn payload_limit_is_the_edns_size_within_udp_bounds() {
         let limit = |edns: Option<u16>| {
-            let mut q = Message::query(1, name("www.udp.test"), RrType::A);
-            q.edns = edns.map(|udp_size| ddx_dns::Edns {
+            udp_payload_limit(edns.map(|udp_size| Edns {
                 udp_size,
                 dnssec_ok: true,
-            });
-            let bytes = wire::encode(&q);
-            udp_payload_limit(&MessageView::parse(&bytes).unwrap())
+            }))
         };
         assert_eq!(limit(None), 512);
         assert_eq!(limit(Some(100)), 512);
@@ -686,6 +694,41 @@ mod tcp_tests {
                 .unwrap()
                 .len(),
             12
+        );
+    }
+
+    #[test]
+    fn answer_over_4k_arrives_whole_under_a_large_edns_size() {
+        // 60 more 120-byte strings grow the TXT answer past 9 KB.
+        let mut zone = big_zone();
+        for i in 12..72 {
+            zone.add(Record::new(
+                name("fat.big.test"),
+                60,
+                RData::Txt(vec![format!("{:0>120}", i)]),
+            ));
+        }
+        let mut server = Server::new(ServerId("big#1".into()));
+        server.load_zone(zone);
+        let handle = UdpServerHandle::spawn(server).unwrap();
+        let mut net = UdpNetwork::new();
+        net.tcp_fallback = false;
+        net.add_route(&handle);
+        let mut q = Message::query(10, name("fat.big.test"), RrType::Txt);
+        q.edns = Some(Edns {
+            udp_size: 65_000,
+            dnssec_ok: false,
+        });
+        let outcome = net.query_outcome(&ServerId("big#1".into()), &q);
+        let QueryOutcome::Answer(r) = outcome else {
+            panic!("expected the whole answer over UDP, got {outcome:?}");
+        };
+        assert!(!r.flags.tc);
+        assert_eq!(
+            r.find_answer(&name("fat.big.test"), RrType::Txt)
+                .unwrap()
+                .len(),
+            72
         );
     }
 

@@ -7,7 +7,7 @@
 use std::net::Ipv4Addr;
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
-use ddx_dns::{name, Name, RData, Record, RrType, Soa, Zone};
+use ddx_dns::{name, wire, Message, MessageView, Name, RData, Record, RrType, Soa, Zone};
 use ddx_dnssec::{sign_zone, Algorithm, KeyPair, KeyRing, KeyRole, Nsec3Config, SignerConfig};
 use ddx_server::{Server, ServerId, Testbed};
 use rand::rngs::StdRng;
@@ -22,6 +22,36 @@ static REGISTRY: Mutex<()> = Mutex::new(());
 /// whole run, so no sibling test bumps a counter between its snapshots.
 pub(crate) fn serial() -> MutexGuard<'static, ()> {
     REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The UDP truncation rule, restated as the oracle: an answer over the
+/// client's limit goes out with TC set and its three record sections
+/// cleared, keeping the question and the EDNS pseudo-section.
+pub(crate) fn udp_bytes(answer: &Message, limit: usize) -> Vec<u8> {
+    let full = wire::encode(answer);
+    if full.len() <= limit {
+        return full;
+    }
+    let mut truncated = answer.clone();
+    truncated.flags.tc = true;
+    truncated.answers.clear();
+    truncated.authorities.clear();
+    truncated.additionals.clear();
+    wire::encode(&truncated)
+}
+
+/// The limit the UDP transport applies to `query`.
+pub(crate) fn udp_limit(query: &Message) -> usize {
+    query.edns.map_or(512, |e| usize::from(e.udp_size.max(512)))
+}
+
+/// What `server` writes for `query` through the transport entry point
+/// under `limit`, or `None` when it sends nothing.
+pub(crate) fn respond(server: &Server, query: &Message, limit: usize) -> Option<Vec<u8>> {
+    let bytes = wire::encode(query);
+    let view = MessageView::parse(&bytes).expect("query parses");
+    let mut out = vec![0xEE; 7];
+    server.respond_into(&view, limit, &mut out).then_some(out)
 }
 
 pub(crate) fn base_zone(wildcard: bool) -> Zone {

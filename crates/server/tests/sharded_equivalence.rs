@@ -1,4 +1,5 @@
-//! Concurrency property tests for the sharded answer memo: many client
+//! Concurrency property tests for the sharded answer memo, driven through
+//! [`Server::respond_into`] as the UDP workers drive it: many client
 //! threads hammering one server must (a) never change a single response
 //! byte relative to the naive uncached oracle, and (b) keep the
 //! `server.answer_memo.*` registry accounting exact (`lookups == hits +
@@ -12,8 +13,8 @@ mod common;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use common::{qnames, serial, variants, QTYPES};
-use ddx_dns::{wire, Message};
+use common::{qnames, respond, serial, udp_bytes, udp_limit, variants, QTYPES};
+use ddx_dns::{name, Message, RrType};
 use ddx_obs::MetricsSnapshot;
 use ddx_prop::{check, Rng};
 use ddx_server::Server;
@@ -40,14 +41,19 @@ fn nth_query(stream: &mut SplitMix64, id: u16) -> Message {
     q
 }
 
+/// What the UDP transport sends for `q`.
+fn udp_answer(server: &Server, q: &Message) -> Option<Vec<u8>> {
+    respond(server, q, udp_limit(q))
+}
+
 const THREADS: usize = 8;
 const QUERIES_PER_THREAD: usize = 64;
 
 /// 8 threads × 64 seed-derived queries against every zone variant:
 /// each answer from the shared sharded path is byte-identical to the
-/// naive linear-scan oracle computed on the same thread. Contention on
-/// the memo shards must never surface as a different (or missing)
-/// response.
+/// naive linear-scan oracle computed on the same thread, encoded under
+/// the UDP truncation rule. Contention on the memo shards must never
+/// surface as a different (or missing) response.
 #[test]
 fn concurrent_sharded_path_matches_naive_oracle() {
     let _serial = serial();
@@ -62,10 +68,9 @@ fn concurrent_sharded_path_matches_naive_oracle() {
                     for i in 0..QUERIES_PER_THREAD {
                         let q = nth_query(&mut stream, (t * QUERIES_PER_THREAD + i) as u16);
                         let naive = server.handle_uncached(&q);
-                        let cached = server.handle_arc(&q);
                         assert_eq!(
-                            cached.as_deref().map(wire::encode),
-                            naive.as_ref().map(wire::encode),
+                            udp_answer(server, &q),
+                            naive.as_ref().map(|m| udp_bytes(m, udp_limit(&q))),
                             "zone={label} thread={t} q={:?}",
                             q.question
                         );
@@ -81,8 +86,7 @@ fn concurrent_sharded_path_matches_naive_oracle() {
 #[test]
 fn shard_accounting_is_exact_under_contention() {
     let _serial = serial();
-    let mut server: Server = variants()[0].1.clone();
-    server.configure_memo(8, 256);
+    let server: Server = variants()[0].1.clone();
     let before = ddx_obs::snapshot();
     static NEXT: AtomicUsize = AtomicUsize::new(0);
     std::thread::scope(|scope| {
@@ -93,7 +97,7 @@ fn shard_accounting_is_exact_under_contention() {
                 for _ in 0..QUERIES_PER_THREAD {
                     let id = (NEXT.fetch_add(1, Ordering::Relaxed) % 0xFFFF) as u16;
                     let q = nth_query(&mut stream, id);
-                    let _ = server.handle_arc(&q);
+                    let _ = udp_answer(server, &q);
                 }
             });
         }
@@ -107,21 +111,21 @@ fn shard_accounting_is_exact_under_contention() {
     assert!(hits > 0, "repeated (qname,qtype) pairs must hit");
 }
 
-/// A tiny per-shard cap forces clear-at-cap flushes, and the dropped
-/// entries surface on the registry eviction counter.
+/// Fresh names past the memo's total capacity (8 shards × 1,024 entries)
+/// overfill at least one shard, and its clear-at-cap flush surfaces on
+/// the registry eviction counter.
 #[test]
 fn cap_overflow_reports_evictions() {
     let _serial = serial();
-    let mut server: Server = variants()[0].1.clone();
-    server.configure_memo(2, 4);
+    let server: Server = variants()[0].1.clone();
     let before = ddx_obs::snapshot();
-    let mut stream = SplitMix64::new(0xFEED);
-    for id in 0..512u16 {
-        let q = nth_query(&mut stream, id);
-        let _ = server.handle_arc(&q);
+    for i in 0..=8 * 1_024u32 {
+        let q = Message::query(i as u16, name(&format!("e{i}.example.com")), RrType::A);
+        assert!(udp_answer(&server, &q).is_some());
     }
+    assert_eq!(memo_delta(&before, "misses"), 8 * 1_024 + 1);
     assert!(
         memo_delta(&before, "evictions") > 0,
-        "512 varied queries into 2×4 slots must evict"
+        "8,193 fresh names into 8×1,024 slots must evict"
     );
 }

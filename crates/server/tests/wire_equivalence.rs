@@ -3,38 +3,13 @@
 //! in-process answer ([`Server::handle_arc`]) encoded, with the query id,
 //! and truncated by the UDP rule when they do not fit — on a memo miss and
 //! on a hit, for every zone variant, behavior and EDNS state.
-//!
-//! The registry is process-global and one test here reads exact counter
-//! deltas, so every test holds [`serial`] for its whole run.
 
 mod common;
 
-use common::{qnames, serial, variants, QTYPES};
-use ddx_dns::{name, wire, Edns, Message, MessageView, RrType};
-use ddx_obs::MetricsSnapshot;
+use common::{qnames, respond, udp_bytes, udp_limit, variants, QTYPES};
+use ddx_dns::{name, wire, Edns, Message, RrType};
 use ddx_prop::{check, Rng, StdRng};
-use ddx_server::{Server, ServerBehavior};
-
-/// The UDP truncation rule, restated as the oracle: an answer over the
-/// client's limit goes out with TC set and its three record sections
-/// cleared, keeping the question and the EDNS pseudo-section.
-fn udp_bytes(answer: &Message, limit: usize) -> Vec<u8> {
-    let full = wire::encode(answer);
-    if full.len() <= limit {
-        return full;
-    }
-    let mut truncated = answer.clone();
-    truncated.flags.tc = true;
-    truncated.answers.clear();
-    truncated.authorities.clear();
-    truncated.additionals.clear();
-    wire::encode(&truncated)
-}
-
-/// The limit the UDP transport applies to `query`.
-fn udp_limit(query: &Message) -> usize {
-    query.edns.map_or(512, |e| usize::from(e.udp_size.max(512)))
-}
+use ddx_server::ServerBehavior;
 
 /// A query under a random id for a listed name, a fresh name under the
 /// zone, or no question at all; any type including AXFR; random RD and
@@ -63,20 +38,10 @@ fn random_query(rng: &mut StdRng) -> Message {
     q
 }
 
-/// What `server` writes for `query` through the transport entry point, or
-/// `None` when it sends nothing.
-fn respond(server: &Server, query: &Message, limit: usize) -> Option<Vec<u8>> {
-    let bytes = wire::encode(query);
-    let view = MessageView::parse(&bytes).expect("query parses");
-    let mut out = vec![0xEE; 7];
-    server.respond_into(&view, limit, &mut out).then_some(out)
-}
-
 /// Every query, asked twice (miss, then hit under another id), through
 /// UDP and TCP limits, writes the oracle's bytes.
 #[test]
 fn transport_bytes_equal_encoded_in_process_answers() {
-    let _serial = serial();
     check(
         "transport_bytes_equal_encoded_in_process_answers",
         512,
@@ -114,7 +79,6 @@ fn transport_bytes_equal_encoded_in_process_answers() {
 /// and EDNS state, and rejects any cut-short prefix of it.
 #[test]
 fn truncate_into_equals_encoding_the_cleared_message() {
-    let _serial = serial();
     check(
         "truncate_into_equals_encoding_the_cleared_message",
         512,
@@ -143,47 +107,6 @@ fn truncate_into_equals_encoding_the_cleared_message() {
             m.authorities.clear();
             m.additionals.clear();
             assert_eq!(out, wire::encode(&m), "q={:?}", query.question);
-        },
-    );
-}
-
-/// The counters of the `server.answer_memo.<event>` registry since `since`.
-fn memo_counts(since: &MetricsSnapshot) -> [u64; 4] {
-    let d = ddx_obs::snapshot().diff(since);
-    ["lookups", "hits", "misses", "evictions"]
-        .map(|e| d.counter(&format!("server.answer_memo.{e}")))
-}
-
-/// The encoded memo admits, hits and evicts exactly as the in-process memo
-/// does: one query stream through each, on small shards that flush often,
-/// counts the same lookups, hits, misses and evictions.
-#[test]
-fn transport_memo_counts_like_the_in_process_memo() {
-    let _serial = serial();
-    check(
-        "transport_memo_counts_like_the_in_process_memo",
-        16,
-        |rng| {
-            let (label, base) = &variants()[rng.gen_range(0usize..8)];
-            let queries: Vec<Message> = (0..200).map(|_| random_query(rng)).collect();
-
-            let mut in_process = base.clone();
-            in_process.configure_memo(2, 8);
-            let since = ddx_obs::snapshot();
-            for q in &queries {
-                let bytes = wire::encode(q);
-                in_process.handle_view(&MessageView::parse(&bytes).unwrap());
-            }
-            let want = memo_counts(&since);
-
-            let mut transport = base.clone();
-            transport.configure_memo(2, 8);
-            let since = ddx_obs::snapshot();
-            for q in &queries {
-                respond(&transport, q, udp_limit(q));
-            }
-            assert_eq!(memo_counts(&since), want, "zone={label}");
-            assert!(want[3] > 0, "the stream must flush a shard");
         },
     );
 }
