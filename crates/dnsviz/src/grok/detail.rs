@@ -1,9 +1,9 @@
-//! The typed diagnostic payload attached to every [`ErrorInstance`]:
-//! instead of free-form strings that downstream consumers (DResolver, the
-//! naive baseline, the resolver's NSEC3 policy) re-parse, each family of
-//! error codes carries a structured [`ErrorDetail`] variant with the key
-//! tags, algorithms, owner names, RR types, TTLs and server identities the
-//! fix planner needs.
+//! The typed diagnostic payload attached to every
+//! [`ErrorInstance`](super::ErrorInstance): instead of free-form strings
+//! that downstream consumers (DResolver, the naive baseline, the resolver's
+//! NSEC3 policy) re-parse, each family of error codes carries a structured
+//! [`ErrorDetail`] variant with the key tags, algorithms, owner names, RR
+//! types, TTLs and server identities the fix planner needs.
 //!
 //! [`Display`](std::fmt::Display) reproduces, byte for byte, the
 //! human-readable detail strings grok used to emit, so `render_text()`

@@ -9,99 +9,28 @@
 //! query from the memo. Any zone mutation draws a fresh generation, which
 //! makes every old entry unreachable — invalidation is implicit in the key.
 //!
-//! Answers are stored encoded (`Arc<[u8]>`) and probed with a [`WireKey`]
-//! borrowed from the query's wire view, so a hit builds no name and an
-//! eviction frees one buffer per entry. The in-process query path keeps no
-//! answer memo: the DFixer loop's re-asked questions are reused one layer
-//! up, per zone cut, by the probe/grok memo.
+//! A [`MemoKey`] is those fields laid out as bytes in a fixed-size stack
+//! array, the qname lowercased, built straight from the query's wire view:
+//! a lookup builds no name and allocates nothing. Answers are stored
+//! encoded (`Arc<[u8]>`), so an eviction frees one buffer per entry. The
+//! in-process query path keeps no answer memo: the DFixer loop's re-asked
+//! questions are reused one layer up, per zone cut, by the probe/grok memo.
 //!
 //! # Sharding
 //!
-//! The memo is split into [`SHARDS`] independent shards, selected by an
-//! FNV-1a hash of the query name's lowercased label bytes. Each shard owns
-//! its own entry map, so transport workers hammering one server from many
-//! threads contend only when two in-flight queries hash to the same shard.
-//! Entries for one qname always land in one shard (the hash ignores
+//! The memo is split into [`SHARDS`] independent shards, selected by
+//! [`ddx_obs::fnv1a`] over the key's lowercased qname bytes. Each shard
+//! owns its own entry map, so transport workers hammering one server from
+//! many threads contend only when two in-flight queries hash to the same
+//! shard. Entries for one qname always land in one shard (the hash ignores
 //! qtype/DO), which makes the clear-at-cap eviction local: a hot shard
 //! flushing does not dump the whole process's working set.
 
-use std::borrow::Borrow;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use ddx_dns::{Edns, Message, MessageView, Name, NameRef, RrClass, RrType};
-
-/// Everything (besides the zone content and the server behavior, both
-/// handled outside the memo) that the bytes of a response depend on —
-/// except the message id, which the transport stamps into every answer.
-///
-/// Also the per-server key half of [`CachingNetwork`](crate::CachingNetwork),
-/// so client- and server-side caches agree on what identifies a question.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct AnswerKey {
-    pub qname: Name,
-    pub qtype: RrType,
-    pub qclass: RrClass,
-    /// Recursion-desired flag (echoed into responses).
-    pub rd: bool,
-    /// EDNS state of the query (the DO bit selects DNSSEC records; the
-    /// response echoes the whole pseudo-section).
-    pub edns: Option<Edns>,
-}
-
-impl AnswerKey {
-    /// Builds the key for a query message; `None` when the query has no
-    /// question (such messages are answered FORMERR and never cached).
-    pub(crate) fn for_query(query: &Message) -> Option<AnswerKey> {
-        let q = query.question.as_ref()?;
-        Some(AnswerKey {
-            qname: q.qname.clone(),
-            qtype: q.qtype,
-            qclass: q.qclass,
-            rd: query.flags.rd,
-            edns: query.edns,
-        })
-    }
-}
-
-/// An [`AnswerKey`] whose qname stays in the query's wire bytes: built from
-/// a [`MessageView`] without allocating, and the same memo key as the
-/// `AnswerKey` that [`WireKey::to_key`] builds — which equals what
-/// [`AnswerKey::for_query`] builds for the decoded message.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct WireKey<'buf> {
-    pub qname: NameRef<'buf>,
-    pub qtype: RrType,
-    pub qclass: RrClass,
-    pub rd: bool,
-    pub edns: Option<Edns>,
-}
-
-impl<'buf> WireKey<'buf> {
-    /// The key of a query view; `None` when it has no question.
-    pub(crate) fn from_view(view: &MessageView<'buf>) -> Option<WireKey<'buf>> {
-        let q = view.question()?;
-        Some(WireKey {
-            qname: q.qname(),
-            qtype: q.qtype(),
-            qclass: q.qclass(),
-            rd: view.flags().rd,
-            edns: view.edns(),
-        })
-    }
-
-    /// The owned key (allocates the qname).
-    pub(crate) fn to_key(self) -> AnswerKey {
-        AnswerKey {
-            qname: self.qname.to_name(),
-            qtype: self.qtype,
-            qclass: self.qclass,
-            rd: self.rd,
-            edns: self.edns,
-        }
-    }
-}
+use ddx_dns::MessageView;
+use ddx_obs::{fnv1a, FNV_OFFSET};
 
 /// Shard count: enough to keep 8 transport workers from serializing on one
 /// mutex.
@@ -113,155 +42,68 @@ const SHARDS: usize = 8;
 /// eviction is both simplest and correct).
 const SHARD_CAP: usize = 1_024;
 
-/// Stable FNV-1a over the lowercased label bytes of a qname (length-
-/// prefixed, so `("ab","c")` and `("a","bc")` hash apart). Case-insensitive
-/// to match DNS name equality: `WWW.example.com` and `www.example.com`
-/// must land in the same shard.
-fn qname_shard_hash<'a>(labels: impl Iterator<Item = &'a [u8]>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for label in labels {
-        h ^= label.len() as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        for &b in label {
-            h ^= b.to_ascii_lowercase() as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// Longest wire name, terminator included (RFC 1035 §2.3.4).
+const MAX_QNAME: usize = 255;
+
+/// Key bytes before the qname: generation (8), qtype (2), qclass (2), a
+/// flag byte (RD, EDNS present, DO) and the EDNS payload size (2).
+const HEADER: usize = 15;
+
+/// Everything (besides the zone content and the server behavior, both
+/// handled outside the memo) that the bytes of a response depend on —
+/// except the message id and the qname's letter case, which
+/// [`Server::respond_into`](crate::Server::respond_into) stamps into every
+/// answer.
+pub(crate) struct MemoKey {
+    bytes: [u8; HEADER + MAX_QNAME],
+    len: usize,
+}
+
+impl MemoKey {
+    /// The key of a query view under zone generation `generation`; `None`
+    /// when the query has no question.
+    pub(crate) fn new(generation: u64, view: &MessageView<'_>) -> Option<MemoKey> {
+        let q = view.question()?;
+        let edns = view.edns();
+        let mut bytes = [0; HEADER + MAX_QNAME];
+        bytes[..8].copy_from_slice(&generation.to_be_bytes());
+        bytes[8..10].copy_from_slice(&q.qtype().code().to_be_bytes());
+        bytes[10..12].copy_from_slice(&q.qclass().code().to_be_bytes());
+        bytes[12] = u8::from(view.flags().rd)
+            | u8::from(edns.is_some()) << 1
+            | u8::from(edns.is_some_and(|e| e.dnssec_ok)) << 2;
+        bytes[13..15].copy_from_slice(&edns.map_or(0, |e| e.udp_size).to_be_bytes());
+        let mut len = HEADER;
+        for label in q.qname().labels() {
+            bytes[len] = label.len() as u8;
+            for (dst, b) in bytes[len + 1..].iter_mut().zip(label) {
+                *dst = b.to_ascii_lowercase();
+            }
+            len += 1 + label.len();
         }
+        // The root terminator is the array's zero fill.
+        Some(MemoKey {
+            bytes,
+            len: len + 1,
+        })
     }
-    h
-}
 
-/// A key's qname: owned, or still in a query's wire bytes.
-#[derive(Debug, Clone, Copy)]
-enum Qname<'a> {
-    Owned(&'a Name),
-    Wire(NameRef<'a>),
-}
-
-impl Qname<'_> {
-    fn shard_hash(self) -> u64 {
-        match self {
-            Qname::Owned(name) => qname_shard_hash(name.labels().iter().map(|l| l.as_bytes())),
-            Qname::Wire(name) => qname_shard_hash(name.labels()),
-        }
+    fn as_bytes(&self) -> &[u8] {
+        &self.bytes[..self.len]
     }
-}
 
-impl PartialEq for Qname<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        match (*self, *other) {
-            (Qname::Owned(a), Qname::Owned(b)) => a == b,
-            (Qname::Wire(a), Qname::Wire(b)) => a == b,
-            (Qname::Owned(a), Qname::Wire(b)) | (Qname::Wire(b), Qname::Owned(a)) => b.eq_name(a),
-        }
+    /// The lowercased wire qname, terminator included.
+    fn qname(&self) -> &[u8] {
+        &self.bytes[HEADER..self.len]
+    }
+
+    fn shard(&self) -> usize {
+        (fnv1a(FNV_OFFSET, self.qname()) % SHARDS as u64) as usize
     }
 }
 
-impl Hash for Qname<'_> {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        // A `NameRef` hashes exactly like the `Name` it spells.
-        match self {
-            Qname::Owned(name) => name.hash(state),
-            Qname::Wire(name) => name.hash(state),
-        }
-    }
-}
-
-/// What a memo entry is keyed on, borrowed: `(generation, key)` with the
-/// qname either owned or on the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Hash)]
-struct Parts<'a> {
-    generation: u64,
-    qname: Qname<'a>,
-    qtype: RrType,
-    qclass: RrClass,
-    rd: bool,
-    edns: Option<Edns>,
-}
-
-impl<'a> Parts<'a> {
-    fn owned(generation: u64, key: &'a AnswerKey) -> Self {
-        Parts {
-            generation,
-            qname: Qname::Owned(&key.qname),
-            qtype: key.qtype,
-            qclass: key.qclass,
-            rd: key.rd,
-            edns: key.edns,
-        }
-    }
-
-    fn wire(generation: u64, key: &WireKey<'a>) -> Self {
-        Parts {
-            generation,
-            qname: Qname::Wire(key.qname),
-            qtype: key.qtype,
-            qclass: key.qclass,
-            rd: key.rd,
-            edns: key.edns,
-        }
-    }
-}
-
-/// A memo key as the shard maps see it: the owned key an entry is stored
-/// under, or the borrowed [`Parts`] a lookup probes with. Both hash and
-/// compare through [`EntryKey::parts`], so they agree by construction, as
-/// `Borrow` requires, and a probe clones nothing.
-trait EntryKey {
-    fn parts(&self) -> Parts<'_>;
-}
-
-impl EntryKey for Parts<'_> {
-    fn parts(&self) -> Parts<'_> {
-        *self
-    }
-}
-
-/// The owned key of a stored entry.
-#[derive(Debug)]
-struct Stored {
-    generation: u64,
-    key: AnswerKey,
-}
-
-impl EntryKey for Stored {
-    fn parts(&self) -> Parts<'_> {
-        Parts::owned(self.generation, &self.key)
-    }
-}
-
-impl<'a> Borrow<dyn EntryKey + 'a> for Stored {
-    fn borrow(&self) -> &(dyn EntryKey + 'a) {
-        self
-    }
-}
-
-impl Hash for dyn EntryKey + '_ {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.parts().hash(state);
-    }
-}
-
-impl PartialEq for dyn EntryKey + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.parts() == other.parts()
-    }
-}
-
-impl Eq for dyn EntryKey + '_ {}
-
-impl Hash for Stored {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.parts().hash(state);
-    }
-}
-
-impl PartialEq for Stored {
-    fn eq(&self, other: &Self) -> bool {
-        self.parts() == other.parts()
-    }
-}
-
-impl Eq for Stored {}
+/// One shard: encoded answers by [`MemoKey`] bytes.
+type Shard = HashMap<Box<[u8]>, Arc<[u8]>>;
 
 /// Per-server memo of encoded answers, sharded by qname hash.
 /// Interior-mutable (the server answers through `&self` from multiple
@@ -270,11 +112,11 @@ impl Eq for Stored {}
 /// Hits, misses and evictions are counted once, in the process-wide
 /// `server.answer_memo.{lookups,hits,misses,evictions}` counters of the
 /// [`ddx_obs`] registry, which every memo of the process shares. `lookups`
-/// counts every [`AnswerMemo::get_wire`] call, so `hits + misses ==
-/// lookups` is an invariant a metrics snapshot can check.
+/// counts every [`AnswerMemo::get`] call, so `hits + misses == lookups` is
+/// an invariant a metrics snapshot can check.
 #[derive(Debug)]
 pub(crate) struct AnswerMemo {
-    shards: [Mutex<HashMap<Stored, Arc<[u8]>>>; SHARDS],
+    shards: [Mutex<Shard>; SHARDS],
     obs_lookups: ddx_obs::Counter,
     obs_hits: ddx_obs::Counter,
     obs_misses: ddx_obs::Counter,
@@ -292,33 +134,27 @@ impl AnswerMemo {
         }
     }
 
-    fn shard(&self, qname: Qname<'_>) -> MutexGuard<'_, HashMap<Stored, Arc<[u8]>>> {
-        self.shards[(qname.shard_hash() % SHARDS as u64) as usize]
+    fn shard(&self, key: &MemoKey) -> MutexGuard<'_, Shard> {
+        self.shards[key.shard()]
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Stores a freshly encoded answer in the qname's shard, flushing the
     /// shard first when it is at capacity (counted as evictions).
-    pub(crate) fn insert(&self, generation: u64, key: AnswerKey, value: Arc<[u8]>) {
-        let mut entries = self.shard(Qname::Owned(&key.qname));
+    pub(crate) fn insert(&self, key: &MemoKey, value: Arc<[u8]>) {
+        let mut entries = self.shard(key);
         if entries.len() >= SHARD_CAP {
             self.obs_evictions.add(entries.len() as u64);
             entries.clear();
         }
-        entries.insert(Stored { generation, key }, value);
+        entries.insert(Box::from(key.as_bytes()), value);
     }
 
-    /// Looks up the answer encoded for `key` under zone generation
-    /// `generation`, counting a hit or a miss. The key stays in the query's
-    /// wire bytes, so the probe allocates nothing.
-    pub(crate) fn get_wire(&self, generation: u64, key: &WireKey<'_>) -> Option<Arc<[u8]>> {
+    /// Looks up the answer encoded for `key`, counting a hit or a miss.
+    pub(crate) fn get(&self, key: &MemoKey) -> Option<Arc<[u8]>> {
         self.obs_lookups.inc();
-        let parts = Parts::wire(generation, key);
-        let hit = self
-            .shard(parts.qname)
-            .get(&parts as &dyn EntryKey)
-            .cloned();
+        let hit = self.shard(key).get(key.as_bytes()).cloned();
         match &hit {
             Some(_) => self.obs_hits.inc(),
             None => self.obs_misses.inc(),
@@ -330,81 +166,82 @@ impl AnswerMemo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ddx_dns::{name, wire};
+    use ddx_dns::{name, wire, Edns, Message, RrClass, RrType};
 
-    fn key(qname: &str) -> AnswerKey {
-        AnswerKey {
-            qname: name(qname),
-            qtype: RrType::A,
-            qclass: RrClass::In,
-            rd: false,
-            edns: None,
-        }
+    /// The key of a plain-DNS `qname`/A query, edited by `edit` first.
+    fn key_with(generation: u64, qname: &str, edit: impl FnOnce(&mut Message)) -> MemoKey {
+        let mut q = Message::query(9, name(qname), RrType::A);
+        q.edns = None;
+        edit(&mut q);
+        let bytes = wire::encode(&q);
+        MemoKey::new(generation, &MessageView::parse(&bytes).unwrap()).unwrap()
+    }
+
+    fn key(generation: u64, qname: &str) -> MemoKey {
+        key_with(generation, qname, |_| {})
     }
 
     fn answer(tag: &str) -> Arc<[u8]> {
         Arc::from(tag.as_bytes())
     }
 
-    /// Looks `key` up the way the transports do: from a parsed query.
-    fn probe(memo: &AnswerMemo, generation: u64, key: &AnswerKey) -> Option<Arc<[u8]>> {
-        let mut q = Message::query(9, key.qname.clone(), key.qtype);
-        q.flags.rd = key.rd;
-        q.edns = key.edns;
-        let bytes = wire::encode(&q);
-        let view = MessageView::parse(&bytes).unwrap();
-        memo.get_wire(generation, &WireKey::from_view(&view).unwrap())
-    }
-
-    fn shard_hash(qname: &str) -> u64 {
-        Qname::Owned(&name(qname)).shard_hash()
-    }
-
-    fn shard_of(key: &AnswerKey) -> u64 {
-        Qname::Owned(&key.qname).shard_hash() % SHARDS as u64
+    #[test]
+    fn shard_hash_is_case_insensitive() {
+        let hash = |qname| fnv1a(FNV_OFFSET, key(1, qname).qname());
+        assert_eq!(hash("WWW.Example.COM"), hash("www.example.com"));
+        assert_ne!(hash("a.example.com"), hash("b.example.com"));
     }
 
     #[test]
-    fn shard_hash_is_case_insensitive() {
-        assert_eq!(shard_hash("WWW.Example.COM"), shard_hash("www.example.com"));
-        assert_ne!(shard_hash("a.example.com"), shard_hash("b.example.com"));
+    fn keys_ignore_qname_case_and_nothing_else() {
+        assert_eq!(
+            key(1, "WWW.Example.COM").as_bytes(),
+            key(1, "www.example.com").as_bytes()
+        );
+        let edns = |udp_size, dnssec_ok| {
+            Some(Edns {
+                udp_size,
+                dnssec_ok,
+            })
+        };
+        let keys = [
+            key(1, "www.example.com"),
+            key(2, "www.example.com"),
+            key(1, "ww.example.com"),
+            key_with(1, "www.example.com", |q| {
+                q.question.as_mut().unwrap().qtype = RrType::Aaaa
+            }),
+            key_with(1, "www.example.com", |q| {
+                q.question.as_mut().unwrap().qclass = RrClass::from_code(3)
+            }),
+            key_with(1, "www.example.com", |q| q.flags.rd = !q.flags.rd),
+            key_with(1, "www.example.com", |q| q.edns = edns(512, false)),
+            key_with(1, "www.example.com", |q| q.edns = edns(512, true)),
+            key_with(1, "www.example.com", |q| q.edns = edns(1232, true)),
+        ];
+        for (i, a) in keys.iter().enumerate() {
+            for b in &keys[i + 1..] {
+                assert_ne!(a.as_bytes(), b.as_bytes());
+            }
+        }
     }
 
     #[test]
     fn miss_then_insert_then_hit_returns_the_stored_answer() {
         let memo = AnswerMemo::new();
         for i in 0..32 {
-            let k = key(&format!("q{i}.example.com"));
-            assert!(probe(&memo, 1, &k).is_none());
+            let qname = format!("q{i}.example.com");
+            let k = key(1, &qname);
+            assert!(memo.get(&k).is_none());
             let stored = answer(&format!("a{i}"));
-            memo.insert(1, k.clone(), Arc::clone(&stored));
-            let hit = probe(&memo, 1, &k).expect("hit after insert");
+            memo.insert(&k, Arc::clone(&stored));
+            let hit = memo.get(&k).expect("hit after insert");
             assert!(Arc::ptr_eq(&hit, &stored));
+            // Another spelling of the same question hits the same entry.
+            let shouted = memo.get(&key(1, &qname.to_uppercase())).expect("hit");
+            assert!(Arc::ptr_eq(&shouted, &stored));
             // Another generation of the same zone never sees the entry.
-            assert!(probe(&memo, 2, &k).is_none());
-        }
-    }
-
-    #[test]
-    fn wire_key_probes_find_the_owned_entry() {
-        let memo = AnswerMemo::new();
-        let stored = answer("answer");
-        memo.insert(3, key("www.example.com"), Arc::clone(&stored));
-        for (qname, qtype, hit) in [
-            ("WWW.Example.com", RrType::A, true),
-            ("www.example.com", RrType::Aaaa, false),
-            ("ww.example.com", RrType::A, false),
-        ] {
-            let mut q = Message::query(9, name(qname), qtype);
-            q.edns = None;
-            let bytes = wire::encode(&q);
-            let view = MessageView::parse(&bytes).unwrap();
-            let wire_key = WireKey::from_view(&view).unwrap();
-            assert_eq!(wire_key.to_key(), AnswerKey::for_query(&q).unwrap());
-            let got = memo.get_wire(3, &wire_key);
-            assert_eq!(got.is_some(), hit, "{qname}/{qtype:?}");
-            assert!(got.is_none_or(|v| Arc::ptr_eq(&v, &stored)));
-            assert!(memo.get_wire(4, &wire_key).is_none(), "other generation");
+            assert!(memo.get(&key(2, &qname)).is_none());
         }
     }
 
@@ -413,37 +250,38 @@ mod tests {
         let memo = AnswerMemo::new();
         // An entry in another shard, which no flush of shard 0 may touch.
         let bystander = (0..)
-            .map(|i| key(&format!("b{i}.example.com")))
-            .find(|k| shard_of(k) != 0)
+            .map(|i| key(1, &format!("b{i}.example.com")))
+            .find(|k| k.shard() != 0)
             .unwrap();
-        memo.insert(1, bystander.clone(), answer("bystander"));
+        memo.insert(&bystander, answer("bystander"));
         // SHARD_CAP + 1 names of shard 0: the last insert flushes the rest.
-        let names: Vec<AnswerKey> = (0..)
-            .map(|i| key(&format!("q{i}.example.com")))
-            .filter(|k| shard_of(k) == 0)
+        let keys: Vec<MemoKey> = (0..)
+            .map(|i| key(1, &format!("q{i}.example.com")))
+            .filter(|k| k.shard() == 0)
             .take(SHARD_CAP + 1)
             .collect();
-        for k in &names {
-            memo.insert(1, k.clone(), answer("full"));
+        for k in &keys {
+            memo.insert(k, answer("full"));
         }
         // The freshly inserted last entry survived the flush.
-        assert!(probe(&memo, 1, &names[SHARD_CAP]).is_some());
+        assert!(memo.get(&keys[SHARD_CAP]).is_some());
         // Every pre-flush entry is gone (miss).
-        for k in &names[..SHARD_CAP] {
-            assert!(probe(&memo, 1, k).is_none(), "{}", k.qname);
+        for k in &keys[..SHARD_CAP] {
+            assert!(memo.get(k).is_none());
         }
-        assert!(probe(&memo, 1, &bystander).is_some(), "flush stays local");
+        assert!(memo.get(&bystander).is_some(), "flush stays local");
     }
 
     #[test]
     fn same_qname_different_types_share_a_shard() {
         let memo = AnswerMemo::new();
-        let mut k1 = key("multi.example.com");
-        let mut k2 = key("multi.example.com");
-        k1.qtype = RrType::A;
-        k2.qtype = RrType::Aaaa;
-        memo.insert(1, k1, answer("a"));
-        memo.insert(1, k2, answer("aaaa"));
+        memo.insert(&key(1, "multi.example.com"), answer("a"));
+        memo.insert(
+            &key_with(1, "MULTI.example.com", |q| {
+                q.question.as_mut().unwrap().qtype = RrType::Aaaa
+            }),
+            answer("aaaa"),
+        );
         let populated: Vec<_> = memo
             .shards
             .iter()

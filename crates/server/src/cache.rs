@@ -3,21 +3,47 @@
 //! removed DS record to expire from the cache of any validator"* step
 //! (paper Fig 8 step 5): until cached delegation material expires,
 //! validators keep judging the zone by its *old* state.
+//!
+//! Entries are keyed on the server asked, the question, RD and the EDNS
+//! state, and hold the upstream's `Arc<Message>` answers; the server-side
+//! memo of [`crate::answer`] keys encoded answers on wire bytes instead.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use ddx_dns::{Message, Name};
+use ddx_dns::{Edns, Message, Name, RrClass, RrType};
 
-use crate::answer::AnswerKey;
 use crate::server::ServerId;
 use crate::testbed::Network;
 
-/// Cache key: which server was asked what. The question half is the same
-/// [`AnswerKey`] the server-side memo uses, so both layers agree on what
-/// identifies a cacheable question (typed `RrType`, class, RD, EDNS state).
-type Key = (ServerId, AnswerKey);
+/// Cache key: which server was asked what — the question plus the query
+/// state the answer echoes (RD, and EDNS with the DO bit that selects
+/// DNSSEC records).
+#[derive(PartialEq, Eq, Hash)]
+struct Key {
+    server: ServerId,
+    qname: Name,
+    qtype: RrType,
+    qclass: RrClass,
+    rd: bool,
+    edns: Option<Edns>,
+}
+
+impl Key {
+    /// `None` for a question-less query, which is never cached.
+    fn new(server: &ServerId, query: &Message) -> Option<Key> {
+        let q = query.question.as_ref()?;
+        Some(Key {
+            server: server.clone(),
+            qname: q.qname.clone(),
+            qtype: q.qtype,
+            qclass: q.qclass,
+            rd: query.flags.rd,
+            edns: query.edns,
+        })
+    }
+}
 
 struct Entry {
     expires_at: u32,
@@ -77,7 +103,7 @@ impl<'a> CachingNetwork<'a> {
 
 impl Network for CachingNetwork<'_> {
     fn query(&self, server: &ServerId, query: &Message) -> Option<Arc<Message>> {
-        let key = (server.clone(), AnswerKey::for_query(query)?);
+        let key = Key::new(server, query)?;
         let now = self.now.get();
         if let Some(entry) = self.entries.borrow().get(&key) {
             if now < entry.expires_at {

@@ -4,15 +4,16 @@
 //! responses assembled from whatever chain the zone actually contains (so
 //! injected misconfigurations surface faithfully in responses).
 //!
-//! The query path comes in two flavors sharing one resolution algorithm:
-//! [`Server::handle_arc`] resolves through per-generation lookup indexes
-//! (see [`crate::index`]), while [`Server::handle_uncached`] recomputes
-//! every answer with the original linear scans. The two are byte-identical
-//! by construction (the indexes fall back to the same first-match scans on
-//! malformed chains) and a property test pins that equivalence. The UDP and
-//! TCP transports answer through [`Server::respond_into`], which memoizes
-//! the same answers encoded (see [`crate::answer`]); it is the server's one
-//! answer cache.
+//! Every entry point answers through one resolution core,
+//! `Server::resolve`, which holds the behavior switch, FORMERR, REFUSED and
+//! AXFR once. [`Server::handle_arc`] and [`Server::handle_view`] resolve
+//! through per-generation lookup indexes (see [`crate::index`]), while
+//! [`Server::handle_uncached`] recomputes every answer with the original
+//! linear scans. The two are byte-identical by construction (the indexes
+//! fall back to the same first-match scans on malformed chains) and a
+//! property test pins that equivalence. The UDP and TCP transports answer
+//! through [`Server::respond_into`], which memoizes the same answers encoded
+//! (see [`crate::answer`]); it is the server's one answer cache.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -20,12 +21,12 @@ use std::sync::Arc;
 use ddx_json::{FromJson, ToJson};
 
 use ddx_dns::{
-    base32, wire, Flags, Message, MessageView, Name, Nsec3, Question, RData, RRset, Rcode, Record,
-    RrType, Zone,
+    base32, wire, Flags, Message, MessageView, Name, Nsec3, RData, RRset, Rcode, Record, RrType,
+    Zone,
 };
 use ddx_dnssec::nsec3_hash;
 
-use crate::answer::{AnswerKey, AnswerMemo, WireKey};
+use crate::answer::{AnswerMemo, MemoKey};
 use crate::index::{ZoneIndex, ZoneIndexes};
 
 /// Identifies one server instance (e.g. `ns1.par.a.com.#0`).
@@ -61,14 +62,6 @@ pub struct Server {
     memo: AnswerMemo,
     /// Per-generation zone indexes, used by every indexed resolution.
     indexes: ZoneIndexes,
-}
-
-/// Where [`Server::respond_into`] finds the untruncated answer.
-enum Encoded {
-    /// Already written to the caller's buffer.
-    InBuf,
-    /// A memo hit.
-    Memo(Arc<[u8]>),
 }
 
 /// Cloning copies the zones (whose generation stamps come along, keeping
@@ -127,21 +120,7 @@ impl Server {
     /// `None` when the server is unresponsive (the transport layer turns
     /// that into a timeout).
     pub fn handle_arc(&self, query: &Message) -> Option<Arc<Message>> {
-        match self.behavior {
-            ServerBehavior::Unresponsive => return None,
-            ServerBehavior::Refuses => {
-                let mut resp = query.response();
-                resp.rcode = Rcode::Refused;
-                return Some(Arc::new(resp));
-            }
-            ServerBehavior::Normal => {}
-        }
-        let Some(key) = AnswerKey::for_query(query) else {
-            let mut resp = query.response();
-            resp.rcode = Rcode::FormErr;
-            return Some(Arc::new(resp));
-        };
-        Some(self.resolve_key(query.id, &key))
+        self.resolve(query.response(), true).map(Arc::new)
     }
 
     /// Answers a parsed wire view without ever materializing an owned query
@@ -149,45 +128,54 @@ impl Server {
     /// through [`Server::respond_into`] instead, which memoizes encoded
     /// answers.
     pub fn handle_view(&self, view: &MessageView<'_>) -> Option<Arc<Message>> {
+        self.resolve(response_skeleton(view), true).map(Arc::new)
+    }
+
+    /// The original unindexed answer path: every lookup is a fresh linear
+    /// scan. Kept as the semantic reference the indexed and memoized paths
+    /// are property-tested against.
+    pub fn handle_uncached(&self, query: &Message) -> Option<Message> {
+        self.resolve(query.response(), false)
+    }
+
+    /// The one resolution core behind every entry point: fills `resp`, the
+    /// empty response to a query (its question and EDNS state echoed), or
+    /// returns `None` when the server is unresponsive. With `indexed`,
+    /// lookups go through the zone's per-generation index; without, every
+    /// lookup is the original linear scan.
+    fn resolve(&self, mut resp: Message, indexed: bool) -> Option<Message> {
         match self.behavior {
             ServerBehavior::Unresponsive => return None,
             ServerBehavior::Refuses => {
-                let mut resp = response_skeleton(view);
                 resp.rcode = Rcode::Refused;
-                return Some(Arc::new(resp));
+                return Some(resp);
             }
             ServerBehavior::Normal => {}
         }
-        let Some(key) = WireKey::from_view(view).map(|key| key.to_key()) else {
-            let mut resp = response_skeleton(view);
+        let Some(q) = resp.question.take() else {
             resp.rcode = Rcode::FormErr;
-            return Some(Arc::new(resp));
+            return Some(resp);
         };
-        Some(self.resolve_key(view.id(), &key))
-    }
-
-    /// The shared resolution core behind [`Server::handle_arc`] and
-    /// [`Server::handle_view`]: resolves an extracted key for a
-    /// Normal-behavior server, answering under `id`.
-    fn resolve_key(&self, id: u16, key: &AnswerKey) -> Arc<Message> {
-        let Some(zone) = self.best_zone(|apex| key.qname.is_subdomain_of(apex)) else {
-            let mut resp = response_for(id, key);
-            resp.rcode = Rcode::Refused;
-            return Arc::new(resp);
-        };
-        if key.qtype == RrType::Axfr {
-            return Arc::new(axfr_response(id, key, zone));
+        match self.best_zone(|apex| q.qname.is_subdomain_of(apex)) {
+            None => resp.rcode = Rcode::Refused,
+            // AXFR (RFC 5936): the SOA-bracketed zone for an exact apex
+            // match, REFUSED below it.
+            Some(zone) if q.qtype == RrType::Axfr => {
+                if &q.qname == zone.apex() {
+                    resp.flags.aa = true;
+                    resp.answers = axfr_records(zone);
+                } else {
+                    resp.rcode = Rcode::Refused;
+                }
+            }
+            Some(zone) => {
+                let dnssec = resp.edns.is_some_and(|e| e.dnssec_ok);
+                let index = indexed.then(|| self.indexes.index_for(zone));
+                answer_from_zone(zone, &q.qname, q.qtype, dnssec, &mut resp, index.as_deref());
+            }
         }
-        Arc::new(self.answer(id, key, zone))
-    }
-
-    /// Resolves `key` against `zone` afresh, through the zone's index.
-    fn answer(&self, id: u16, key: &AnswerKey, zone: &Zone) -> Message {
-        let dnssec = key.edns.map(|e| e.dnssec_ok).unwrap_or(false);
-        let index = self.indexes.index_for(zone);
-        let mut resp = response_for(id, key);
-        answer_from_zone(zone, &key.qname, key.qtype, dnssec, &mut resp, Some(&index));
-        resp
+        resp.question = Some(q);
+        Some(resp)
     }
 
     /// Answers a parsed query view into `buf` (cleared first): the one
@@ -196,132 +184,69 @@ impl Server {
     ///
     /// An answer longer than `limit` bytes is rewritten into its RFC 1035
     /// §4.2.1 truncated form ([`wire::truncate_into`]) so the client
-    /// retries over TCP. The bytes are those of [`Server::handle_arc`]'s
-    /// answer to the decoded query, encoded and truncated by that rule.
+    /// retries over TCP. The bytes are those of [`Server::handle_view`]'s
+    /// answer, encoded and truncated by that rule.
     ///
-    /// Answers are memoized encoded, keyed on the zone generation and the
-    /// question, and probed with a key borrowed from the view: a hit is a
-    /// copy of the stored bytes plus the query id stamped into them, and
-    /// allocates nothing.
+    /// Answers to in-zone, non-AXFR questions are memoized encoded, keyed on
+    /// the zone generation and the question bytes of the view: a hit is a
+    /// copy of the stored bytes with the query's id and qname spelling
+    /// stamped into them, and allocates nothing.
     pub fn respond_into(&self, view: &MessageView<'_>, limit: usize, buf: &mut Vec<u8>) -> bool {
-        let Some(encoded) = self.encode_answer(view, buf) else {
-            return false;
-        };
         let truncate = |full: &[u8], buf: &mut Vec<u8>| {
             wire::truncate_into(full, buf).expect("the encoder writes well-formed messages");
         };
-        match encoded {
-            Encoded::Memo(full) if full.len() > limit => truncate(&full, buf),
-            Encoded::Memo(full) => {
+        let key = self.memo_key(view);
+        match key.as_ref().and_then(|key| self.memo.get(key)) {
+            Some(full) if full.len() > limit => truncate(&full, buf),
+            Some(full) => {
                 buf.clear();
                 buf.extend_from_slice(&full);
             }
-            Encoded::InBuf if buf.len() > limit => truncate(&std::mem::take(buf), buf),
-            Encoded::InBuf => {}
+            None => {
+                let Some(resp) = self.resolve(response_skeleton(view), true) else {
+                    return false;
+                };
+                wire::encode_into(&resp, buf);
+                if let Some(key) = &key {
+                    self.memo.insert(key, Arc::from(buf.as_slice()));
+                }
+                if buf.len() > limit {
+                    truncate(&std::mem::take(buf), buf);
+                }
+            }
         }
-        // A memo hit carries the id of the query that filled the entry; the
-        // id takes no part in name compression, so stamping it is exact.
-        buf[0..2].copy_from_slice(&view.id().to_be_bytes());
+        stamp_query(view, buf);
         true
     }
 
-    /// The untruncated answer to `view`: a memo hit, or encoded into `buf`.
-    fn encode_answer(&self, view: &MessageView<'_>, buf: &mut Vec<u8>) -> Option<Encoded> {
-        let skeleton = |rcode| {
-            let mut resp = response_skeleton(view);
-            resp.rcode = rcode;
-            resp
-        };
-        let resp = match self.behavior {
-            ServerBehavior::Unresponsive => return None,
-            ServerBehavior::Refuses => skeleton(Rcode::Refused),
-            ServerBehavior::Normal => match WireKey::from_view(view) {
-                None => skeleton(Rcode::FormErr),
-                Some(key) => match self.best_zone(|apex| key.qname.is_subdomain_of(apex)) {
-                    None => skeleton(Rcode::Refused),
-                    Some(zone) if key.qtype == RrType::Axfr => {
-                        axfr_response(view.id(), &key.to_key(), zone)
-                    }
-                    Some(zone) => return Some(self.memoized(view.id(), &key, zone, buf)),
-                },
-            },
-        };
-        wire::encode_into(&resp, buf);
-        Some(Encoded::InBuf)
-    }
-
-    /// The encoded answer to `key` from `zone`: a memo hit, or resolved,
-    /// encoded into `buf` and stored.
-    fn memoized(&self, id: u16, key: &WireKey<'_>, zone: &Zone, buf: &mut Vec<u8>) -> Encoded {
-        let generation = zone.generation();
-        if let Some(full) = self.memo.get_wire(generation, key) {
-            return Encoded::Memo(full);
-        }
-        let key = key.to_key();
-        wire::encode_into(&self.answer(id, &key, zone), buf);
-        self.memo.insert(generation, key, Arc::from(buf.as_slice()));
-        Encoded::InBuf
-    }
-
-    /// The original unindexed answer path: every lookup is a fresh linear
-    /// scan. Kept as the semantic reference the indexed and memoized paths
-    /// are property-tested against.
-    pub fn handle_uncached(&self, query: &Message) -> Option<Message> {
-        match self.behavior {
-            ServerBehavior::Unresponsive => return None,
-            ServerBehavior::Refuses => {
-                let mut resp = query.response();
-                resp.rcode = Rcode::Refused;
-                return Some(resp);
-            }
-            ServerBehavior::Normal => {}
-        }
-        let mut resp = query.response();
-        let Some(q) = query.question.clone() else {
-            resp.rcode = Rcode::FormErr;
-            return Some(resp);
-        };
-        let Some(zone) = self.best_zone(|apex| q.qname.is_subdomain_of(apex)) else {
-            resp.rcode = Rcode::Refused;
-            return Some(resp);
-        };
-        if q.qtype == RrType::Axfr {
-            if &q.qname != zone.apex() {
-                resp.rcode = Rcode::Refused;
-                return Some(resp);
-            }
-            resp.flags.aa = true;
-            resp.answers = axfr_records(zone);
-            return Some(resp);
-        }
-        let dnssec = query.dnssec_ok();
-        answer_from_zone(zone, &q.qname, q.qtype, dnssec, &mut resp, None);
-        Some(resp)
+    /// The memo key of `view`, for a question a normal server answers from
+    /// one of its zones other than by transfer (AXFR answers are rare and
+    /// large, exactly what the memo should not hold); `None` otherwise.
+    fn memo_key(&self, view: &MessageView<'_>) -> Option<MemoKey> {
+        let q = view
+            .question()
+            .filter(|q| self.behavior == ServerBehavior::Normal && q.qtype() != RrType::Axfr)?;
+        let zone = self.best_zone(|apex| q.qname().is_subdomain_of(apex))?;
+        MemoKey::new(zone.generation(), view)
     }
 }
 
-/// Replicates `Message::response()` for the query that `key` was extracted
-/// from: same flags (qr set, rd echoed), NOERROR, the question restored
-/// from the key, EDNS echoed. Keeping this identical to `query.response()`
-/// is what makes the keyed path byte-for-byte equal to the owned path.
-fn response_for(id: u16, key: &AnswerKey) -> Message {
-    Message {
-        id,
-        flags: Flags {
-            qr: true,
-            rd: key.rd,
-            ..Flags::default()
-        },
-        rcode: Rcode::NoError,
-        question: Some(Question {
-            qname: key.qname.clone(),
-            qtype: key.qtype,
-            qclass: key.qclass,
-        }),
-        answers: Vec::new(),
-        authorities: Vec::new(),
-        additionals: Vec::new(),
-        edns: key.edns,
+/// Writes the query's id and qname spelling into `answer`, the encoded
+/// (possibly truncated) response to it. A memo hit carries those of the
+/// query that filled the entry. The id takes no part in name compression,
+/// and the compressor matches names case-insensitively, so the spelling
+/// moves no pointer. The question is the answer's first name, written
+/// whole at offset 12, with the label lengths of this query's qname (the
+/// key matched them). The labels are read through the view because the
+/// query's qname may be a compression pointer.
+fn stamp_query(view: &MessageView<'_>, answer: &mut [u8]) {
+    answer[0..2].copy_from_slice(&view.id().to_be_bytes());
+    if let Some(q) = view.question() {
+        let mut at = 12;
+        for label in q.qname().labels() {
+            answer[at + 1..at + 1 + label.len()].copy_from_slice(label);
+            at += 1 + label.len();
+        }
     }
 }
 
@@ -342,20 +267,6 @@ fn response_skeleton(view: &MessageView<'_>) -> Message {
         additionals: Vec::new(),
         edns: view.edns(),
     }
-}
-
-/// The answer to an AXFR query (RFC 5936): the SOA-bracketed zone for an
-/// exact apex match, REFUSED below it. Never memoized — transfers are rare
-/// and large, exactly what the memo should not hold.
-fn axfr_response(id: u16, key: &AnswerKey, zone: &Zone) -> Message {
-    let mut resp = response_for(id, key);
-    if &key.qname != zone.apex() {
-        resp.rcode = Rcode::Refused;
-        return resp;
-    }
-    resp.flags.aa = true;
-    resp.answers = axfr_records(zone);
-    resp
 }
 
 /// The AXFR record stream: SOA first, everything else, SOA again

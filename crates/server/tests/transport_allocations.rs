@@ -1,8 +1,9 @@
 //! Allocation accounting for the transport answer path, pinned exactly: a
 //! memo hit through [`Server::respond_into`] allocates nothing, whether the
-//! stored answer fits or is rewritten into its truncated form. Its own test
-//! binary with one test: the counting allocator is process-wide, and it
-//! counts only on the thread that switched it on.
+//! stored answer fits or is rewritten into its truncated form, and whether
+//! or not the hit spells the qname as the query that filled the entry did.
+//! Its own test binary with one test: the counting allocator is
+//! process-wide, and it counts only on the thread that switched it on.
 
 mod common;
 
@@ -68,23 +69,31 @@ fn transport_memo_hits_allocate_nothing() {
         .expect("the nsec3 variant");
     // A positive answer that fits, and a signed NSEC3 NXDOMAIN (about
     // 500 bytes) held to a limit it does not fit, so it goes out truncated.
-    for (qname, qtype, limit, truncated) in [
-        ("www.example.com", RrType::A, 1232, false),
-        ("nope.example.com", RrType::A, 256, true),
+    // Each entry is filled under the first spelling and hit under both, so
+    // the qname stamp is exercised too.
+    for (spellings, limit, truncated) in [
+        (["www.example.com", "WWW.Example.COM"], 1232, false),
+        (["nope.example.com", "NoPe.EXAMPLE.com"], 256, true),
     ] {
-        let udp_size = 1232;
+        let (qtype, udp_size) = (RrType::A, 1232);
         let mut buf = Vec::new();
-        let miss = query(1, qname, qtype, udp_size);
+        let miss = query(1, spellings[0], qtype, udp_size);
         assert!(server.respond_into(&MessageView::parse(&miss).unwrap(), limit, &mut buf));
-        // The hit comes under another id, so the stamp is exercised too.
-        let hit = query(0xBEEF, qname, qtype, udp_size);
-        let view = MessageView::parse(&hit).unwrap();
-        let mut sent = false;
-        let allocs = allocations(|| sent = server.respond_into(&view, limit, &mut buf));
-        assert!(sent);
-        assert_eq!(allocs, 0, "{qname}/{qtype:?} hit at limit {limit}");
-        assert_eq!(buf[..2], 0xBEEFu16.to_be_bytes());
-        assert_eq!(buf[2] & 0x02 != 0, truncated, "{qname}/{qtype:?} TC bit");
-        assert!(buf.len() <= limit);
+        for spelling in spellings {
+            // The hit comes under another id, so the id stamp is exercised.
+            let hit = query(0xBEEF, spelling, qtype, udp_size);
+            let view = MessageView::parse(&hit).unwrap();
+            let mut sent = false;
+            let allocs = allocations(|| sent = server.respond_into(&view, limit, &mut buf));
+            assert!(sent);
+            assert_eq!(allocs, 0, "{spelling}/{qtype:?} hit at limit {limit}");
+            assert_eq!(buf[..2], 0xBEEFu16.to_be_bytes());
+            assert_eq!(buf[2] & 0x02 != 0, truncated, "{spelling}/{qtype:?} TC bit");
+            assert!(buf.len() <= limit);
+            // The question echoes this query's: its bytes after the header,
+            // up to the 11-byte OPT record.
+            let question = 12..hit.len() - 11;
+            assert_eq!(buf[question.clone()], hit[question], "{spelling} echo");
+        }
     }
 }

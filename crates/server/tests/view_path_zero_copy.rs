@@ -1,7 +1,9 @@
-//! Proof that the server's view-driven request path is zero-copy: answering
-//! a query from a parsed [`MessageView`] constructs no owned `Message` from
-//! the wire bytes (tracked by the `dns.view.to_owned` counter), and the
-//! answer equals the owned request path's.
+//! Proof that the server's view-driven request paths are zero-copy:
+//! answering a query from a parsed [`MessageView`] — in process through
+//! [`Server::handle_view`], or for the transports through
+//! [`Server::respond_into`] on a memo miss and on a hit — constructs no
+//! owned `Message` from the wire bytes (tracked by the `dns.view.to_owned`
+//! counter), and the answers equal the owned request path's.
 //!
 //! A single `#[test]` in its own binary: the counter is process-global, so
 //! exact delta assertions cannot share a process with other tests.
@@ -10,7 +12,7 @@ use ddx_dns::{name, wire, Message, MessageView, RrType};
 use ddx_server::{build_sandbox, ZoneSpec};
 
 #[test]
-fn memo_hit_answers_without_materializing_the_query() {
+fn view_paths_answer_without_materializing_the_query() {
     let apex = name("zerocopy.test");
     let sb = build_sandbox(&[ZoneSpec::conventional(apex.clone())], 1_000_000, 77);
     let server = sb.testbed.server(&sb.zones[0].servers[0]).unwrap().clone();
@@ -23,10 +25,15 @@ fn memo_hit_answers_without_materializing_the_query() {
     let baseline = to_owned.get();
 
     let answer = server.handle_view(&view).expect("answer");
+    let mut sent = Vec::new();
+    for round in ["miss", "hit"] {
+        assert!(server.respond_into(&view, usize::from(u16::MAX), &mut sent));
+        assert_eq!(sent, wire::encode(&answer), "respond_into {round}");
+    }
     assert_eq!(
         to_owned.get(),
         baseline,
-        "the view-driven request path must never bridge the query to an owned Message"
+        "the view-driven request paths must never bridge the query to an owned Message"
     );
 
     // Byte equivalence with the owned request path.

@@ -1,13 +1,14 @@
 //! Property tests pinning the transport answer path: the bytes
 //! [`Server::respond_into`] writes for a query are exactly the bytes of the
-//! in-process answer ([`Server::handle_arc`]) encoded, with the query id,
-//! and truncated by the UDP rule when they do not fit — on a memo miss and
-//! on a hit, for every zone variant, behavior and EDNS state.
+//! reference answer ([`Server::handle_uncached`]) encoded, with the query's
+//! id and qname spelling, and truncated by the UDP rule when they do not
+//! fit — on a memo miss and on a hit, for every zone variant, behavior and
+//! EDNS state.
 
 mod common;
 
 use common::{qnames, respond, udp_bytes, udp_limit, variants, QTYPES};
-use ddx_dns::{name, wire, Edns, Message, RrType};
+use ddx_dns::{name, wire, Edns, Message, Name, RrType};
 use ddx_prop::{check, Rng, StdRng};
 use ddx_server::ServerBehavior;
 
@@ -38,8 +39,21 @@ fn random_query(rng: &mut StdRng) -> Message {
     q
 }
 
-/// Every query, asked twice (miss, then hit under another id), through
-/// UDP and TCP limits, writes the oracle's bytes.
+/// `qname` with the case of each ASCII letter drawn at random.
+fn respell(rng: &mut StdRng, qname: &Name) -> Name {
+    let spelled: String = qname
+        .to_string()
+        .chars()
+        .map(|c| match rng.gen::<bool>() {
+            true => c.to_ascii_uppercase(),
+            false => c.to_ascii_lowercase(),
+        })
+        .collect();
+    name(&spelled)
+}
+
+/// Every query, asked twice (miss, then hit under another id and another
+/// qname spelling), through UDP and TCP limits, writes the oracle's bytes.
 #[test]
 fn transport_bytes_equal_encoded_in_process_answers() {
     check(
@@ -57,7 +71,10 @@ fn transport_bytes_equal_encoded_in_process_answers() {
             for round in 0..2u16 {
                 let mut q = query.clone();
                 q.id = query.id.wrapping_add(round * 0x1111);
-                let oracle = server.handle_arc(&q);
+                if let Some(question) = q.question.as_mut().filter(|_| round == 1) {
+                    question.qname = respell(rng, &question.qname);
+                }
+                let oracle = server.handle_uncached(&q);
                 for limit in [udp_limit(&q), usize::from(u16::MAX)] {
                     let want = oracle.as_ref().map(|m| udp_bytes(m, limit));
                     assert_eq!(
