@@ -262,10 +262,14 @@ fn check_one_denial(
         let before = ddx_dnssec::work_snapshot();
         let refs: Vec<(&Name, &Nsec3)> = n3s.iter().map(|(o, n)| (o, n)).collect();
         let outcome = verify_nsec3_denial(qname, qtype, kind, &refs, zone);
-        // Charge the rounds the verifier actually requested (its logical
-        // ledger is memo-independent, so this stays deterministic).
+        // Book the rounds the verifier actually requested (its logical
+        // ledger is memo-independent, so this stays deterministic). They
+        // are already spent, so a charge the cap refuses still trips the
+        // budget and is then booked anyway: the ledger is work performed.
         let spent = ddx_dnssec::work_snapshot().since(&before).nsec3_hash_rounds;
-        za.charge_nsec3_rounds(spent);
+        if !za.charge_nsec3_rounds(spent) {
+            za.nsec3_work += spent;
+        }
         if let Err(fail) = outcome {
             let (code, detail) = match fail {
                 DenialFailure::MissingProof => (

@@ -311,32 +311,38 @@ impl<'a> ZoneAnalysis<'a> {
         self.tripped.is_some()
     }
 
-    /// Charges `n` attempted signature verifications. Returns `false` once
-    /// the budget is exhausted — the caller must stop verifying.
+    /// Charges `n` signature verifications *before* they are attempted.
+    /// Refuses — returns `false`, charges nothing — once the budget has
+    /// tripped, or when `n` more would pass the cap; the latter trips it
+    /// with `used = work + n`. The ledger therefore only ever holds work
+    /// the caller went on to do.
     pub(crate) fn charge_sig_verifications(&mut self, n: u64) -> bool {
-        self.sig_work += n;
-        if self.tripped.is_none() && self.sig_work > self.budget.max_sig_verifications {
-            self.tripped = Some((
-                BudgetCounter::SigVerifications,
-                self.sig_work,
-                self.budget.max_sig_verifications,
-            ));
-        }
-        self.tripped.is_none()
+        self.charge(BudgetCounter::SigVerifications, n)
     }
 
-    /// Charges `n` NSEC3 hash rounds. Returns `false` once the budget is
-    /// exhausted.
+    /// Charges `n` NSEC3 hash rounds before they are hashed, under the same
+    /// refuse-before-spending rule as [`Self::charge_sig_verifications`].
     pub(crate) fn charge_nsec3_rounds(&mut self, n: u64) -> bool {
-        self.nsec3_work += n;
-        if self.tripped.is_none() && self.nsec3_work > self.budget.max_nsec3_hashes {
-            self.tripped = Some((
-                BudgetCounter::Nsec3Hashes,
-                self.nsec3_work,
-                self.budget.max_nsec3_hashes,
-            ));
+        self.charge(BudgetCounter::Nsec3Hashes, n)
+    }
+
+    fn charge(&mut self, counter: BudgetCounter, n: u64) -> bool {
+        if self.tripped.is_some() {
+            return false;
         }
-        self.tripped.is_none()
+        let (work, cap) = match counter {
+            BudgetCounter::SigVerifications => {
+                (&mut self.sig_work, self.budget.max_sig_verifications)
+            }
+            BudgetCounter::Nsec3Hashes => (&mut self.nsec3_work, self.budget.max_nsec3_hashes),
+        };
+        let used = work.saturating_add(n);
+        if used > cap {
+            self.tripped = Some((counter, used, cap));
+            return false;
+        }
+        *work = used;
+        true
     }
 
     /// Pre-flight check before an NSEC3 proof verification: if spending

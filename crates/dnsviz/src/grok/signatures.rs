@@ -157,18 +157,17 @@ fn analyze_rrset(
     if sigs.is_empty() {
         return; // handled by the cross-server pass
     }
-    if za.budget_tripped() {
+    // One logical unit per RRSIG considered, charged for the whole RRset
+    // before any is verified: SigJam and LockCram zones do their damage
+    // with signatures that *fail*, so the meter cannot wait for
+    // verify_rrset to run, and an RRset whose signatures alone would pass
+    // the cap trips without a single verification.
+    if !za.charge_sig_verifications(sigs.len() as u64) {
         return;
     }
     let mut any_valid = false;
     let mut failures: Vec<(ErrorCode, ErrorDetail)> = Vec::new();
     for sig in sigs {
-        // One logical unit per RRSIG considered, charged up front: SigJam
-        // and LockCram zones do their damage with signatures that *fail*,
-        // so the meter cannot wait for verify_rrset to run.
-        if !za.charge_sig_verifications(1) {
-            break;
-        }
         za.algorithms_in_sigs.insert(sig.algorithm);
         let key = keys.iter().find(|k| k.key_tag() == sig.key_tag);
         let Some(key) = key else {

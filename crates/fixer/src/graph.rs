@@ -43,6 +43,9 @@ pub(crate) fn cascades_of(cause: ErrorCode) -> &'static [ErrorCode] {
         RrsigExpired => &[TtlBeyondSignatureExpiry],
         // Unsigned-algorithm gaps surface per-RRset too.
         DsAlgorithmWithoutRrsig => &[DnskeyAlgorithmWithoutRrsig],
+        // A DNSKEY RRset covered by no RRSIG at all lacks one for every DS
+        // algorithm, so the per-algorithm gap is a symptom, not a cause.
+        RrsigMissingForDnskey => &[DsAlgorithmWithoutRrsig],
         // Broken NSEC3 coverage implies the more specific CE/wildcard codes.
         Nsec3NoClosestEncloser => &[Nsec3CoverageBroken],
         Nsec3CoverageBroken => &[Nsec3MissingWildcardProof],
@@ -131,6 +134,23 @@ mod tests {
         ]);
         let roots = root_causes(&present);
         assert_eq!(roots, vec![ErrorCode::DnskeyMissingForDs]);
+    }
+
+    #[test]
+    fn unsigned_dnskey_masks_algorithm_gaps() {
+        // A sig-stripped zone: the absence of every RRSIG is the cause, the
+        // per-algorithm gaps it implies are not.
+        let present = set(&[
+            ErrorCode::RrsigMissing,
+            ErrorCode::RrsigMissingForDnskey,
+            ErrorCode::DsAlgorithmWithoutRrsig,
+            ErrorCode::DnskeyAlgorithmWithoutRrsig,
+        ]);
+        let roots = root_causes(&present);
+        assert_eq!(
+            roots,
+            vec![ErrorCode::RrsigMissing, ErrorCode::RrsigMissingForDnskey]
+        );
     }
 
     #[test]
