@@ -9,7 +9,7 @@
 //! validation of the same configuration the memo:
 //!
 //! 1. recomputes the `(zone_fp, parent_fp)` key of every cached cut from
-//!    the live [`GenerationSource`] stamps,
+//!    the live [`Testbed::zone_fingerprint`]s,
 //! 2. reuses the *clean prefix* of the walk verbatim (zero queries),
 //! 3. resumes the live delegation walk at the first dirty cut using the
 //!    cached loop-carried state (`WalkStart`), and
@@ -21,9 +21,10 @@
 //! | change | effect |
 //! |--------|--------|
 //! | leaf zone content | leaf dirty (own fp) — parents reused |
+//! | a zone's copy on an ancestor's servers | that ancestor dirty too (its fp folds the copy) |
 //! | parent zone content (e.g. DS update) | parent dirty **and** every child dirty (parent edge of the key) |
 //! | anchor / trust-anchor zone | everything flushed (the anchor is every chain's ancestor) |
-//! | testbed topology (servers, NS hosts) | everything flushed (epoch) |
+//! | server-level state: server set, behaviours, the zones each server hosts, NS-host map ([`Testbed::topology_fingerprint`]) | everything flushed (epoch) |
 //! | probe config (anchor, query, targets, hints, retry) | everything flushed (epoch) |
 //! | clock (`cfg.time`) | probes reused, every cached *report* re-analyzed (RRSIG windows read the clock) |
 //! | observation gap recorded on a cut | that cut force-dirty next round (chaos semantics preserved) |
@@ -33,7 +34,12 @@
 //! loop-carried state entering lap *d* (referral NS names, parent-side DS
 //! responses and their failures) was produced entirely by laps `< d`, so if
 //! every cut before `d` is clean, the cached `WalkStart` for `d` is
-//! exactly what a from-scratch walk would have computed.
+//! exactly what a from-scratch walk would have computed. That needs a
+//! clean cut's key to cover everything its lap observed. A server answers
+//! from the deepest zone it hosts, so a zone's fingerprint folds every
+//! zone its servers host at or below its apex (a child copy on the
+//! parent's servers shapes the parent lap's DS answers), and the epoch
+//! covers which servers answer at all and which zones they host.
 //!
 //! Chaos interaction: a cut whose cached observation contains any
 //! retry-exhausted query is *never* reused — faults must re-manifest (or
@@ -45,7 +51,7 @@
 //! order-dependent — use from-scratch probes there.
 
 use ddx_obs::{fnv1a, FNV_OFFSET};
-use ddx_server::{GenerationSource, Network};
+use ddx_server::{Network, Testbed};
 
 use crate::probe::{
     hint_pass, walk_chain, LapMeta, ProbeConfig, ProbeResult, Prober, WalkStart, ZoneProbe,
@@ -110,27 +116,48 @@ struct MemoEntry {
     budget_tripped: bool,
 }
 
-fn is_gapped(zp: &ZoneProbe) -> bool {
-    !zp.lookup_failures.is_empty() || zp.servers.iter().any(|s| !s.failures.is_empty())
+impl MemoEntry {
+    /// A fresh entry for `zp`, keyed on the live state of `tb`.
+    fn new(tb: &Testbed, zp: &ZoneProbe, meta: Option<LapMeta>) -> Self {
+        MemoEntry {
+            key: entry_key(tb, zp),
+            meta,
+            probe: zp.clone(),
+            report: None,
+            report_time: 0,
+            gapped: !zp.lookup_failures.is_empty()
+                || zp.servers.iter().any(|s| !s.failures.is_empty()),
+            budget_tripped: false,
+        }
+    }
+
+    /// Whether the entry must be re-probed against the live state of `tb`.
+    fn dirty(&self, tb: &Testbed) -> bool {
+        self.gapped
+            || self.budget_tripped
+            || self.key.is_none()
+            || entry_key(tb, &self.probe) != self.key
+    }
 }
 
-fn entry_key(gens: &dyn GenerationSource, zp: &ZoneProbe) -> Option<(u64, u64)> {
-    let own = gens.zone_fingerprint(&zp.zone)?;
+fn entry_key(tb: &Testbed, zp: &ZoneProbe) -> Option<(u64, u64)> {
+    let own = tb.zone_fingerprint(&zp.zone)?;
     let parent = match &zp.parent {
         None => NO_PARENT_FP,
-        Some(p) => gens.zone_fingerprint(p)?,
+        Some(p) => tb.zone_fingerprint(p)?,
     };
     Some((own, parent))
 }
 
 /// Everything outside per-zone content that shapes the walk: the probe
-/// configuration and the testbed topology. Any difference flushes the
-/// whole memo. The clock (`cfg.time`) is deliberately *not* part of the
+/// configuration and the testbed's server-level state
+/// ([`Testbed::topology_fingerprint`]). Any difference flushes the whole
+/// memo. The clock (`cfg.time`) is deliberately *not* part of the
 /// epoch — servers answer from static zone content, so probe observations
 /// are time-independent; only cached reports are re-keyed on time (see
 /// [`MemoEntry::report_time`]).
-fn epoch_fingerprint(gens: &dyn GenerationSource, cfg: &ProbeConfig) -> u64 {
-    let mut acc = fnv1a(FNV_OFFSET, &gens.topology_generation().to_le_bytes());
+fn epoch_fingerprint(tb: &Testbed, cfg: &ProbeConfig) -> u64 {
+    let mut acc = fnv1a(FNV_OFFSET, &tb.topology_fingerprint().to_le_bytes());
     acc = fnv1a(acc, cfg.anchor_zone.key().as_bytes());
     for s in &cfg.anchor_servers {
         acc = fnv1a(acc, s.0.as_bytes());
@@ -183,20 +210,6 @@ impl GrokMemo {
         self.budget = budget;
     }
 
-    /// The budget applied to analyses run through this memo.
-    pub fn budget(&self) -> &ValidationBudget {
-        &self.budget
-    }
-
-    /// Drops every cached entry (counted as invalidations).
-    pub(crate) fn invalidate_all(&mut self) {
-        let dropped = (self.chain.len() + self.orphans.len()) as u64;
-        self.invalidated(dropped);
-        self.chain.clear();
-        self.orphans.clear();
-        self.epoch = None;
-    }
-
     fn obs(&mut self) -> &MemoObs {
         self.obs.get_or_insert_with(MemoObs::new)
     }
@@ -225,53 +238,42 @@ impl GrokMemo {
     /// [`ProbeResult`] indistinguishable (zone-wise) from a from-scratch
     /// walk of the current state. `virtual_ms` covers only the
     /// queries actually issued.
+    ///
+    /// Queries go to `net`; the cache is keyed on the state of `tb`, the
+    /// testbed behind it (`net` may be `tb` itself or a decorator such as
+    /// a fault-injecting network over it).
     pub fn probe_incremental(
         &mut self,
         net: &dyn Network,
-        gens: &dyn GenerationSource,
+        tb: &Testbed,
         cfg: &ProbeConfig,
     ) -> ProbeResult {
         ddx_obs::counter("probe.walks", &[]).inc();
         let _walk_timer = ddx_obs::histogram("probe.walk_us", &[]).start_timer();
 
-        // Epoch gate: config/topology changes flush everything (the clock
-        // is not part of the epoch — see `epoch_fingerprint`).
-        let epoch = epoch_fingerprint(gens, cfg);
+        // Epoch gate: config and server-level changes flush everything
+        // (the clock is not part of the epoch — see `epoch_fingerprint`).
+        let epoch = epoch_fingerprint(tb, cfg);
         if self.epoch != Some(epoch) {
-            self.invalidate_all();
+            self.invalidated((self.chain.len() + self.orphans.len()) as u64);
+            self.chain.clear();
+            self.orphans.clear();
             self.epoch = Some(epoch);
         }
 
         // Evaluate cached keys against the live stamps.
-        let chain_dirty: Vec<bool> = self
-            .chain
-            .iter()
-            .map(|e| {
-                e.gapped
-                    || e.budget_tripped
-                    || e.key.is_none()
-                    || entry_key(gens, &e.probe) != e.key
-            })
-            .collect();
-        let orphan_dirty: Vec<bool> = self
-            .orphans
-            .iter()
-            .map(|e| {
-                e.gapped
-                    || e.budget_tripped
-                    || e.key.is_none()
-                    || entry_key(gens, &e.probe) != e.key
-            })
-            .collect();
+        let chain_dirty: Vec<bool> = self.chain.iter().map(|e| e.dirty(tb)).collect();
         let first_dirty = chain_dirty.iter().position(|d| *d);
+        let dirty_chain = chain_dirty.iter().filter(|d| **d).count() as u64;
+        let dirty_orphans = self.orphans.iter().filter(|e| e.dirty(tb)).count() as u64;
 
         match (self.chain.is_empty(), first_dirty) {
             // Whole chain clean.
             (false, None) => {
-                if orphan_dirty.iter().any(|d| *d) {
+                if dirty_orphans > 0 {
                     // Orphan set may have shifted: reuse the chain, re-run
                     // the hint pass live for every orphan.
-                    self.invalidated(orphan_dirty.iter().filter(|d| **d).count() as u64);
+                    self.invalidated(dirty_orphans);
                     self.hit(self.chain.len() as u64);
                     let mut prober = Prober::new(net, cfg.retry.clone());
                     let mut zones: Vec<ZoneProbe> =
@@ -279,18 +281,7 @@ impl GrokMemo {
                     let n_chain = zones.len();
                     hint_pass(&mut prober, cfg, &mut zones);
                     self.miss((zones.len() - n_chain) as u64);
-                    self.orphans = zones[n_chain..]
-                        .iter()
-                        .map(|zp| MemoEntry {
-                            key: entry_key(gens, zp),
-                            meta: None,
-                            probe: zp.clone(),
-                            report: None,
-                            report_time: 0,
-                            gapped: is_gapped(zp),
-                            budget_tripped: false,
-                        })
-                        .collect();
+                    self.rebuild(tb, &zones, &[], n_chain, n_chain);
                     prober.into_result(cfg, zones)
                 } else {
                     // Everything clean: zero queries.
@@ -308,10 +299,7 @@ impl GrokMemo {
             // Cold cache, or the anchor itself is dirty (trust-anchor
             // change): from-scratch walk.
             (true, _) | (_, Some(0)) => {
-                self.invalidated(
-                    (chain_dirty.iter().filter(|d| **d).count()
-                        + orphan_dirty.iter().filter(|d| **d).count()) as u64,
-                );
+                self.invalidated(dirty_chain + dirty_orphans);
                 self.chain.clear();
                 self.orphans.clear();
                 let mut prober = Prober::new(net, cfg.retry.clone());
@@ -319,16 +307,13 @@ impl GrokMemo {
                 let n_chain = zones.len();
                 hint_pass(&mut prober, cfg, &mut zones);
                 self.miss(zones.len() as u64);
-                self.rebuild(gens, &zones, &metas, n_chain, 0);
+                self.rebuild(tb, &zones, &metas, n_chain, 0);
                 prober.into_result(cfg, zones)
             }
             // Clean prefix, dirty suffix: resume the walk at the first
             // dirty cut from its cached entry state.
             (false, Some(d)) => {
-                self.invalidated(
-                    (chain_dirty.iter().filter(|x| **x).count()
-                        + orphan_dirty.iter().filter(|x| **x).count()) as u64,
-                );
+                self.invalidated(dirty_chain + dirty_orphans);
                 self.hit(d as u64);
                 let start = {
                     let e = &self.chain[d];
@@ -355,7 +340,7 @@ impl GrokMemo {
                 let n_chain = zones.len();
                 hint_pass(&mut prober, cfg, &mut zones);
                 self.miss((zones.len() - d) as u64);
-                self.rebuild(gens, &zones, &fresh_metas, n_chain, d);
+                self.rebuild(tb, &zones, &fresh_metas, n_chain, d);
                 prober.into_result(cfg, zones)
             }
         }
@@ -368,7 +353,7 @@ impl GrokMemo {
     /// hint-pass tail.
     fn rebuild(
         &mut self,
-        gens: &dyn GenerationSource,
+        tb: &Testbed,
         zones: &[ZoneProbe],
         fresh_metas: &[LapMeta],
         n_chain: usize,
@@ -376,27 +361,11 @@ impl GrokMemo {
     ) {
         self.chain.truncate(keep);
         for (zp, meta) in zones[keep..n_chain].iter().zip(fresh_metas) {
-            self.chain.push(MemoEntry {
-                key: entry_key(gens, zp),
-                meta: Some(meta.clone()),
-                probe: zp.clone(),
-                report: None,
-                report_time: 0,
-                gapped: is_gapped(zp),
-                budget_tripped: false,
-            });
+            self.chain.push(MemoEntry::new(tb, zp, Some(meta.clone())));
         }
         self.orphans = zones[n_chain..]
             .iter()
-            .map(|zp| MemoEntry {
-                key: entry_key(gens, zp),
-                meta: None,
-                probe: zp.clone(),
-                report: None,
-                report_time: 0,
-                gapped: is_gapped(zp),
-                budget_tripped: false,
-            })
+            .map(|zp| MemoEntry::new(tb, zp, None))
             .collect();
     }
 
@@ -462,13 +431,8 @@ impl GrokMemo {
     }
 
     /// One-call incremental revalidation: probe then grok.
-    pub fn probe_grok(
-        &mut self,
-        net: &dyn Network,
-        gens: &dyn GenerationSource,
-        cfg: &ProbeConfig,
-    ) -> GrokReport {
-        let probe = self.probe_incremental(net, gens, cfg);
+    pub fn probe_grok(&mut self, net: &dyn Network, tb: &Testbed, cfg: &ProbeConfig) -> GrokReport {
+        let probe = self.probe_incremental(net, tb, cfg);
         self.grok_incremental(&probe)
     }
 

@@ -16,7 +16,7 @@ use ddx_dnsviz::{grok, probe, ErrorCode, GrokMemo};
 use ddx_obs::MetricsSnapshot;
 use ddx_prop::{check, vec, Rng};
 use ddx_replicator::{inject_attack, AttackFamily};
-use ddx_server::{FaultNetwork, FaultPlan, Sandbox};
+use ddx_server::{FaultNetwork, FaultPlan, Sandbox, ServerBehavior};
 
 mod common;
 use common::{
@@ -33,11 +33,16 @@ fn memo_delta(since: &MetricsSnapshot) -> (u64, u64, u64) {
     (hits, misses, c("grok.memo.invalidations"))
 }
 
+/// How many distinct ops [`apply_mutation`] has.
+const MUTATION_OPS: u8 = 11;
+
 /// One deterministic sandbox mutation, selected by `op`. `round` feeds
-/// fresh record names so repeated adds stay distinct.
+/// fresh record names so repeated adds stay distinct. Ops 0–7 edit zone
+/// content; ops 8–10 edit server-level state, which the memo's epoch
+/// keys on.
 fn apply_mutation(sb: &mut Sandbox, op: u8, round: usize) {
     let a = |last: u8| RData::A(Ipv4Addr::new(192, 0, 2, last));
-    match op % 8 {
+    match op % MUTATION_OPS {
         0 => sb.testbed.mutate_zone_everywhere(&name(LEAF_APEX), |z| {
             z.add(Record::new(
                 name(&format!("extra{round}.{LEAF_APEX}")),
@@ -69,14 +74,34 @@ fn apply_mutation(sb: &mut Sandbox, op: u8, round: usize) {
         6 => {
             let _ = sb.resign_zone(&name(PAR_APEX), NOW);
         }
-        _ => sb.testbed.mutate_zone_everywhere(&name(LEAF_APEX), |z| {
+        7 => sb.testbed.mutate_zone_everywhere(&name(LEAF_APEX), |z| {
             z.strip_type(RrType::Nsec);
         }),
+        // A leaf server stops answering, or refuses.
+        8 => {
+            let id = sb.leaf().servers[round % 2].clone();
+            let flip = [ServerBehavior::Unresponsive, ServerBehavior::Refuses];
+            sb.testbed.server_mut(&id).expect("leaf server").behavior = flip[round % 2];
+        }
+        // The parent's servers take a copy of the leaf zone.
+        9 => {
+            let leaf = sb.testbed.server(&sb.leaf().servers[0]);
+            let zone = leaf.and_then(|s| s.zone(&name(LEAF_APEX))).cloned();
+            for id in sb.zones[1].servers.clone() {
+                let parent = sb.testbed.server_mut(&id).expect("parent server");
+                parent.load_zone(zone.clone().expect("the leaf is hosted"));
+            }
+        }
+        // A leaf NS host stops resolving.
+        _ => {
+            let host = sb.leaf().ns_hosts[round % 2].clone();
+            sb.testbed.unregister_ns(&host);
+        }
     }
 }
 
 /// The headline pin: across every corpus variant and a random sequence
-/// of zone mutations, incremental revalidation through one long-lived
+/// of zone and server-level mutations, incremental revalidation through one long-lived
 /// memo serializes byte-for-byte like a from-scratch run after every
 /// step, and the memo's accounting stays balanced.
 #[test]
@@ -85,7 +110,7 @@ fn incremental_report_equals_scratch() {
     check("incremental_report_equals_scratch", 32, |rng| {
         let start = ddx_obs::snapshot();
         let variant_idx = rng.gen_range(0usize..8);
-        let ops = vec(rng, 1..6, |r| r.gen_range(0u8..8));
+        let ops = vec(rng, 1..6, |r| r.gen_range(0u8..MUTATION_OPS));
         let label = VARIANT_NAMES[variant_idx];
         let mut sb = build_variant(label);
         let cfg = probe_cfg(&sb);
@@ -127,7 +152,7 @@ fn incremental_equals_scratch_under_chaos() {
         let start = ddx_obs::snapshot();
         let variant_idx = rng.gen_range(0usize..8);
         let seed = rng.gen_range(0u64..64);
-        let ops = vec(rng, 1..4, |r| r.gen_range(0u8..8));
+        let ops = vec(rng, 1..4, |r| r.gen_range(0u8..MUTATION_OPS));
         let label = VARIANT_NAMES[variant_idx];
         let mut sb = build_variant(label);
         let cfg = probe_cfg(&sb);

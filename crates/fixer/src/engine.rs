@@ -226,10 +226,12 @@ impl Planner {
 /// until the zone verifies clean, the plan is empty, or the budget runs
 /// out. The naive planner also stops once it repeats its previous plan.
 ///
-/// Every revalidation goes through `memo`. The fixer always probes the
-/// un-faulted testbed, so memoized observations are byte-identical to what
-/// a fresh walk would see (pinned against scratch probe→grok by
-/// `ddx-dnsviz`'s `incremental_equivalence` tests).
+/// Every revalidation goes through `memo`, the final verdict after the
+/// loop too: a state the loop already saw revalidates from cache with zero
+/// queries. The fixer always probes the un-faulted testbed, so memoized
+/// observations are byte-identical to what a fresh walk would see (pinned
+/// against scratch probe→grok by `ddx-dnsviz`'s `incremental_equivalence`
+/// tests).
 fn fix_loop(
     sb: &mut Sandbox,
     cfg: &ProbeConfig,
@@ -241,15 +243,14 @@ fn fix_loop(
     let mut now = cfg.time;
     let mut iterations: Vec<IterationLog> = Vec::new();
     let mut final_report = None;
-    // Last in-loop report plus the sandbox fingerprint and clock it was
-    // taken at — reused as the final verdict when nothing changed since.
-    let mut last: Option<(GrokReport, u64, u32)> = None;
-
-    for iteration in 1..=opts.max_iterations {
+    let revalidate = |sb: &Sandbox, memo: &mut GrokMemo, now: u32| {
         let mut probe_cfg = cfg.clone();
         probe_cfg.time = now;
-        let report = memo.probe_grok(&sb.testbed, &sb.testbed, &probe_cfg);
-        let report_fp = sb.state_fingerprint();
+        memo.probe_grok(&sb.testbed, &sb.testbed, &probe_cfg)
+    };
+
+    for iteration in 1..=opts.max_iterations {
+        let report = revalidate(sb, memo, now);
         let errors: BTreeSet<ErrorCode> = report.codes();
         if errors.is_empty() {
             final_report = Some(report);
@@ -273,7 +274,6 @@ fn fix_loop(
             && iterations.last().is_some_and(|prev| prev.plan == log.plan);
         let stop = log.plan.is_empty() || stalled;
         record_iteration_metrics(&log);
-        let probed_at = now;
         now = apply_plan(sb, &log.plan, now, &mut rng);
         iterations.push(log);
         if stop {
@@ -282,10 +282,9 @@ fn fix_loop(
             final_report = Some(report);
             break;
         }
-        last = Some((report, report_fp, probed_at));
     }
 
-    let final_report = final_report.unwrap_or_else(|| final_verdict(sb, cfg, memo, now, last));
+    let final_report = final_report.unwrap_or_else(|| revalidate(sb, memo, now));
     let final_errors = final_report.codes();
     let run = FixRun {
         iterations,
@@ -295,30 +294,6 @@ fn fix_loop(
     };
     record_run_metrics(planner.mode(), &run);
     run
-}
-
-/// The post-loop verdict: the last in-loop report is still authoritative
-/// when neither the sandbox fingerprint nor the clock moved since it was
-/// taken — otherwise one more revalidation runs. Skipping the redundant
-/// re-grok is observable as `fixer.final_regrok_skipped`.
-fn final_verdict(
-    sb: &mut Sandbox,
-    cfg: &ProbeConfig,
-    memo: &mut GrokMemo,
-    now: u32,
-    last: Option<(GrokReport, u64, u32)>,
-) -> GrokReport {
-    match last {
-        Some((report, fp, probed_at)) if probed_at == now && fp == sb.state_fingerprint() => {
-            ddx_obs::counter("fixer.final_regrok_skipped", &[]).inc();
-            report
-        }
-        _ => {
-            let mut probe_cfg = cfg.clone();
-            probe_cfg.time = now;
-            memo.probe_grok(&sb.testbed, &sb.testbed, &probe_cfg)
-        }
-    }
 }
 
 /// Applies a plan to the sandbox; returns the (possibly advanced) clock.

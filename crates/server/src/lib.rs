@@ -23,5 +23,5 @@ pub use index::ZoneIndex;
 pub use rollover::{botched_ksk_rollover, Rollover, RolloverKind};
 pub use sandbox::{build_sandbox, Sandbox, ZoneSpec};
 pub use server::{Server, ServerBehavior, ServerId};
-pub use testbed::{GenerationSource, Network, QueryOutcome, Testbed};
+pub use testbed::{Network, QueryOutcome, Testbed};
 pub use udp::{TransportConfig, UdpNetwork, UdpServerHandle};

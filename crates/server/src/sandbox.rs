@@ -166,13 +166,12 @@ impl Sandbox {
         let _ = self.resign_zone(&parent_apex, now);
     }
 
-    /// One hash over the whole sandbox's content: the testbed topology
-    /// (server ids, behaviours, NS-host map) and the canonical wire form of
-    /// every copy of every zone. Equality means every observation a prober
-    /// could make is unchanged — the precondition for reusing a diagnosis
-    /// taken at the same clock. Unlike the generation stamps the memos key
-    /// on, it depends on content alone: an edit that is reverted restores
-    /// it, and two sandboxes built from the same seed agree in any process.
+    /// One hash over the whole sandbox's content: the testbed's
+    /// [`Testbed::topology_fingerprint`] and the canonical wire form of
+    /// every copy of every zone. Unlike [`Testbed::zone_fingerprint`],
+    /// which folds generation stamps, it depends on content alone: an edit
+    /// that is reverted restores it, and two sandboxes built from the same
+    /// seed agree in any process, which is what determinism checks compare.
     pub fn state_fingerprint(&self) -> u64 {
         let mut acc = self.testbed.topology_fingerprint();
         for z in &self.zones {

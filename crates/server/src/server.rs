@@ -100,6 +100,11 @@ impl Server {
         self.zones.get(apex)
     }
 
+    /// The zones loaded on this server, in no order.
+    pub(crate) fn zones(&self) -> impl Iterator<Item = &Zone> {
+        self.zones.values()
+    }
+
     /// Mutable access — ZReplicator's error injection hooks in here. Any
     /// mutation through the returned zone bumps its generation, which
     /// implicitly evicts this server's memoized answers for it.
@@ -207,11 +212,16 @@ impl Server {
                     return false;
                 };
                 wire::encode_into(&resp, buf);
-                if let Some(key) = &key {
-                    self.memo.insert(key, Arc::from(buf.as_slice()));
-                }
+                let stored = key.map(|key| {
+                    let full: Arc<[u8]> = Arc::from(buf.as_slice());
+                    self.memo.insert(&key, Arc::clone(&full));
+                    full
+                });
+                // Truncate from the stored answer (or a copy of an
+                // unmemoized one), so `buf` keeps its capacity.
                 if buf.len() > limit {
-                    truncate(&std::mem::take(buf), buf);
+                    let full = stored.unwrap_or_else(|| Arc::from(buf.as_slice()));
+                    truncate(&full, buf);
                 }
             }
         }
@@ -967,6 +977,29 @@ mod tests {
         let mut buf = Vec::new();
         assert!(s.respond_into(&view, usize::from(u16::MAX), &mut buf));
         ddx_dns::wire::decode(&buf).unwrap()
+    }
+
+    #[test]
+    fn truncated_miss_keeps_the_send_buffer() {
+        let s = server(signed_zone(true));
+        // A signed NSEC3 NXDOMAIN (memoized) and an AXFR (not memoized),
+        // each a miss held to a limit it does not fit.
+        for (qname, qtype) in [
+            ("nope.example.com", RrType::A),
+            ("example.com", RrType::Axfr),
+        ] {
+            let mut q = Message::query(1, name(qname), qtype);
+            q.edns = Some(ddx_dns::Edns {
+                udp_size: 1232,
+                dnssec_ok: true,
+            });
+            let bytes = ddx_dns::wire::encode(&q);
+            let view = MessageView::parse(&bytes).unwrap();
+            let mut buf = Vec::with_capacity(4096);
+            assert!(s.respond_into(&view, 256, &mut buf));
+            assert!(buf.len() <= 256 && buf[2] & 0x02 != 0, "{qname}: TC answer");
+            assert!(buf.capacity() >= 4096, "{qname}: send buffer shrank");
+        }
     }
 
     #[test]

@@ -3,41 +3,12 @@
 //! [`Network`] abstraction over "send this server a query".
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ddx_dns::{Message, Name};
 use ddx_obs::{fnv1a, FNV_OFFSET};
 
 use crate::server::{Server, ServerId};
-
-/// Process-global stamp source for testbed *topology* changes (server set,
-/// NS-host registrations) — the structural counterpart of the per-zone
-/// content generations in `ddx_dns::Zone`. Monotonic, never reused.
-static TOPOLOGY_GENERATION: AtomicU64 = AtomicU64::new(1);
-
-fn fresh_topology_generation() -> u64 {
-    TOPOLOGY_GENERATION.fetch_add(1, Ordering::Relaxed)
-}
-
-/// Cheap change detection over the zones behind a [`Network`]: combined
-/// generation fingerprints an incremental analyzer (`ddx_dnsviz`'s
-/// `GrokMemo`) keys its cache on. Stamp equality implies "every observation
-/// the prober could make is unchanged"; the reverse need not hold (a stamp
-/// may change without an observable difference — that only costs a
-/// recomputation, never a stale answer).
-pub trait GenerationSource {
-    /// Folds the content generation of **every** copy of the zone rooted at
-    /// `apex` (divergent replicas carry distinct generations, so per-server
-    /// inconsistency changes the fingerprint too). `None` when no server
-    /// hosts the zone.
-    fn zone_fingerprint(&self, apex: &Name) -> Option<u64>;
-
-    /// Stamp of the server/NS-host topology: bumped whenever a server is
-    /// added or an NS-host mapping changes, i.e. whenever `resolve_ns` or
-    /// the hosting set may answer differently.
-    fn topology_generation(&self) -> u64;
-}
 
 /// What one query attempt produced, distinguishing the failure modes a
 /// real-world prober must treat differently: a timeout can be retried, a
@@ -55,7 +26,7 @@ pub enum QueryOutcome {
 }
 
 impl QueryOutcome {
-    /// Collapses to the legacy `Option` view (`Malformed` → `None`).
+    /// Collapses to the [`Network::query`] view (`Malformed` → `None`).
     pub(crate) fn into_answer(self) -> Option<Arc<Message>> {
         match self {
             QueryOutcome::Answer(m) => Some(m),
@@ -67,9 +38,11 @@ impl QueryOutcome {
 /// Anything that can deliver a query to a named server and return its
 /// response. `None` models a timeout (unresponsive server / no route).
 ///
-/// Responses are `Arc`-shared: the common implementations serve from the
-/// generation-stamped answer memo, where a repeat query is a pointer bump
-/// rather than a deep copy, and probers hold the same allocation.
+/// Responses are `Arc`-shared, so a decorating network (the TTL cache,
+/// fault injection) and the prober hold one allocation instead of deep
+/// copies. The in-process [`Testbed`] resolves every query afresh through
+/// the zone index; only the transports' [`Server::respond_into`] memoizes
+/// answers.
 pub trait Network {
     fn query(&self, server: &ServerId, query: &Message) -> Option<Arc<Message>>;
 
@@ -93,25 +66,12 @@ pub trait Network {
 }
 
 /// An in-process testbed holding every server of the sandbox hierarchy.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Testbed {
     servers: HashMap<ServerId, Server>,
     /// NS hostname → hosting server (the testbed's substitute for glue
     /// resolution).
     ns_hosts: HashMap<Name, ServerId>,
-    /// Topology stamp: advanced by every server/NS-mapping mutation. A
-    /// clone keeps its stamp — content equality still holds.
-    topology_generation: u64,
-}
-
-impl Default for Testbed {
-    fn default() -> Self {
-        Testbed {
-            servers: HashMap::new(),
-            ns_hosts: HashMap::new(),
-            topology_generation: fresh_topology_generation(),
-        }
-    }
 }
 
 impl Testbed {
@@ -122,19 +82,16 @@ impl Testbed {
     /// Registers a server instance.
     pub fn add_server(&mut self, server: Server) {
         self.servers.insert(server.id.clone(), server);
-        self.topology_generation = fresh_topology_generation();
     }
 
     /// Declares that the NS hostname `host` resolves to `server`.
     pub fn register_ns(&mut self, host: Name, server: ServerId) {
         self.ns_hosts.insert(host, server);
-        self.topology_generation = fresh_topology_generation();
     }
 
     /// Removes an NS-host mapping, making that nameserver unresolvable
     /// (one way a delegation goes lame).
     pub fn unregister_ns(&mut self, host: &Name) -> Option<ServerId> {
-        self.topology_generation = fresh_topology_generation();
         self.ns_hosts.remove(host)
     }
 
@@ -146,16 +103,23 @@ impl Testbed {
         self.servers.get_mut(id)
     }
 
-    /// Content hash of the topology: every server id with its behaviour and
-    /// every NS-host mapping, in sorted order. Unlike the topology
-    /// generation it is the same for equal topologies in any process.
-    pub(crate) fn topology_fingerprint(&self) -> u64 {
+    /// Content hash of the server-level state a prober can observe: every
+    /// server id with its behaviour and the apexes of the zones it hosts,
+    /// and every NS-host mapping, in sorted order. Zone content is left to
+    /// [`Testbed::zone_fingerprint`]. It sees changes made through
+    /// [`Testbed::server_mut`] too, and a reverted change restores it.
+    pub fn topology_fingerprint(&self) -> u64 {
         let mut servers: Vec<&Server> = self.servers.values().collect();
         servers.sort_by(|a, b| a.id.cmp(&b.id));
         let mut acc = FNV_OFFSET;
         for s in servers {
             acc = fnv1a(acc, s.id.0.as_bytes());
             acc = fnv1a(acc, &[s.behavior as u8]);
+            let mut apexes: Vec<&Name> = s.zones().map(|z| z.apex()).collect();
+            apexes.sort();
+            for apex in apexes {
+                acc = fnv1a(acc, &apex.canonical_wire());
+            }
         }
         let mut hosts: Vec<(&Name, &ServerId)> = self.ns_hosts.iter().collect();
         hosts.sort();
@@ -164,6 +128,34 @@ impl Testbed {
             acc = fnv1a(acc, id.0.as_bytes());
         }
         acc
+    }
+
+    /// Folds, for every server hosting the zone rooted at `apex`, the
+    /// content generation of each zone that server answers names at or
+    /// below `apex` from: the zone and any zone it hosts below it (a server
+    /// answers from the deepest zone it hosts). Divergent replicas carry
+    /// distinct generations, so divergence moves it too. `None` when no
+    /// server hosts the zone.
+    pub fn zone_fingerprint(&self, apex: &Name) -> Option<u64> {
+        let mut acc = FNV_OFFSET;
+        let mut hosted = false;
+        for id in self.servers_hosting(apex) {
+            let server = self
+                .server(&id)
+                .expect("servers_hosting only returns hosted servers");
+            let mut generations: Vec<u64> = server
+                .zones()
+                .filter(|z| z.apex().is_subdomain_of(apex))
+                .map(|z| z.generation())
+                .collect();
+            generations.sort_unstable();
+            acc = fnv1a(acc, id.0.as_bytes());
+            for generation in generations {
+                acc = fnv1a(acc, &generation.to_le_bytes());
+            }
+            hosted = true;
+        }
+        hosted.then_some(acc)
     }
 
     /// Servers that have a copy of the zone rooted at `apex`, sorted.
@@ -200,30 +192,10 @@ impl Network for Testbed {
     }
 }
 
-impl GenerationSource for Testbed {
-    fn zone_fingerprint(&self, apex: &Name) -> Option<u64> {
-        let mut acc = FNV_OFFSET;
-        let mut hosted = false;
-        for id in self.servers_hosting(apex) {
-            let zone = self
-                .server(&id)
-                .and_then(|s| s.zone(apex))
-                .expect("servers_hosting only returns hosting servers");
-            acc = fnv1a(acc, id.0.as_bytes());
-            acc = fnv1a(acc, &zone.generation().to_le_bytes());
-            hosted = true;
-        }
-        hosted.then_some(acc)
-    }
-
-    fn topology_generation(&self) -> u64 {
-        self.topology_generation
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ServerBehavior;
     use ddx_dns::{name, RData, Record, RrType, Soa, Zone};
     use std::net::Ipv4Addr;
 
@@ -354,24 +326,55 @@ mod tests {
     }
 
     #[test]
-    fn topology_generation_tracks_structural_mutations() {
+    fn zone_fingerprint_folds_zones_hosted_below() {
+        // A server answers names under b.a.com from its copy of b.a.com, so
+        // an edit there moves a.com's fingerprint; an edit above does not.
         let mut tb = Testbed::new();
-        let g0 = tb.topology_generation();
-        let mut s = Server::new(ServerId("a#0".into()));
+        let id = ServerId("a#0".into());
+        let mut s = Server::new(id.clone());
+        for apex in ["com", "a.com", "b.a.com"] {
+            s.load_zone(mini_zone(apex));
+        }
+        tb.add_server(s);
+        let fp0 = tb.zone_fingerprint(&name("a.com"));
+        let mut bump = |apex: &str| {
+            let zone = tb.server_mut(&id).unwrap().zone_mut(&name(apex));
+            zone.unwrap().bump_serial();
+            tb.zone_fingerprint(&name("a.com"))
+        };
+        assert_eq!(bump("com"), fp0, "a zone above is ignored");
+        assert_ne!(bump("b.a.com"), fp0, "a zone below is folded");
+    }
+
+    #[test]
+    fn topology_fingerprint_tracks_server_level_state() {
+        let mut tb = Testbed::new();
+        let id = ServerId("a#0".into());
+        let mut seen = vec![tb.topology_fingerprint()];
+        let mut s = Server::new(id.clone());
         s.load_zone(mini_zone("a.com"));
         tb.add_server(s);
-        let g1 = tb.topology_generation();
-        assert!(g1 > g0, "add_server must bump the topology stamp");
-        tb.register_ns(name("ns1.a.com"), ServerId("a#0".into()));
-        let g2 = tb.topology_generation();
-        assert!(g2 > g1, "register_ns must bump the topology stamp");
+        seen.push(tb.topology_fingerprint());
+        tb.register_ns(name("ns1.a.com"), id.clone());
+        seen.push(tb.topology_fingerprint());
+        tb.server_mut(&id).unwrap().behavior = ServerBehavior::Unresponsive;
+        seen.push(tb.topology_fingerprint());
+        tb.server_mut(&id).unwrap().behavior = ServerBehavior::Normal;
+        assert_eq!(tb.topology_fingerprint(), seen[2], "revert restores it");
+        tb.server_mut(&id).unwrap().load_zone(mini_zone("b.a.com"));
+        seen.push(tb.topology_fingerprint());
         tb.unregister_ns(&name("ns1.a.com"));
-        assert!(tb.topology_generation() > g2);
-        // Pure queries leave it alone.
-        let before = tb.topology_generation();
+        seen.push(tb.topology_fingerprint());
+        // add_server, register_ns, the flip, load_zone and unregister_ns
+        // each moved it to a value not seen before.
+        for (i, fp) in seen.iter().enumerate() {
+            assert!(!seen[..i].contains(fp), "step {i} did not move it");
+        }
+        // Queries leave it alone.
+        let q = Message::query(1, name("a.com"), RrType::Soa);
+        assert!(tb.query(&id, &q).is_some());
         let _ = tb.zone_fingerprint(&name("a.com"));
-        let _ = tb.servers_hosting(&name("a.com"));
-        assert_eq!(tb.topology_generation(), before);
+        assert_eq!(tb.topology_fingerprint(), seen[5]);
     }
 
     #[test]
