@@ -111,13 +111,13 @@ fn nsec3_hash_uncached(name: &Name, salt: &[u8], iterations: u16) -> Vec<u8> {
     let mut h = Sha1::new();
     h.update(name.canonical_wire());
     h.update(salt);
-    let mut digest = h.finalize_reset().to_vec();
+    let mut digest = h.finalize_reset();
     for _ in 0..iterations {
-        h.update(&digest);
+        h.update(digest);
         h.update(salt);
-        digest = h.finalize_reset().to_vec();
+        digest = h.finalize_reset();
     }
-    digest
+    digest.to_vec()
 }
 
 /// Empties this thread's NSEC3 memo table. The global

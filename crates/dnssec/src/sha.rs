@@ -1,6 +1,10 @@
 //! SHA-1, SHA-256 and SHA-384 (FIPS 180-4), the digests DNSSEC needs:
 //! NSEC3 owner hashing (SHA-1, RFC 5155), DS digests (RFC 4509, 6605),
 //! and the simulated signatures and `SigCache` keys (SHA-256).
+//!
+//! The SHA-1 and SHA-256 block functions run on the x86 SHA extensions
+//! when the CPU has them and on portable kernels otherwise; the portable
+//! kernels are also the reference the tests hold the fast ones to.
 
 /// A cryptographic hash with a fixed-size output.
 pub(crate) trait Digest: Sized {
@@ -82,7 +86,7 @@ pub(crate) struct Sha1 {
     buf: BlockBuffer<64>,
 }
 
-fn compress160(state: &mut [u32; 5], block: &[u8; 64]) {
+fn compress160_portable(state: &mut [u32; 5], block: &[u8; 64]) {
     let mut w = [0u32; 80];
     for (i, chunk) in block.chunks_exact(4).enumerate() {
         w[i] = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
@@ -243,7 +247,7 @@ const K512: [u64; 80] = [
     0x6c44198c4a475817,
 ];
 
-fn compress256(state: &mut [u32; 8], block: &[u8; 64]) {
+fn compress256_portable(state: &mut [u32; 8], block: &[u8; 64]) {
     let mut w = [0u32; 64];
     for (i, chunk) in block.chunks_exact(4).enumerate() {
         w[i] = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
@@ -397,9 +401,238 @@ impl Digest for Sha384 {
     }
 }
 
+// ------------------------------------------------- kernel selection
+
+#[cfg(test)]
+thread_local! {
+    /// Set by the digest tests to run the portable kernels on a CPU that
+    /// has the SHA extensions.
+    static FORCE_PORTABLE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Whether this CPU can run the SHA-extension kernels. The standard
+/// library caches the CPUID answer, so this costs an atomic load.
+fn sha_extensions() -> bool {
+    #[cfg(test)]
+    if FORCE_PORTABLE.get() {
+        return false;
+    }
+    #[cfg(target_arch = "x86_64")]
+    return std::arch::is_x86_feature_detected!("sha")
+        && std::arch::is_x86_feature_detected!("ssse3")
+        && std::arch::is_x86_feature_detected!("sse4.1");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
+/// The SHA-1 block function: the SHA-extension kernel where the CPU has
+/// it, else [`compress160_portable`].
+fn compress160(state: &mut [u32; 5], block: &[u8; 64]) {
+    if sha_extensions() {
+        // SAFETY: `sha_extensions` has just seen the CPU report `sha`,
+        // `ssse3` and `sse4.1`, and every x86_64 CPU has `sse2`.
+        #[cfg(target_arch = "x86_64")]
+        return unsafe { compress160_sha(state, block) };
+    }
+    compress160_portable(state, block)
+}
+
+/// The SHA-256 block function: the SHA-extension kernel where the CPU has
+/// it, else [`compress256_portable`].
+fn compress256(state: &mut [u32; 8], block: &[u8; 64]) {
+    if sha_extensions() {
+        // SAFETY: as in `compress160`, the CPU has every feature the
+        // kernel enables.
+        #[cfg(target_arch = "x86_64")]
+        return unsafe { compress256_sha(state, block) };
+    }
+    compress256_portable(state, block)
+}
+
+/// [`compress160_portable`] on the x86 SHA extensions, in the order of
+/// Intel's reference sequence: each `sha1rnds4` runs four rounds, and
+/// `sha1msg1`/`sha1msg2` expand the next four message words.
+///
+/// # Safety
+///
+/// The CPU must support `sha`, `sse2`, `ssse3` and `sse4.1`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+unsafe fn compress160_sha(state: &mut [u32; 5], block: &[u8; 64]) {
+    use std::arch::x86_64::*;
+
+    // Reverses all 16 bytes: big-endian words, first word in the top lane.
+    let bswap = _mm_set_epi64x(0x0001_0203_0405_0607, 0x0809_0a0b_0c0d_0e0f);
+    // The loads are unaligned and in bounds: 16 of `state`'s 20 bytes, and
+    // four 16-byte quarters of the 64-byte block.
+    let abcd_save = _mm_shuffle_epi32(_mm_loadu_si128(state.as_ptr().cast()), 0x1B);
+    let e_save = _mm_set_epi32(state[4] as i32, 0, 0, 0);
+    macro_rules! words {
+        ($i:literal) => {
+            _mm_shuffle_epi8(_mm_loadu_si128(block.as_ptr().add(16 * $i).cast()), bswap)
+        };
+    }
+    let (mut w0, mut w1, mut w2, mut w3) = (words!(0), words!(1), words!(2), words!(3));
+
+    let mut abcd = abcd_save;
+    // `e` holds ABCD from before the previous four rounds; `sha1nexte`
+    // rotates it into that group's E and adds the next message words.
+    let mut e = abcd;
+    abcd = _mm_sha1rnds4_epu32(abcd, _mm_add_epi32(e_save, w0), 0);
+    macro_rules! rounds4 {
+        ($w:expr, $f:literal) => {
+            let ew = _mm_sha1nexte_epu32(e, $w);
+            e = abcd;
+            abcd = _mm_sha1rnds4_epu32(abcd, ew, $f);
+        };
+    }
+    // W[t..t+4] from the 16 words before it, into the oldest of the four.
+    macro_rules! schedule {
+        ($w0:ident, $w1:ident, $w2:ident, $w3:ident) => {
+            $w0 = _mm_sha1msg2_epu32(_mm_xor_si128(_mm_sha1msg1_epu32($w0, $w1), $w2), $w3);
+        };
+    }
+    rounds4!(w1, 0);
+    rounds4!(w2, 0);
+    rounds4!(w3, 0);
+    schedule!(w0, w1, w2, w3);
+    rounds4!(w0, 0);
+    schedule!(w1, w2, w3, w0);
+    rounds4!(w1, 1);
+    schedule!(w2, w3, w0, w1);
+    rounds4!(w2, 1);
+    schedule!(w3, w0, w1, w2);
+    rounds4!(w3, 1);
+    schedule!(w0, w1, w2, w3);
+    rounds4!(w0, 1);
+    schedule!(w1, w2, w3, w0);
+    rounds4!(w1, 1);
+    schedule!(w2, w3, w0, w1);
+    rounds4!(w2, 2);
+    schedule!(w3, w0, w1, w2);
+    rounds4!(w3, 2);
+    schedule!(w0, w1, w2, w3);
+    rounds4!(w0, 2);
+    schedule!(w1, w2, w3, w0);
+    rounds4!(w1, 2);
+    schedule!(w2, w3, w0, w1);
+    rounds4!(w2, 2);
+    schedule!(w3, w0, w1, w2);
+    rounds4!(w3, 3);
+    schedule!(w0, w1, w2, w3);
+    rounds4!(w0, 3);
+    schedule!(w1, w2, w3, w0);
+    rounds4!(w1, 3);
+    schedule!(w2, w3, w0, w1);
+    rounds4!(w2, 3);
+    schedule!(w3, w0, w1, w2);
+    rounds4!(w3, 3);
+
+    let e = _mm_sha1nexte_epu32(e, e_save);
+    let abcd = _mm_shuffle_epi32(_mm_add_epi32(abcd, abcd_save), 0x1B);
+    _mm_storeu_si128(state.as_mut_ptr().cast(), abcd);
+    state[4] = _mm_extract_epi32(e, 3) as u32;
+}
+
+/// [`compress256_portable`] on the x86 SHA extensions, in the order of
+/// Intel's reference sequence: each `sha256rnds2` runs two rounds on the
+/// state split as ABEF/CDGH, and `sha256msg1`/`sha256msg2` expand the
+/// next four message words.
+///
+/// # Safety
+///
+/// The CPU must support `sha`, `sse2`, `ssse3` and `sse4.1`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+unsafe fn compress256_sha(state: &mut [u32; 8], block: &[u8; 64]) {
+    use std::arch::x86_64::*;
+
+    // Byte-swaps each 32-bit lane: big-endian words, first word lowest.
+    let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+    // The loads are unaligned and in bounds: the two halves of `state`,
+    // and four 16-byte quarters of the 64-byte block.
+    let cdab = _mm_shuffle_epi32(_mm_loadu_si128(state.as_ptr().cast()), 0xB1);
+    let efgh = _mm_shuffle_epi32(_mm_loadu_si128(state.as_ptr().add(4).cast()), 0x1B);
+    let abef_save = _mm_alignr_epi8(cdab, efgh, 8);
+    let cdgh_save = _mm_blend_epi16(efgh, cdab, 0xF0);
+    macro_rules! words {
+        ($i:literal) => {
+            _mm_shuffle_epi8(_mm_loadu_si128(block.as_ptr().add(16 * $i).cast()), bswap)
+        };
+    }
+    let (mut w0, mut w1, mut w2, mut w3) = (words!(0), words!(1), words!(2), words!(3));
+
+    let (mut abef, mut cdgh) = (abef_save, cdgh_save);
+    macro_rules! rounds4 {
+        ($w:expr, $t:literal) => {
+            let k = _mm_set_epi32(
+                K256[$t + 3] as i32,
+                K256[$t + 2] as i32,
+                K256[$t + 1] as i32,
+                K256[$t] as i32,
+            );
+            let wk = _mm_add_epi32($w, k);
+            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+            abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+        };
+    }
+    // W[t..t+4] from the 16 words before it, into the oldest of the four.
+    macro_rules! schedule {
+        ($w0:ident, $w1:ident, $w2:ident, $w3:ident) => {
+            let w = _mm_add_epi32(_mm_sha256msg1_epu32($w0, $w1), _mm_alignr_epi8($w3, $w2, 4));
+            $w0 = _mm_sha256msg2_epu32(w, $w3);
+        };
+    }
+    rounds4!(w0, 0);
+    rounds4!(w1, 4);
+    rounds4!(w2, 8);
+    rounds4!(w3, 12);
+    schedule!(w0, w1, w2, w3);
+    rounds4!(w0, 16);
+    schedule!(w1, w2, w3, w0);
+    rounds4!(w1, 20);
+    schedule!(w2, w3, w0, w1);
+    rounds4!(w2, 24);
+    schedule!(w3, w0, w1, w2);
+    rounds4!(w3, 28);
+    schedule!(w0, w1, w2, w3);
+    rounds4!(w0, 32);
+    schedule!(w1, w2, w3, w0);
+    rounds4!(w1, 36);
+    schedule!(w2, w3, w0, w1);
+    rounds4!(w2, 40);
+    schedule!(w3, w0, w1, w2);
+    rounds4!(w3, 44);
+    schedule!(w0, w1, w2, w3);
+    rounds4!(w0, 48);
+    schedule!(w1, w2, w3, w0);
+    rounds4!(w1, 52);
+    schedule!(w2, w3, w0, w1);
+    rounds4!(w2, 56);
+    schedule!(w3, w0, w1, w2);
+    rounds4!(w3, 60);
+
+    let feba = _mm_shuffle_epi32(_mm_add_epi32(abef, abef_save), 0x1B);
+    let dchg = _mm_shuffle_epi32(_mm_add_epi32(cdgh, cdgh_save), 0xB1);
+    _mm_storeu_si128(state.as_mut_ptr().cast(), _mm_blend_epi16(feba, dchg, 0xF0));
+    _mm_storeu_si128(
+        state.as_mut_ptr().add(4).cast(),
+        _mm_alignr_epi8(dchg, feba, 8),
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Runs `check` on the kernels this CPU selects, then on the portable
+    /// kernels alone (the same ones where the CPU lacks the extensions).
+    fn on_both_kernels(check: impl Fn()) {
+        check();
+        FORCE_PORTABLE.set(true);
+        check();
+        FORCE_PORTABLE.set(false);
+    }
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -425,38 +658,42 @@ mod tests {
     // million repetitions of "a".
     #[test]
     fn sha1_fips_vectors() {
-        assert_eq!(
-            hex(&Sha1::digest(b"abc")),
-            "a9993e364706816aba3e25717850c26c9cd0d89d"
-        );
-        assert_eq!(
-            hex(&Sha1::digest(M448)),
-            "84983e441c3bd26ebaae4aa1f95129e5e54670f1"
-        );
-        assert_eq!(
-            hex(&million_a::<Sha1>()),
-            "34aa973cd4c4daa4f61eeb2bdbad27316534016f"
-        );
-        assert_eq!(
-            hex(&Sha1::digest(b"")),
-            "da39a3ee5e6b4b0d3255bfef95601890afd80709"
-        );
+        on_both_kernels(|| {
+            assert_eq!(
+                hex(&Sha1::digest(b"abc")),
+                "a9993e364706816aba3e25717850c26c9cd0d89d"
+            );
+            assert_eq!(
+                hex(&Sha1::digest(M448)),
+                "84983e441c3bd26ebaae4aa1f95129e5e54670f1"
+            );
+            assert_eq!(
+                hex(&million_a::<Sha1>()),
+                "34aa973cd4c4daa4f61eeb2bdbad27316534016f"
+            );
+            assert_eq!(
+                hex(&Sha1::digest(b"")),
+                "da39a3ee5e6b4b0d3255bfef95601890afd80709"
+            );
+        });
     }
 
     #[test]
     fn sha256_fips_vectors() {
-        assert_eq!(
-            hex(&Sha256::digest(b"abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
-        assert_eq!(
-            hex(&Sha256::digest(M448)),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
-        assert_eq!(
-            hex(&million_a::<Sha256>()),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
+        on_both_kernels(|| {
+            assert_eq!(
+                hex(&Sha256::digest(b"abc")),
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+            );
+            assert_eq!(
+                hex(&Sha256::digest(M448)),
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+            );
+            assert_eq!(
+                hex(&million_a::<Sha256>()),
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+            );
+        });
     }
 
     #[test]
@@ -485,23 +722,52 @@ mod tests {
 
     #[test]
     fn padding_boundaries_and_reset_match_one_shot() {
-        // 55/56/63/64 (and 111/112/127/128) straddle the one- versus
-        // two-block padding split.
-        for len in [55usize, 56, 63, 64, 111, 112, 127, 128] {
-            let data = vec![0x5au8; len];
-            let mut h = Sha256::new();
-            let mut g = Sha384::new();
-            for b in &data {
-                h.update([*b]);
-                g.update([*b]);
+        on_both_kernels(|| {
+            // 55/56/63/64 (and 111/112/127/128) straddle the one- versus
+            // two-block padding split.
+            for len in [55usize, 56, 63, 64, 111, 112, 127, 128] {
+                let data = vec![0x5au8; len];
+                let mut h = Sha256::new();
+                let mut g = Sha384::new();
+                for b in &data {
+                    h.update([*b]);
+                    g.update([*b]);
+                }
+                assert_eq!(h.finalize(), Sha256::digest(&data), "sha256 len {len}");
+                assert_eq!(g.finalize(), Sha384::digest(&data), "sha384 len {len}");
             }
-            assert_eq!(h.finalize(), Sha256::digest(&data), "sha256 len {len}");
-            assert_eq!(g.finalize(), Sha384::digest(&data), "sha384 len {len}");
+            let mut h = Sha1::new();
+            h.update(b"junk");
+            let _ = h.finalize_reset();
+            h.update(b"abc");
+            assert_eq!(h.finalize_reset(), Sha1::digest(b"abc"));
+        });
+    }
+
+    #[test]
+    fn selected_kernels_match_portable() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        if !sha_extensions() {
+            eprintln!(
+                "this CPU lacks the SHA extensions: both sides ran the portable kernels, \
+                 so the SHA-extension kernels went unchecked"
+            );
         }
-        let mut h = Sha1::new();
-        h.update(b"junk");
-        let _ = h.finalize_reset();
-        h.update(b"abc");
-        assert_eq!(h.finalize_reset(), Sha1::digest(b"abc"));
+        let mut rng = StdRng::seed_from_u64(1804);
+        for i in 0..1_000 {
+            let mut block = [0u8; 64];
+            rng.fill(&mut block);
+            let s1: [u32; 5] = std::array::from_fn(|_| rng.gen());
+            let s2: [u32; 8] = std::array::from_fn(|_| rng.gen());
+            let (mut a1, mut b1, mut a2, mut b2) = (s1, s1, s2, s2);
+            compress160(&mut a1, &block);
+            compress160_portable(&mut b1, &block);
+            assert_eq!(a1, b1, "SHA-1 block {i}");
+            compress256(&mut a2, &block);
+            compress256_portable(&mut b2, &block);
+            assert_eq!(a2, b2, "SHA-256 block {i}");
+        }
     }
 }

@@ -357,10 +357,30 @@ mod tests {
     fn attack_injection_is_deterministic() {
         let a = replicate_attack(AttackFamily::LockCram, NOW, 7).expect("attack builds");
         let b = replicate_attack(AttackFamily::LockCram, NOW, 7).expect("attack builds");
+        let (a, b) = (&a.sandbox, &b.sandbox);
         assert_eq!(
-            a.sandbox.state_fingerprint(),
-            b.sandbox.state_fingerprint(),
-            "same seed must build identical attack sandboxes"
+            a.testbed.topology_fingerprint(),
+            b.testbed.topology_fingerprint(),
+            "same seed must build the same topology"
         );
+        assert_eq!(a.zones.len(), b.zones.len());
+        // `Zone` equality ignores generation stamps, so this compares content.
+        for (za, zb) in a.zones.iter().zip(&b.zones) {
+            assert_eq!(za.servers, zb.servers, "{}", za.apex);
+            for id in &za.servers {
+                let [copy_a, copy_b] = [a, b].map(|sb| {
+                    sb.testbed
+                        .server(id)
+                        .and_then(|server| server.zone(&za.apex))
+                        .expect("a zone's servers host it")
+                });
+                assert!(
+                    copy_a == copy_b,
+                    "same seed must build identical copies of {} on {}",
+                    za.apex,
+                    id.0
+                );
+            }
+        }
     }
 }

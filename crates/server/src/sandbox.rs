@@ -12,7 +12,6 @@ use ddx_dnssec::{
     make_ds, sign_zone, sign_zone_cached, Algorithm, DenialMode, DigestType, KeyPair, KeyRing,
     KeyRole, Nsec3Config, SigCache, SignError, SignerConfig,
 };
-use ddx_obs::fnv1a;
 
 use crate::server::{Server, ServerId};
 use crate::testbed::Testbed;
@@ -164,30 +163,6 @@ impl Sandbox {
             }
         });
         let _ = self.resign_zone(&parent_apex, now);
-    }
-
-    /// One hash over the whole sandbox's content: the testbed's
-    /// [`Testbed::topology_fingerprint`] and the canonical wire form of
-    /// every copy of every zone. Unlike [`Testbed::zone_fingerprint`],
-    /// which folds generation stamps, it depends on content alone: an edit
-    /// that is reverted restores it, and two sandboxes built from the same
-    /// seed agree in any process, which is what determinism checks compare.
-    pub fn state_fingerprint(&self) -> u64 {
-        let mut acc = self.testbed.topology_fingerprint();
-        for z in &self.zones {
-            for id in self.testbed.servers_hosting(&z.apex) {
-                let zone = self
-                    .testbed
-                    .server(&id)
-                    .and_then(|s| s.zone(&z.apex))
-                    .expect("servers_hosting only returns hosting servers");
-                acc = fnv1a(acc, id.0.as_bytes());
-                for set in zone.rrsets() {
-                    acc = fnv1a(acc, &set.canonical_signing_form(set.ttl));
-                }
-            }
-        }
-        acc
     }
 }
 
@@ -362,7 +337,6 @@ pub fn build_sandbox(specs: &[ZoneSpec], now: u32, seed: u64) -> Sandbox {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::ServerBehavior;
     use crate::testbed::Network;
     use ddx_dns::{name, Message};
 
@@ -504,53 +478,5 @@ mod tests {
             "divergence must not fan out"
         );
         assert_ne!(z0, z1);
-    }
-
-    #[test]
-    fn state_fingerprint_tracks_any_mutation() {
-        let mut sb = three_level();
-        let fp0 = sb.state_fingerprint();
-        assert_eq!(sb.state_fingerprint(), fp0, "stable when idle");
-        sb.set_ds(&name("chd.par.a.com"), vec![], NOW);
-        let fp1 = sb.state_fingerprint();
-        assert_ne!(fp0, fp1, "DS change must move the fingerprint");
-        sb.resign_zone(&name("chd.par.a.com"), NOW + 5).unwrap();
-        assert_ne!(sb.state_fingerprint(), fp1, "resign must move it");
-    }
-
-    #[test]
-    fn state_fingerprint_follows_content_not_generations() {
-        let mut sb = three_level();
-        let fp0 = sb.state_fingerprint();
-        let leaf = name("chd.par.a.com");
-        let extra = name("extra.chd.par.a.com");
-
-        // A zone edit moves the fingerprint; reverting it restores it, even
-        // though the zone generations only ever advance.
-        sb.testbed.mutate_zone_everywhere(&leaf, |z| {
-            z.add(Record::new(
-                extra.clone(),
-                300,
-                RData::A(Ipv4Addr::new(192, 0, 2, 9)),
-            ))
-        });
-        assert_ne!(sb.state_fingerprint(), fp0, "zone edit must move it");
-        sb.testbed.mutate_zone_everywhere(&leaf, |z| {
-            z.remove(&extra, RrType::A);
-        });
-        assert_eq!(sb.state_fingerprint(), fp0, "revert must restore it");
-
-        // Flipping one server's behaviour moves it.
-        let id = sb.zones[2].servers[0].clone();
-        sb.testbed.server_mut(&id).unwrap().behavior = ServerBehavior::Refuses;
-        assert_ne!(sb.state_fingerprint(), fp0, "behaviour flip must move it");
-        sb.testbed.server_mut(&id).unwrap().behavior = ServerBehavior::Normal;
-        assert_eq!(sb.state_fingerprint(), fp0);
-
-        // Re-registering an NS host to another server moves it.
-        let host = sb.zones[2].ns_hosts[0].clone();
-        let other = sb.zones[2].servers[1].clone();
-        sb.testbed.register_ns(host, other);
-        assert_ne!(sb.state_fingerprint(), fp0, "NS re-mapping must move it");
     }
 }
