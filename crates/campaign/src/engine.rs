@@ -239,9 +239,6 @@ fn run_shard(cfg: &CampaignConfig, shard: u32, zones: u64) -> io::Result<u64> {
     }
     writer.finish()?;
     ddx_obs::counter("campaign.shards", &[]).inc();
-    // Shard boundary: drop the (bounded, but why carry it) thread-local
-    // NSEC3 hash memo before the next shard's unrelated zones.
-    ddx_dnssec::nsec3_memo_clear();
     Ok(zones)
 }
 

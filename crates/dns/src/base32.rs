@@ -50,7 +50,6 @@ pub fn decode(s: &str) -> Option<Vec<u8>> {
             let d = match c.to_ascii_uppercase() {
                 b'0'..=b'9' => c - b'0',
                 c @ b'A'..=b'V' => c - b'A' + 10,
-                b'a'..=b'v' => c.to_ascii_uppercase() - b'A' + 10,
                 _ => return None,
             };
             v = (v << 5) | u64::from(d);

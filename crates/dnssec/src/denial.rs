@@ -151,7 +151,7 @@ pub fn build_nsec3_chain(zone: &mut Zone, cfg: &Nsec3Config) {
     }
 
     // Hash everything, sort by hash to form the ring.
-    let mut hashed: Vec<(Vec<u8>, Name)> = names
+    let mut hashed: Vec<([u8; 20], Name)> = names
         .into_iter()
         .map(|n| (nsec3_hash(&n, &cfg.salt, cfg.iterations), n))
         .collect();
@@ -161,7 +161,7 @@ pub fn build_nsec3_chain(zone: &mut Zone, cfg: &Nsec3Config) {
     let count = hashed.len();
     for i in 0..count {
         let (ref hash, ref name) = hashed[i];
-        let next_hash = hashed[(i + 1) % count].0.clone();
+        let next_hash = hashed[(i + 1) % count].0.to_vec();
         let bitmap = if zone.has_name(name) {
             bitmap_for(zone, name, false)
         } else {

@@ -3,10 +3,7 @@
 //! the single most violated rule in the paper's dataset ("Nonzero
 //! Iteration Count", 28.8% of snapshots).
 
-use std::cell::RefCell;
-use std::collections::HashMap;
-
-use crate::sha::{Digest, Sha1};
+use crate::sha::{Digest, PaddedSha1, Sha1};
 use ddx_json::ToJson;
 
 use ddx_dns::Name;
@@ -44,111 +41,27 @@ impl Nsec3Config {
     }
 }
 
-/// Memo table entry cap before the table resets. High-iteration snapshots
-/// (the paper's NZIC class) hash the same names over and over across chain
-/// building, proof checking, and grok; 64Ki entries covers the largest
-/// sandbox zones many times over while bounding long-lived processes.
-const MEMO_MAX_ENTRIES: usize = 1 << 16;
-
-/// Per-thread memo state. The map is thread-local, but every hit/miss bumps
-/// the process-wide `dnssec.nsec3_memo.{hits,misses}` counters through the
-/// cached global handles, live at the moment it happens. That is what makes
-/// the totals of a parallel `ddx_campaign` evaluation (`run_campaign` or
-/// `evaluate_corpus`) accurate: worker-thread traffic aggregates into the
-/// global registry as it occurs instead of dying with the worker's
-/// thread-locals.
-struct Nsec3Memo {
-    map: HashMap<(Vec<u8>, Vec<u8>, u16), Vec<u8>>,
-    obs_hits: ddx_obs::Counter,
-    obs_misses: ddx_obs::Counter,
-}
-
-impl Nsec3Memo {
-    fn new() -> Self {
-        Nsec3Memo {
-            map: HashMap::new(),
-            obs_hits: ddx_obs::counter("dnssec.nsec3_memo.hits", &[]),
-            obs_misses: ddx_obs::counter("dnssec.nsec3_memo.misses", &[]),
-        }
-    }
-}
-
-thread_local! {
-    /// (canonical name wire, salt, iterations) → hash.
-    static NSEC3_MEMO: RefCell<Nsec3Memo> = RefCell::new(Nsec3Memo::new());
-}
-
 /// Computes the NSEC3 hash of `name` (RFC 5155 §5):
 /// `IH(salt, x, 0) = H(x ‖ salt)`, `IH(salt, x, k) = H(IH(salt, x, k-1) ‖ salt)`,
 /// over the canonical (lowercased) wire form of the name.
 ///
-/// Hashes are memoized per thread: the rounds dominate chain-build and
-/// proof-check cost, and the same names recur across every signing pass and
-/// grok of a sandbox.
-pub fn nsec3_hash(name: &Name, salt: &[u8], iterations: u16) -> Vec<u8> {
-    // Logical-work ledger: `1 + iterations` SHA-1 rounds per hash request,
-    // recorded before the memo lookup so cache temperature never shows.
+/// Charges `1 + iterations` SHA-1 rounds to the thread's work ledger
+/// ([`crate::work_snapshot`]), which is exactly the work done here.
+pub fn nsec3_hash(name: &Name, salt: &[u8], iterations: u16) -> [u8; 20] {
     crate::workload::record_nsec3_rounds(1 + iterations as u64);
-    NSEC3_MEMO.with(|memo| {
-        let memo = &mut *memo.borrow_mut();
-        let key = (name.canonical_wire(), salt.to_vec(), iterations);
-        if let Some(hash) = memo.map.get(&key) {
-            memo.obs_hits.inc();
-            return hash.clone();
-        }
-        memo.obs_misses.inc();
-        let hash = nsec3_hash_uncached(name, salt, iterations);
-        if memo.map.len() >= MEMO_MAX_ENTRIES {
-            memo.map.clear();
-        }
-        memo.map.insert(key, hash.clone());
-        hash
-    })
-}
-
-/// The raw RFC 5155 §5 computation, always performed, never memoized.
-fn nsec3_hash_uncached(name: &Name, salt: &[u8], iterations: u16) -> Vec<u8> {
     let mut h = Sha1::new();
     h.update(name.canonical_wire());
     h.update(salt);
-    let mut digest = h.finalize_reset();
+    let mut digest = h.finalize();
+    // Every later round hashes `digest ‖ salt`, one length throughout: pad
+    // that message once and rewrite only its digest bytes each round.
+    let mut msg = PaddedSha1::new(digest.len() + salt.len());
+    msg.message_mut()[digest.len()..].copy_from_slice(salt);
     for _ in 0..iterations {
-        h.update(digest);
-        h.update(salt);
-        digest = h.finalize_reset();
+        msg.message_mut()[..digest.len()].copy_from_slice(&digest);
+        digest = msg.digest();
     }
-    digest.to_vec()
-}
-
-/// Empties this thread's NSEC3 memo table. The global
-/// `dnssec.nsec3_memo.*` metrics are monotonic and unaffected.
-pub fn nsec3_memo_clear() {
-    NSEC3_MEMO.with(|memo| memo.borrow_mut().map.clear())
-}
-
-#[cfg(test)]
-mod memo_metrics_tests {
-    use super::*;
-    use ddx_dns::name;
-
-    #[test]
-    fn worker_thread_memo_traffic_reaches_global_registry() {
-        let hits = ddx_obs::counter("dnssec.nsec3_memo.hits", &[]);
-        let misses = ddx_obs::counter("dnssec.nsec3_memo.misses", &[]);
-        let (h0, m0) = (hits.get(), misses.get());
-        std::thread::spawn(|| {
-            let n = name("metrics-probe.example.com");
-            let first = nsec3_hash(&n, b"ab", 5);
-            let second = nsec3_hash(&n, b"ab", 5);
-            assert_eq!(first, second);
-        })
-        .join()
-        .unwrap();
-        // The global registry retains the worker's traffic after it exits,
-        // which a thread-local tally would lose.
-        assert!(hits.get() - h0 >= 1);
-        assert!(misses.get() - m0 >= 1);
-    }
+    digest
 }
 
 /// The full owner name of the NSEC3 record for `name` in `zone`.
@@ -200,6 +113,63 @@ mod tests {
         );
     }
 
+    /// Known answers from an independent implementation: Python's
+    /// `hashlib.sha1`, iterated per RFC 5155 §5 over the lowercased wire
+    /// form of each name (`d = sha1(wire ‖ salt)`, then `iterations` times
+    /// `d = sha1(d ‖ salt)`), printed with `base64.b32hexencode`. The same
+    /// script reproduces the two RFC 5155 Appendix A vectors above.
+    const KNOWN_ANSWERS: [(&str, &[u8], u16, &str); 7] = [
+        ("example.com", &[], 0, "onib9mgub9h0rml3cdf5bgrj59dkjhvk"),
+        (
+            "Mixed.Case.Example.COM",
+            &[],
+            1,
+            "nmq9n98h436msl82t1h876ffki2pjaj9",
+        ),
+        (
+            "Mixed.Case.Example.COM",
+            &[0xde, 0xad, 0xbe, 0xef],
+            10,
+            "aseatdmgpn36ul30ln8cind8sr7rilcg",
+        ),
+        (
+            "*.wild.example.org",
+            &[1, 2, 3, 4, 5, 6, 7, 8],
+            150,
+            "2auoq5hp4gc4ltg7h6knrunlh5ah1tb9",
+        ),
+        (
+            "*.wild.example.org",
+            &[],
+            0,
+            "0f20osu5kaa68apis5tas6vub2lipbqu",
+        ),
+        (
+            "www.Example.NET",
+            &[0xca, 0xfe, 0xf0, 0x0d],
+            2500,
+            "goas2heobdt85b4gsvo3430ltbkcca43",
+        ),
+        (
+            "a.b.c.d.example",
+            &[0xff, 0xee, 0xdd, 0xcc, 0xbb, 0xaa, 0x99, 0x88],
+            1,
+            "kk6ne4if40rgoaka9u27ja5d9nsgcf17",
+        ),
+    ];
+
+    #[test]
+    fn independent_known_answers() {
+        for (owner, salt, iterations, want) in KNOWN_ANSWERS {
+            let hash = nsec3_hash(&name(owner), salt, iterations);
+            assert_eq!(
+                base32::encode(&hash).to_ascii_lowercase(),
+                want,
+                "{owner} salt={salt:02x?} iterations={iterations}"
+            );
+        }
+    }
+
     #[test]
     fn hash_is_case_insensitive() {
         assert_eq!(
@@ -213,22 +183,6 @@ mod tests {
         let n = name("example.com");
         assert_ne!(nsec3_hash(&n, b"", 0), nsec3_hash(&n, b"", 1));
         assert_ne!(nsec3_hash(&n, b"", 0), nsec3_hash(&n, b"x", 0));
-    }
-
-    #[test]
-    fn memoized_hash_matches_uncached() {
-        // Each test runs on its own thread, so the thread-local memo is
-        // isolated here.
-        nsec3_memo_clear();
-        let memo_len = || NSEC3_MEMO.with(|memo| memo.borrow().map.len());
-        let n = name("memo.example.com");
-        for iterations in [25, 0] {
-            let direct = nsec3_hash_uncached(&n, b"salt", iterations);
-            assert_eq!(nsec3_hash(&n, b"salt", iterations), direct, "miss path");
-            assert_eq!(nsec3_hash(&n, b"salt", iterations), direct, "hit path");
-        }
-        // One entry per (name, salt, iterations), zero iterations included.
-        assert_eq!(memo_len(), 2);
     }
 
     #[test]

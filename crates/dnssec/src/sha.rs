@@ -15,11 +15,6 @@ pub(crate) trait Digest: Sized {
     fn update(&mut self, data: impl AsRef<[u8]>);
     fn finalize(self) -> Self::Output;
 
-    /// Returns the hash of everything fed so far and starts over.
-    fn finalize_reset(&mut self) -> Self::Output {
-        std::mem::replace(self, Self::new()).finalize()
-    }
-
     fn digest(data: impl AsRef<[u8]>) -> Self::Output {
         let mut h = Self::new();
         h.update(data);
@@ -119,18 +114,28 @@ fn compress160_portable(state: &mut [u32; 5], block: &[u8; 64]) {
     }
 }
 
+const SHA1_IV: [u32; 5] = [
+    0x6745_2301,
+    0xefcd_ab89,
+    0x98ba_dcfe,
+    0x1032_5476,
+    0xc3d2_e1f0,
+];
+
+fn sha1_output(state: [u32; 5]) -> [u8; 20] {
+    let mut out = [0u8; 20];
+    for (o, s) in out.chunks_exact_mut(4).zip(state) {
+        o.copy_from_slice(&s.to_be_bytes());
+    }
+    out
+}
+
 impl Digest for Sha1 {
     type Output = [u8; 20];
 
     fn new() -> Self {
         Sha1 {
-            state: [
-                0x6745_2301,
-                0xefcd_ab89,
-                0x98ba_dcfe,
-                0x1032_5476,
-                0xc3d2_e1f0,
-            ],
+            state: SHA1_IV,
             buf: BlockBuffer::default(),
         }
     }
@@ -143,11 +148,41 @@ impl Digest for Sha1 {
     fn finalize(mut self) -> [u8; 20] {
         let state = &mut self.state;
         self.buf.pad(8, |b| compress160(state, b));
-        let mut out = [0u8; 20];
-        for (o, s) in out.chunks_exact_mut(4).zip(self.state) {
-            o.copy_from_slice(&s.to_be_bytes());
+        sha1_output(self.state)
+    }
+}
+
+/// A SHA-1 message of one fixed length, padded once (FIPS 180-4 §5.1) and
+/// then rewritten and rehashed in place. A loop that hashes many messages
+/// of the same length (the NSEC3 iterations) skips [`Sha1`]'s buffering
+/// and padding on every pass.
+pub(crate) struct PaddedSha1 {
+    blocks: Vec<u8>,
+    len: usize,
+}
+
+impl PaddedSha1 {
+    /// An all-zero message of `len` bytes.
+    pub(crate) fn new(len: usize) -> Self {
+        let mut blocks = vec![0; (len + 9).div_ceil(64) * 64];
+        blocks[len] = 0x80;
+        let end = blocks.len();
+        blocks[end - 8..].copy_from_slice(&(len as u64 * 8).to_be_bytes());
+        PaddedSha1 { blocks, len }
+    }
+
+    /// The message bytes, to rewrite before the next [`Self::digest`].
+    pub(crate) fn message_mut(&mut self) -> &mut [u8] {
+        &mut self.blocks[..self.len]
+    }
+
+    /// SHA-1 of the message as it stands.
+    pub(crate) fn digest(&self) -> [u8; 20] {
+        let mut state = SHA1_IV;
+        for block in self.blocks.chunks_exact(64) {
+            compress160(&mut state, block.try_into().expect("whole blocks"));
         }
-        out
+        sha1_output(state)
     }
 }
 
@@ -736,11 +771,20 @@ mod tests {
                 assert_eq!(h.finalize(), Sha256::digest(&data), "sha256 len {len}");
                 assert_eq!(g.finalize(), Sha384::digest(&data), "sha384 len {len}");
             }
-            let mut h = Sha1::new();
-            h.update(b"junk");
-            let _ = h.finalize_reset();
-            h.update(b"abc");
-            assert_eq!(h.finalize_reset(), Sha1::digest(b"abc"));
+            // A padded SHA-1 message rewritten in place hashes like a fresh
+            // one, on both sides of the one- versus two-block split and at
+            // the longest NSEC3 round (20-byte digest, 255-byte salt).
+            for len in [0usize, 20, 28, 55, 56, 63, 64, 119, 120, 275] {
+                let mut msg = PaddedSha1::new(len);
+                for fill in [0x5au8, 0xa5] {
+                    msg.message_mut().fill(fill);
+                    assert_eq!(
+                        msg.digest(),
+                        Sha1::digest(vec![fill; len]),
+                        "sha1 len {len}"
+                    );
+                }
+            }
         });
     }
 

@@ -16,9 +16,9 @@
 //!   (at construction or per run) and then bumps it with a single relaxed
 //!   atomic op. The registry lock is only taken when a handle is created.
 //! - **Thread-safe by construction.** All mutation is atomic; the registry
-//!   itself is a `RwLock` over the name→handle maps. Per-thread caches
-//!   (the NSEC3 memo) bump the shared handles directly, so parallel
-//!   workers aggregate into one set of totals.
+//!   itself is a `RwLock` over the name→handle maps. Worker threads bump
+//!   the shared handles directly, so parallel workers aggregate into one
+//!   set of totals that outlives them.
 //! - **One count per event.** The registry is the only tally: no struct
 //!   keeps a private counter next to a registry handle for the same event.
 //! - **No new dependencies.** Snapshots go through `ddx-json`, the

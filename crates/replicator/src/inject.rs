@@ -883,7 +883,7 @@ pub(crate) fn inject(
                     if let Some(set) = zone.get_mut(&wc_cover, RrType::Nsec3) {
                         for rd in &mut set.rdatas {
                             if let RData::Nsec3(n) = rd {
-                                n.next_hashed_owner = wc_hash.clone();
+                                n.next_hashed_owner = wc_hash.to_vec();
                             }
                         }
                     }
@@ -1149,7 +1149,7 @@ fn leaf_nsec3_params(sb: &Sandbox, apex: &Name) -> Option<(Vec<u8>, u16)> {
 }
 
 /// The NSEC3 hash of `target` under the leaf zone's parameters.
-fn leaf_hash(sb: &Sandbox, apex: &Name, target: &Name) -> Option<Vec<u8>> {
+fn leaf_hash(sb: &Sandbox, apex: &Name, target: &Name) -> Option<[u8; 20]> {
     let (salt, iterations) = leaf_nsec3_params(sb, apex)?;
     Some(nsec3_hash(target, &salt, iterations))
 }

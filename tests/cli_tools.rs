@@ -113,12 +113,11 @@ fn dfixer_metrics_out_dumps_every_subsystem() {
     assert!(text.contains("| counter |"), "{text}");
     // …and the JSON dump round-trips into a MetricsSnapshot covering every
     // counter family the run exercised: the formerly bespoke stats surfaces
-    // (SigCache, NSEC3 memo, zone index) plus probe/grok/fixer.
+    // (SigCache, zone index) plus probe/grok/fixer.
     let json = std::fs::read_to_string(&path).unwrap();
     let snap = ddx_obs::MetricsSnapshot::from_json(&json).unwrap();
     for key in [
         "dnssec.sig_cache.misses",
-        "dnssec.nsec3_memo.misses",
         "server.zone_index.builds",
         "probe.queries.sent",
         "grok.runs",
