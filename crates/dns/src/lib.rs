@@ -22,7 +22,7 @@ mod zone;
 
 pub use master::{parse_master, parse_record_line, record_to_line, zone_to_master};
 pub use message::{Edns, Flags, Message, Question};
-pub use name::{name, Name};
+pub use name::{name, Name, NameLabels, Suffix, WireName};
 pub use rdata::{
     Dnskey, Ds, Nsec, Nsec3, Nsec3Param, RData, Rrsig, Soa, DNSKEY_FLAG_REVOKE, DNSKEY_FLAG_SEP,
     DNSKEY_FLAG_ZONE, NSEC3_FLAG_OPT_OUT,

@@ -84,16 +84,21 @@ impl Label {
     /// Canonical (case-insensitive, octet-wise) ordering of two labels:
     /// lowercased octets compared in place, a shorter prefix sorting first.
     pub fn canonical_cmp(&self, other: &Label) -> Ordering {
-        for (a, b) in self.0.iter().zip(&other.0) {
-            if a != b {
-                match a.to_ascii_lowercase().cmp(&b.to_ascii_lowercase()) {
-                    Ordering::Equal => {}
-                    ord => return ord,
-                }
+        label_cmp(&self.0, &other.0)
+    }
+}
+
+/// [`Label::canonical_cmp`] on raw label octets.
+fn label_cmp(a: &[u8], b: &[u8]) -> Ordering {
+    for (x, y) in a.iter().zip(b) {
+        if x != y {
+            match x.to_ascii_lowercase().cmp(&y.to_ascii_lowercase()) {
+                Ordering::Equal => {}
+                ord => return ord,
             }
         }
-        self.0.len().cmp(&other.0.len())
     }
+    a.len().cmp(&b.len())
 }
 
 impl fmt::Display for Label {
@@ -210,19 +215,7 @@ impl Name {
     /// Canonical DNS name ordering (RFC 4034 §6.1): compare label sequences
     /// right to left, case-insensitively, absent labels sorting first.
     pub fn canonical_cmp(&self, other: &Name) -> Ordering {
-        let mut a = self.labels.iter().rev();
-        let mut b = other.labels.iter().rev();
-        loop {
-            match (a.next(), b.next()) {
-                (None, None) => return Ordering::Equal,
-                (None, Some(_)) => return Ordering::Less,
-                (Some(_), None) => return Ordering::Greater,
-                (Some(x), Some(y)) => match x.canonical_cmp(y) {
-                    Ordering::Equal => continue,
-                    ord => return ord,
-                },
-            }
-        }
+        canonical_cmp(self, other)
     }
 
     /// Canonical wire form: lowercased, uncompressed (RFC 4034 §6.2).
@@ -305,6 +298,191 @@ impl FromStr for Name {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         Name::parse(s)
+    }
+}
+
+/// Label access for a name held in some other form than a [`Name`] (a
+/// query's wire name, a suffix of one): enough to order it canonically
+/// against names, and so to look it up in a zone without building a
+/// `Name` (`Name` borrows as `dyn NameLabels`).
+pub trait NameLabels {
+    /// Number of labels (the root has zero).
+    fn label_count(&self) -> usize;
+    /// Label `i`, leftmost first.
+    fn label(&self, i: usize) -> &[u8];
+}
+
+impl NameLabels for Name {
+    fn label_count(&self) -> usize {
+        self.labels.len()
+    }
+
+    fn label(&self, i: usize) -> &[u8] {
+        self.labels[i].as_bytes()
+    }
+}
+
+/// Canonical DNS name order (RFC 4034 §6.1): labels compared right to
+/// left, case-insensitively, absent labels sorting first.
+fn canonical_cmp<A, B>(a: &A, b: &B) -> Ordering
+where
+    A: NameLabels + ?Sized,
+    B: NameLabels + ?Sized,
+{
+    let (m, n) = (a.label_count(), b.label_count());
+    for i in 1..=m.min(n) {
+        match label_cmp(a.label(m - i), b.label(n - i)) {
+            Ordering::Equal => {}
+            ord => return ord,
+        }
+    }
+    m.cmp(&n)
+}
+
+impl dyn NameLabels + '_ {
+    /// [`Name::canonical_cmp`] between any two label sources.
+    pub fn canonical_cmp(&self, other: &dyn NameLabels) -> Ordering {
+        canonical_cmp(self, other)
+    }
+}
+
+impl PartialEq for dyn NameLabels + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.canonical_cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for dyn NameLabels + '_ {}
+
+impl PartialOrd for dyn NameLabels + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for dyn NameLabels + '_ {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.canonical_cmp(other)
+    }
+}
+
+/// Orders and compares exactly as `Name` does (canonically, ignoring case),
+/// so a `BTreeMap<Name, _>` can be probed with any label source.
+impl<'a> std::borrow::Borrow<dyn NameLabels + 'a> for Name {
+    fn borrow(&self) -> &(dyn NameLabels + 'a) {
+        self
+    }
+}
+
+/// A name's canonical wire form (lowercased, uncompressed; RFC 4034 §6.2)
+/// in a fixed buffer, with the offset of each label: a query name split
+/// once, whose ancestors are then [`Suffix`]es of it rather than names of
+/// their own. Building one allocates nothing.
+#[derive(Clone)]
+pub struct WireName {
+    wire: [u8; MAX_NAME_LEN],
+    /// Offset of each label's length octet, leftmost first.
+    starts: [u8; MAX_NAME_LEN / 2 + 1],
+    count: usize,
+}
+
+impl WireName {
+    /// Lowercases `labels` (leftmost first) into a wire name. The labels
+    /// must form a valid name, as those of a `Name` or a validated
+    /// `NameRef` do.
+    pub(crate) fn from_labels<'l>(labels: impl IntoIterator<Item = &'l [u8]>) -> WireName {
+        let mut w = WireName {
+            wire: [0; MAX_NAME_LEN],
+            starts: [0; MAX_NAME_LEN / 2 + 1],
+            count: 0,
+        };
+        let mut at = 0;
+        for label in labels {
+            w.starts[w.count] = at as u8;
+            w.count += 1;
+            w.wire[at] = label.len() as u8;
+            for (dst, b) in w.wire[at + 1..].iter_mut().zip(label) {
+                *dst = b.to_ascii_lowercase();
+            }
+            at += 1 + label.len();
+        }
+        // The root terminator is the buffer's zero fill.
+        w.starts[w.count] = at as u8;
+        w
+    }
+
+    /// The wire form of `name`.
+    pub fn from_name(name: &Name) -> WireName {
+        WireName::from_labels(name.labels.iter().map(Label::as_bytes))
+    }
+
+    /// `*.<suffix>`, the wildcard child of `suffix`; `None` if that is
+    /// longer than a name can be.
+    pub fn wildcard(suffix: Suffix<'_>) -> Option<WireName> {
+        (suffix.wire().len() + 2 <= MAX_NAME_LEN)
+            .then(|| WireName::from_labels(std::iter::once(&b"*"[..]).chain(suffix.iter())))
+    }
+
+    /// Number of labels (the root has zero).
+    pub fn label_count(&self) -> usize {
+        self.count
+    }
+
+    /// The name with its `k` leftmost labels dropped (`k` at most the
+    /// label count): `suffix(0)` is the whole name.
+    pub fn suffix(&self, k: usize) -> Suffix<'_> {
+        assert!(k <= self.count, "suffix past the root");
+        Suffix {
+            name: self,
+            first: k,
+        }
+    }
+
+    /// The canonical wire bytes, root terminator included.
+    pub fn wire(&self) -> &[u8] {
+        self.suffix(0).wire()
+    }
+
+    fn label_at(&self, i: usize) -> &[u8] {
+        let at = usize::from(self.starts[i]);
+        &self.wire[at + 1..at + 1 + usize::from(self.wire[at])]
+    }
+}
+
+/// An ancestor (or the whole) of a [`WireName`], borrowed from it.
+#[derive(Clone, Copy)]
+pub struct Suffix<'a> {
+    name: &'a WireName,
+    first: usize,
+}
+
+impl<'a> Suffix<'a> {
+    /// The suffix's canonical wire bytes, root terminator included.
+    pub fn wire(&self) -> &'a [u8] {
+        let end = usize::from(self.name.starts[self.name.count]) + 1;
+        &self.name.wire[usize::from(self.name.starts[self.first])..end]
+    }
+
+    /// Its labels, lowercased, leftmost first.
+    pub fn iter(&self) -> impl Iterator<Item = &'a [u8]> + 'a {
+        let name = self.name;
+        (self.first..name.count).map(move |i| name.label_at(i))
+    }
+
+    /// Materializes an owned (lowercased) [`Name`].
+    pub fn to_name(&self) -> Name {
+        Name::from_labels(self.iter().map(|l| Label(l.to_vec())).collect())
+            .expect("a suffix of a valid name is valid")
+    }
+}
+
+impl NameLabels for Suffix<'_> {
+    fn label_count(&self) -> usize {
+        self.name.count - self.first
+    }
+
+    fn label(&self, i: usize) -> &[u8] {
+        self.name.label_at(self.first + i)
     }
 }
 
@@ -452,6 +630,37 @@ mod tests {
             let y = Name::from_labels(ddx_prop::vec(rng, 0..4, label)).unwrap();
             let key = |n: &Name| n.labels().iter().rev().map(lower).collect::<Vec<_>>();
             assert_eq!(x.canonical_cmp(&y), key(&x).cmp(&key(&y)), "{x} vs {y}");
+        });
+    }
+
+    /// A `WireName` holds a name's canonical wire form, its suffixes are
+    /// the name's ancestors, and any two label sources order as their
+    /// names do.
+    #[test]
+    fn wire_names_encode_and_order_like_names() {
+        use ddx_prop::Rng;
+
+        let label = |rng: &mut ddx_prop::StdRng| {
+            const ALPHABET: &[u8] = b"aAbBzZ_\\\xff";
+            let bytes = ddx_prop::vec(rng, 1..5, |r| ALPHABET[r.gen_range(0..ALPHABET.len())]);
+            Label::new(&bytes).unwrap()
+        };
+        ddx_prop::check("wire_names_like_names", 512, |rng| {
+            let x = Name::from_labels(ddx_prop::vec(rng, 0..5, label)).unwrap();
+            let y = Name::from_labels(ddx_prop::vec(rng, 0..5, label)).unwrap();
+            let (wx, wy) = (WireName::from_name(&x), WireName::from_name(&y));
+            assert_eq!(wx.wire(), &x.canonical_wire()[..], "{x}");
+            let mut ancestor = Some(x.clone());
+            for k in 0..=x.label_count() {
+                let up = ancestor.take().expect("an ancestor per label");
+                assert_eq!(wx.suffix(k).to_name(), up, "{x} up {k}");
+                assert_eq!(wx.suffix(k).wire(), &up.canonical_wire()[..]);
+                ancestor = up.parent();
+            }
+            let want = x.canonical_cmp(&y);
+            let (dx, dy): (&dyn NameLabels, &dyn NameLabels) = (&x, &wy.suffix(0));
+            assert_eq!(dx.canonical_cmp(dy), want, "{x} vs {y}");
+            assert_eq!((&wx.suffix(0) as &dyn NameLabels).canonical_cmp(&y), want);
         });
     }
 

@@ -19,7 +19,7 @@
 use std::hash::{Hash, Hasher};
 
 use crate::message::{Edns, Flags, Message, Question};
-use crate::name::{Label, Name};
+use crate::name::{Label, Name, NameLabels, WireName};
 use crate::rdata::RData;
 use crate::rrset::Record;
 use crate::types::{Rcode, RrClass, RrType};
@@ -75,6 +75,11 @@ impl<'buf> NameRef<'buf> {
         Name::from_labels(labels).expect("NameRef points at a validated name")
     }
 
+    /// The name's canonical wire form, built without allocating.
+    pub fn to_wire_name(&self) -> WireName {
+        WireName::from_labels(self.labels())
+    }
+
     /// Case-insensitive equality against an owned name, without
     /// materializing anything.
     pub fn eq_name(&self, other: &Name) -> bool {
@@ -99,6 +104,18 @@ impl<'buf> NameRef<'buf> {
                 .skip(mine - theirs)
                 .zip(other.labels())
                 .all(|(a, b)| a.eq_ignore_ascii_case(b.as_bytes()))
+    }
+}
+
+impl NameLabels for NameRef<'_> {
+    fn label_count(&self) -> usize {
+        NameRef::label_count(self)
+    }
+
+    /// Walks the wire from the first label: fine for the few labels of a
+    /// query name.
+    fn label(&self, i: usize) -> &[u8] {
+        self.labels().nth(i).expect("label index within the name")
     }
 }
 

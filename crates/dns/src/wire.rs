@@ -5,7 +5,7 @@
 use std::net::{Ipv4Addr, Ipv6Addr};
 
 use crate::message::{Edns, Flags, Message, Question};
-use crate::name::{Label, Name};
+use crate::name::{Name, NameLabels};
 use crate::rdata::{Dnskey, Ds, Nsec, Nsec3, Nsec3Param, RData, Rrsig, Soa};
 use crate::rrset::Record;
 use crate::types::{Rcode, RrClass, RrType, TypeBitmap};
@@ -90,11 +90,25 @@ const INLINE_SLOTS: usize = 64;
 
 /// Where each name suffix of a message was first written, so later names
 /// can point back at it (RFC 1035 §4.1.4).
-trait Compressor: Default {
+trait Compressor {
     /// Writes `name` to `buf`, ending in a pointer at its longest suffix
     /// already recorded, and records every suffix it writes out in full
     /// that starts within pointer range.
-    fn name(&mut self, buf: &mut Vec<u8>, name: &Name);
+    fn name<N: NameLabels + ?Sized>(&mut self, buf: &mut Vec<u8>, name: &N);
+}
+
+/// Writes every name in full: for RR tails that are copied into messages
+/// later, whose RDATA names are never compressed.
+struct Uncompressed;
+
+impl Compressor for Uncompressed {
+    fn name<N: NameLabels + ?Sized>(&mut self, buf: &mut Vec<u8>, name: &N) {
+        for i in 0..name.label_count() {
+            buf.push(name.label(i).len() as u8);
+            buf.extend_from_slice(name.label(i));
+        }
+        buf.push(0);
+    }
 }
 
 /// A compression-table slot: the hash of a lowercased name suffix and the
@@ -138,9 +152,16 @@ impl SuffixTable {
         }
     }
 
-    /// The offset `labels` (hashing to `hash`) was first written at, or
-    /// the empty slot that ends its probe sequence.
-    fn find(&self, buf: &[u8], hash: u32, labels: &[Label]) -> Result<u16, usize> {
+    /// The offset the labels of `name` from `from` on (hashing to `hash`)
+    /// were first written at, or the empty slot that ends its probe
+    /// sequence.
+    fn find<N: NameLabels + ?Sized>(
+        &self,
+        buf: &[u8],
+        hash: u32,
+        name: &N,
+        from: usize,
+    ) -> Result<u16, usize> {
         let slots = self.slots();
         let mask = slots.len() - 1;
         let mut i = hash as usize & mask;
@@ -149,7 +170,7 @@ impl SuffixTable {
             if slot.offset == 0 {
                 return Err(i);
             }
-            if slot.hash == hash && written_name_eq(buf, usize::from(slot.offset), labels) {
+            if slot.hash == hash && written_name_eq(buf, usize::from(slot.offset), name, from) {
                 return Ok(slot.offset);
             }
             i = (i + 1) & mask;
@@ -180,43 +201,51 @@ impl SuffixTable {
 }
 
 impl Compressor for SuffixTable {
-    fn name(&mut self, buf: &mut Vec<u8>, name: &Name) {
-        let labels = name.labels();
-        // hashes[i] covers labels[i..]: FNV-1a over the length-prefixed,
-        // lowercased labels, right to left, so each suffix extends the
-        // hash of the one after it.
+    fn name<N: NameLabels + ?Sized>(&mut self, buf: &mut Vec<u8>, name: &N) {
+        let count = name.label_count();
+        // hashes[i] covers labels i.. of the name: FNV-1a over the
+        // length-prefixed, lowercased labels, right to left, so each suffix
+        // extends the hash of the one after it.
         let mut hashes = [0u32; MAX_LABELS];
         let mut acc = ddx_obs::FNV_OFFSET;
-        for (i, label) in labels.iter().enumerate().rev() {
+        for i in (0..count).rev() {
+            let label = name.label(i);
             acc = ddx_obs::fnv1a(acc, &[label.len() as u8]);
-            for &b in label.as_bytes() {
+            for &b in label {
                 acc = ddx_obs::fnv1a(acc, &[b.to_ascii_lowercase()]);
             }
             hashes[i] = (acc ^ (acc >> 32)) as u32;
         }
-        for (i, label) in labels.iter().enumerate() {
-            match self.find(buf, hashes[i], &labels[i..]) {
+        for (i, &hash) in hashes.iter().enumerate().take(count) {
+            match self.find(buf, hash, name, i) {
                 Ok(offset) => {
                     buf.extend_from_slice(&(0xC000 | offset).to_be_bytes());
                     return;
                 }
                 Err(empty) if buf.len() <= MAX_POINTER => {
-                    self.insert(empty, hashes[i], buf.len() as u16)
+                    self.insert(empty, hash, buf.len() as u16)
                 }
                 Err(_) => {}
             }
+            let label = name.label(i);
             buf.push(label.len() as u8);
-            buf.extend_from_slice(label.as_bytes());
+            buf.extend_from_slice(label);
         }
         buf.push(0);
     }
 }
 
 /// True if the name written at `pos` in `buf` (following compression
-/// pointers) is `labels`, ignoring ASCII case. Fails closed on anything
-/// that is not a complete name: a forward pointer or running off the end.
-fn written_name_eq(buf: &[u8], mut pos: usize, labels: &[Label]) -> bool {
-    let mut labels = labels.iter();
+/// pointers) is `name` from label `from` on, ignoring ASCII case. Fails
+/// closed on anything that is not a complete name: a forward pointer or
+/// running off the end.
+fn written_name_eq<N: NameLabels + ?Sized>(
+    buf: &[u8],
+    mut pos: usize,
+    name: &N,
+    from: usize,
+) -> bool {
+    let mut labels = (from..name.label_count()).map(|i| name.label(i));
     loop {
         let Some(&len) = buf.get(pos) else {
             return false;
@@ -237,18 +266,44 @@ fn written_name_eq(buf: &[u8], mut pos: usize, labels: &[Label]) -> bool {
         };
         let end = pos + 1 + usize::from(len);
         match buf.get(pos + 1..end) {
-            Some(written) if written.eq_ignore_ascii_case(label.as_bytes()) => pos = end,
+            Some(written) if written.eq_ignore_ascii_case(label) => pos = end,
             _ => return false,
         }
     }
 }
 
-struct Encoder<C> {
-    buf: Vec<u8>,
-    names: C,
+/// The record sections of a message, in the order they are written.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Section {
+    Answer,
+    Authority,
+    Additional,
 }
 
-impl<C: Compressor> Encoder<C> {
+/// The one message encoder: a header, then the question, then records in
+/// section order, then the OPT record. Counts go into the header at the
+/// end, so nothing is known up front.
+struct Encoder<'b, C> {
+    buf: &'b mut Vec<u8>,
+    names: C,
+    /// QDCOUNT, ANCOUNT, NSCOUNT, ARCOUNT so far.
+    counts: [u16; 4],
+}
+
+impl<'b, C: Compressor> Encoder<'b, C> {
+    /// Starts a message in `buf` (cleared first): the id, and the rest of
+    /// the header zeroed until [`Encoder::finish`].
+    fn start(buf: &'b mut Vec<u8>, id: u16, names: C) -> Self {
+        buf.clear();
+        buf.extend_from_slice(&id.to_be_bytes());
+        buf.extend_from_slice(&[0; 10]);
+        Encoder {
+            buf,
+            names,
+            counts: [0; 4],
+        }
+    }
+
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -266,21 +321,52 @@ impl<C: Compressor> Encoder<C> {
     }
 
     /// Encodes a name with compression.
-    fn name(&mut self, name: &Name) {
-        self.names.name(&mut self.buf, name);
+    fn name<N: NameLabels + ?Sized>(&mut self, name: &N) {
+        self.names.name(self.buf, name);
     }
 
-    fn record(&mut self, rec: &Record) {
-        self.name(&rec.name);
-        self.u16(rec.rtype().code());
-        self.u16(rec.class.code());
-        self.u32(rec.ttl);
+    fn question<N: NameLabels + ?Sized>(&mut self, qname: &N, qtype: RrType, qclass: RrClass) {
+        self.name(qname);
+        self.u16(qtype.code());
+        self.u16(qclass.code());
+        self.counts[0] += 1;
+    }
+
+    /// Counts one record into `section`, which may not precede the last
+    /// section written.
+    fn count(&mut self, section: Section) {
+        let at = 1 + section as usize;
+        debug_assert!(
+            self.counts[at + 1..].iter().all(|&n| n == 0),
+            "records are written in section order"
+        );
+        self.counts[at] += 1;
+    }
+
+    fn record<N: NameLabels + ?Sized>(
+        &mut self,
+        section: Section,
+        owner: &N,
+        class: RrClass,
+        ttl: u32,
+        rdata: &RData,
+    ) {
+        self.count(section);
+        self.name(owner);
+        self.rr_tail(class, ttl, rdata);
+    }
+
+    /// Everything of a record after its owner name.
+    fn rr_tail(&mut self, class: RrClass, ttl: u32, rdata: &RData) {
+        self.u16(rdata.rtype().code());
+        self.u16(class.code());
+        self.u32(ttl);
         // Length-prefixed rdata; compressible names (NS/CNAME/SOA/MX) are
         // encoded through the compressor, DNSSEC rdata names are not
         // (RFC 3597 §4).
         let len_pos = self.buf.len();
         self.u16(0);
-        match &rec.rdata {
+        match rdata {
             RData::Ns(n) | RData::Cname(n) => self.name(n),
             RData::Soa(soa) => {
                 self.name(&soa.mname);
@@ -313,21 +399,125 @@ impl<C: Compressor> Encoder<C> {
                 self.u8(0);
                 self.bytes(&sig.signature);
             }
-            other => other.to_wire_into(&mut self.buf),
+            other => other.to_wire_into(self.buf),
         }
         let rdlen = (self.buf.len() - len_pos - 2) as u16;
         self.buf[len_pos..len_pos + 2].copy_from_slice(&rdlen.to_be_bytes());
     }
+
+    /// Records from `tails` (as [`rr_tail_into`] wrote them), each at
+    /// `owner`.
+    fn tails<N: NameLabels + ?Sized>(&mut self, section: Section, owner: &N, mut tails: &[u8]) {
+        while !tails.is_empty() {
+            let len = 10 + usize::from(u16::from_be_bytes([tails[8], tails[9]]));
+            self.count(section);
+            self.name(owner);
+            self.bytes(&tails[..len]);
+            tails = &tails[len..];
+        }
+    }
+
+    /// Writes the OPT record for `edns` and fills in the header.
+    fn finish(mut self, flags: Flags, rcode: Rcode, edns: Option<Edns>) {
+        if let Some(edns) = edns {
+            // OPT pseudo-record: root name, TYPE=41, CLASS=udp size,
+            // TTL = ext-rcode/version/DO bit, empty RDATA.
+            self.u8(0);
+            self.u16(RrType::Opt.code());
+            self.u16(edns.udp_size);
+            let ttl: u32 = if edns.dnssec_ok { 0x0000_8000 } else { 0 };
+            self.u32(ttl);
+            self.u16(0);
+            self.counts[3] += 1;
+        }
+        let mut word: u16 = 0;
+        for (set, bit) in [
+            (flags.qr, 15),
+            (flags.aa, 10),
+            (flags.tc, 9),
+            (flags.rd, 8),
+            (flags.ra, 7),
+            (flags.ad, 5),
+            (flags.cd, 4),
+        ] {
+            if set {
+                word |= 1 << bit;
+            }
+        }
+        word |= u16::from(rcode.code() & 0x0F);
+        self.buf[2..4].copy_from_slice(&word.to_be_bytes());
+        for (i, n) in self.counts.iter().enumerate() {
+            self.buf[4 + 2 * i..6 + 2 * i].copy_from_slice(&n.to_be_bytes());
+        }
+    }
+}
+
+/// A message written straight into a send buffer from borrowed parts: a
+/// header, the question, records from owner/TTL/RDATA or from pre-encoded
+/// RR tails, in section order, and the OPT record. [`encode`] is this
+/// writer run over a [`Message`]; both compress names the same way.
+pub struct Writer<'b>(Encoder<'b, SuffixTable>);
+
+impl<'b> Writer<'b> {
+    /// Starts a message with id `id` in `buf` (cleared first, capacity
+    /// kept).
+    pub fn new(buf: &'b mut Vec<u8>, id: u16) -> Self {
+        Writer(Encoder::start(buf, id, SuffixTable::default()))
+    }
+
+    /// Writes the question: at most once, before any record.
+    pub fn question<N: NameLabels + ?Sized>(&mut self, qname: &N, qtype: RrType, qclass: RrClass) {
+        self.0.question(qname, qtype, qclass);
+    }
+
+    /// Writes one record into `section`.
+    pub fn record<N: NameLabels + ?Sized>(
+        &mut self,
+        section: Section,
+        owner: &N,
+        class: RrClass,
+        ttl: u32,
+        rdata: &RData,
+    ) {
+        self.0.record(section, owner, class, ttl, rdata);
+    }
+
+    /// Writes the records of `tails`, a run of [`rr_tail_into`] outputs,
+    /// into `section`, each at `owner`.
+    pub fn tails<N: NameLabels + ?Sized>(&mut self, section: Section, owner: &N, tails: &[u8]) {
+        self.0.tails(section, owner, tails);
+    }
+
+    /// Writes the OPT record for `edns` and completes the header.
+    pub fn finish(self, flags: Flags, rcode: Rcode, edns: Option<Edns>) {
+        self.0.finish(flags, rcode, edns);
+    }
+}
+
+/// Appends one class-IN record's tail — TYPE, CLASS, TTL, RDLENGTH, RDATA,
+/// everything after the owner — to `out`, with every RDATA name in full.
+/// For RDATA whose names a message never compresses (every DNSSEC type,
+/// RFC 3597 §4), these are the bytes [`Writer::record`] writes after the
+/// owner, wherever in a message it writes them.
+pub fn rr_tail_into(ttl: u32, rdata: &RData, out: &mut Vec<u8>) {
+    let mut e = Encoder {
+        buf: out,
+        names: Uncompressed,
+        counts: [0; 4],
+    };
+    e.rr_tail(RrClass::In, ttl, rdata);
 }
 
 /// Serializes a message to wire format.
 pub fn encode(msg: &Message) -> Vec<u8> {
-    encode_with::<SuffixTable>(Vec::with_capacity(512), msg)
+    let mut buf = Vec::with_capacity(512);
+    encode_with(&mut buf, SuffixTable::default(), msg);
+    buf
 }
 
 /// Serializes a message into `buf` (cleared first), reusing its capacity.
 pub fn encode_into(msg: &Message, buf: &mut Vec<u8>) {
-    *buf = encode_with::<SuffixTable>(std::mem::take(buf), msg);
+    encode_with(buf, SuffixTable::default(), msg);
 }
 
 /// Rewrites the encoded message `full` into `out` (cleared first) in the
@@ -378,67 +568,22 @@ pub fn truncate_into(full: &[u8], out: &mut Vec<u8>) -> Result<(), WireError> {
     Ok(())
 }
 
-/// Encodes `msg` into `buf` (cleared first) with compressor `C`.
-fn encode_with<C: Compressor>(mut buf: Vec<u8>, msg: &Message) -> Vec<u8> {
-    buf.clear();
-    let mut e = Encoder {
-        buf,
-        names: C::default(),
-    };
-    e.u16(msg.id);
-    let f = &msg.flags;
-    let mut word: u16 = 0;
-    if f.qr {
-        word |= 1 << 15;
-    }
-    if f.aa {
-        word |= 1 << 10;
-    }
-    if f.tc {
-        word |= 1 << 9;
-    }
-    if f.rd {
-        word |= 1 << 8;
-    }
-    if f.ra {
-        word |= 1 << 7;
-    }
-    if f.ad {
-        word |= 1 << 5;
-    }
-    if f.cd {
-        word |= 1 << 4;
-    }
-    word |= u16::from(msg.rcode.code() & 0x0F);
-    e.u16(word);
-    e.u16(if msg.question.is_some() { 1 } else { 0 });
-    e.u16(msg.answers.len() as u16);
-    e.u16(msg.authorities.len() as u16);
-    e.u16(msg.additionals.len() as u16 + if msg.edns.is_some() { 1 } else { 0 });
+/// Encodes `msg` into `buf` (cleared first) with compressor `names`.
+fn encode_with<C: Compressor>(buf: &mut Vec<u8>, names: C, msg: &Message) {
+    let mut e = Encoder::start(buf, msg.id, names);
     if let Some(q) = &msg.question {
-        e.name(&q.qname);
-        e.u16(q.qtype.code());
-        e.u16(q.qclass.code());
+        e.question(&q.qname, q.qtype, q.qclass);
     }
-    for rec in msg
-        .answers
-        .iter()
-        .chain(&msg.authorities)
-        .chain(&msg.additionals)
-    {
-        e.record(rec);
+    for (section, records) in [
+        (Section::Answer, &msg.answers),
+        (Section::Authority, &msg.authorities),
+        (Section::Additional, &msg.additionals),
+    ] {
+        for rec in records {
+            e.record(section, &rec.name, rec.class, rec.ttl, &rec.rdata);
+        }
     }
-    if let Some(edns) = &msg.edns {
-        // OPT pseudo-record: root name, TYPE=41, CLASS=udp size,
-        // TTL = ext-rcode/version/DO bit, empty RDATA.
-        e.u8(0);
-        e.u16(RrType::Opt.code());
-        e.u16(edns.udp_size);
-        let ttl: u32 = if edns.dnssec_ok { 0x0000_8000 } else { 0 };
-        e.u32(ttl);
-        e.u16(0);
-    }
-    e.buf
+    e.finish(msg.flags, msg.rcode, msg.edns);
 }
 
 // ---------------------------------------------------------------- decoding
@@ -907,7 +1052,7 @@ pub(crate) fn decode_inner(buf: &[u8]) -> Result<Message, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::name::name;
+    use crate::name::{name, Label};
     use crate::rdata::DNSKEY_FLAG_ZONE;
     use ddx_prop::{Rng, StdRng};
     use std::collections::HashMap;
@@ -918,8 +1063,10 @@ mod tests {
     struct StringKeyed(HashMap<String, u16>);
 
     impl Compressor for StringKeyed {
-        fn name(&mut self, buf: &mut Vec<u8>, name: &Name) {
-            let labels = name.labels();
+        fn name<N: NameLabels + ?Sized>(&mut self, buf: &mut Vec<u8>, name: &N) {
+            let labels: Vec<Label> = (0..name.label_count())
+                .map(|i| Label::new(name.label(i)).expect("label fits"))
+                .collect();
             for i in 0..labels.len() {
                 let suffix = Name::from_labels(labels[i..].to_vec()).expect("suffix fits");
                 let key = suffix.key();
@@ -1015,7 +1162,9 @@ mod tests {
     }
 
     fn encode_reference(msg: &Message) -> Vec<u8> {
-        encode_with::<StringKeyed>(Vec::new(), msg)
+        let mut buf = Vec::new();
+        encode_with(&mut buf, StringKeyed::default(), msg);
+        buf
     }
 
     /// The suffix table compresses exactly like the string-keyed oracle:
@@ -1042,7 +1191,7 @@ mod tests {
     /// whose bytes are not all written yet.
     #[test]
     fn written_name_eq_reads_back_through_pointers() {
-        let labels = |s: &str| name(s).labels().to_vec();
+        let eq = |wire: &[u8], pos: usize, s: &str| written_name_eq(wire, pos, &name(s), 0);
         let mut msg = Message::query(1, name("www.Example.com"), RrType::A).response();
         let owner = name("mail.example.COM");
         msg.answers
@@ -1050,17 +1199,13 @@ mod tests {
         let wire = encode(&msg);
         // The question name sits at 12 (`Example` at 16); the answer owner
         // follows qtype/qclass at 33 as `mail` plus a pointer to 16.
-        assert!(written_name_eq(&wire, 12, &labels("WWW.example.com")));
-        assert!(written_name_eq(&wire, 16, &labels("example.com")));
-        assert!(written_name_eq(&wire, 33, &labels("MAIL.example.com")));
-        assert!(!written_name_eq(&wire, 33, &labels("mail.example.org")));
-        assert!(!written_name_eq(&wire, 12, &labels("www.example")));
-        assert!(!written_name_eq(&wire, 16, &labels("www.example.com")));
-        assert!(!written_name_eq(
-            &wire[..20],
-            12,
-            &labels("www.example.com")
-        ));
+        assert!(eq(&wire, 12, "WWW.example.com"));
+        assert!(eq(&wire, 16, "example.com"));
+        assert!(eq(&wire, 33, "MAIL.example.com"));
+        assert!(!eq(&wire, 33, "mail.example.org"));
+        assert!(!eq(&wire, 12, "www.example"));
+        assert!(!eq(&wire, 16, "www.example.com"));
+        assert!(!eq(&wire[..20], 12, "www.example.com"));
     }
 
     /// A suffix written at offset 0x3FFF is still a pointer target; one

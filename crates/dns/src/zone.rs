@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use ddx_json::{FromJson, ToJson};
 
-use crate::name::Name;
+use crate::name::{Name, NameLabels};
 use crate::rdata::{RData, Soa};
 use crate::rrset::{RRset, Record};
 use crate::types::RrType;
@@ -125,6 +125,12 @@ impl Zone {
         self.nodes.get(name)?.get(&rtype.code())
     }
 
+    /// [`Zone::get`] for a name held in another form, such as a suffix of
+    /// a query's [`WireName`](crate::WireName): builds no `Name`.
+    pub fn get_labels(&self, name: &dyn NameLabels, rtype: RrType) -> Option<&RRset> {
+        self.nodes.get(name)?.get(&rtype.code())
+    }
+
     /// Mutable lookup. Conservatively counts as a mutation (the caller can
     /// rewrite the RRset through the returned reference).
     pub fn get_mut(&mut self, name: &Name, rtype: RrType) -> Option<&mut RRset> {
@@ -172,6 +178,12 @@ impl Zone {
     /// All owner names, canonical order.
     pub fn names(&self) -> impl Iterator<Item = &Name> {
         self.nodes.keys()
+    }
+
+    /// Every owner name with its RRsets by ascending type code, in
+    /// canonical owner order: [`Zone::rrsets`] grouped by owner.
+    pub fn nodes(&self) -> impl Iterator<Item = (&Name, impl Iterator<Item = &RRset>)> {
+        self.nodes.iter().map(|(name, node)| (name, node.values()))
     }
 
     /// All RRsets, canonical owner order, ascending type code within a name.

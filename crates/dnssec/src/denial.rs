@@ -7,7 +7,8 @@ use std::collections::BTreeSet;
 use ddx_json::{FromJson, ToJson};
 
 use ddx_dns::{
-    Name, Nsec, Nsec3, Nsec3Param, RData, Record, RrType, TypeBitmap, Zone, NSEC3_FLAG_OPT_OUT,
+    Name, NameLabels, Nsec, Nsec3, Nsec3Param, RData, Record, RrType, TypeBitmap, Zone,
+    NSEC3_FLAG_OPT_OUT,
 };
 
 use crate::nsec3::{hash_covered, nsec3_hash, Nsec3Config};
@@ -196,14 +197,14 @@ pub type Nsec3View<'a> = (&'a Name, &'a Nsec3);
 
 /// Canonical "covers" predicate for NSEC: owner < name < next, with the last
 /// record (next = apex) covering everything after the owner.
-pub fn nsec_covers(owner: &Name, next: &Name, name: &Name, apex: &Name) -> bool {
+pub fn nsec_covers(owner: &Name, next: &Name, name: &dyn NameLabels) -> bool {
     use std::cmp::Ordering::*;
+    let (owner_l, next_l): (&dyn NameLabels, &dyn NameLabels) = (owner, next);
     match owner.canonical_cmp(next) {
-        Less => owner.canonical_cmp(name) == Less && name.canonical_cmp(next) == Less,
+        Less => owner_l.canonical_cmp(name) == Less && name.canonical_cmp(next_l) == Less,
+        // Wrap-around record (next should be the apex).
         Greater | Equal => {
-            // Wrap-around record (next should be the apex).
-            let _ = apex;
-            owner.canonical_cmp(name) == Less || name.canonical_cmp(next) == Less
+            owner_l.canonical_cmp(name) == Less || name.canonical_cmp(next_l) == Less
         }
     }
 }
@@ -225,8 +226,7 @@ pub fn verify_nsec_denial(
                 // An ENT NODATA may instead be proven by an NSEC whose next
                 // name is a descendant of qname (RFC 4035 §3.1.3.2 practice).
                 if records.iter().any(|(o, n)| {
-                    nsec_covers(o, &n.next_name, qname, apex)
-                        && n.next_name.is_strict_subdomain_of(qname)
+                    nsec_covers(o, &n.next_name, qname) && n.next_name.is_strict_subdomain_of(qname)
                 }) {
                     return Ok(());
                 }
@@ -243,7 +243,7 @@ pub fn verify_nsec_denial(
         DenialKind::NxDomain => {
             let covering = records
                 .iter()
-                .find(|(o, n)| nsec_covers(o, &n.next_name, qname, apex));
+                .find(|(o, n)| nsec_covers(o, &n.next_name, qname));
             let Some((ce_owner, _)) = covering else {
                 return Err(DenialFailure::BadCoverage);
             };
@@ -253,7 +253,7 @@ pub fn verify_nsec_denial(
             let wildcard = ce.child("*").expect("wildcard label fits");
             let wildcard_denied = records
                 .iter()
-                .any(|(o, n)| nsec_covers(o, &n.next_name, &wildcard, apex) || *o == &wildcard);
+                .any(|(o, n)| nsec_covers(o, &n.next_name, &wildcard) || *o == &wildcard);
             if !wildcard_denied && &wildcard != qname {
                 return Err(DenialFailure::MissingWildcardProof);
             }

@@ -27,7 +27,7 @@ pub use denial::{
 };
 pub use ds::{check_ds, make_ds, DsMatch};
 pub use keys::{KeyPair, KeyRing, KeyRole};
-pub use nsec3::{hash_covered, nsec3_hash, Nsec3Config, NSEC3_HASH_SHA1};
+pub use nsec3::{hash_covered, nsec3_hash, nsec3_hash_wire, Nsec3Config, NSEC3_HASH_SHA1};
 pub use sign::{sign_rrset, verify_rrset, SignOptions, VerifyError};
 pub use signer::{
     remove_sigs_covering, resign_rrset, sign_zone, sign_zone_cached, sigs_covering, SignError,

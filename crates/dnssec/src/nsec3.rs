@@ -6,7 +6,7 @@
 use crate::sha::{Digest, PaddedSha1, Sha1};
 use ddx_json::ToJson;
 
-use ddx_dns::Name;
+use ddx_dns::{Name, WireName};
 
 /// The only NSEC3 hash algorithm defined (RFC 5155 §11): SHA-1.
 pub const NSEC3_HASH_SHA1: u8 = 1;
@@ -48,9 +48,16 @@ impl Nsec3Config {
 /// Charges `1 + iterations` SHA-1 rounds to the thread's work ledger
 /// ([`crate::work_snapshot`]), which is exactly the work done here.
 pub fn nsec3_hash(name: &Name, salt: &[u8], iterations: u16) -> [u8; 20] {
+    nsec3_hash_wire(WireName::from_name(name).wire(), salt, iterations)
+}
+
+/// [`nsec3_hash`] of the name whose canonical wire form is
+/// `canonical_wire` (a [`WireName`] or a suffix of one): the one hash path,
+/// which `nsec3_hash` wraps.
+pub fn nsec3_hash_wire(canonical_wire: &[u8], salt: &[u8], iterations: u16) -> [u8; 20] {
     crate::workload::record_nsec3_rounds(1 + iterations as u64);
     let mut h = Sha1::new();
-    h.update(name.canonical_wire());
+    h.update(canonical_wire);
     h.update(salt);
     let mut digest = h.finalize();
     // Every later round hashes `digest ‖ salt`, one length throughout: pad

@@ -155,20 +155,28 @@ impl Digest for Sha1 {
 /// A SHA-1 message of one fixed length, padded once (FIPS 180-4 §5.1) and
 /// then rewritten and rehashed in place. A loop that hashes many messages
 /// of the same length (the NSEC3 iterations) skips [`Sha1`]'s buffering
-/// and padding on every pass.
+/// and padding on every pass. Held on the stack: the message is at most
+/// [`PaddedSha1::MAX_LEN`] bytes, room for a digest and the longest NSEC3
+/// salt.
 pub(crate) struct PaddedSha1 {
-    blocks: Vec<u8>,
+    blocks: [u8; 5 * 64],
+    /// Bytes of `blocks` in use: whole blocks.
+    end: usize,
     len: usize,
 }
 
 impl PaddedSha1 {
-    /// An all-zero message of `len` bytes.
+    /// The longest message: five blocks less the padding's nine bytes.
+    pub(crate) const MAX_LEN: usize = 5 * 64 - 9;
+
+    /// An all-zero message of `len` bytes, at most [`Self::MAX_LEN`].
     pub(crate) fn new(len: usize) -> Self {
-        let mut blocks = vec![0; (len + 9).div_ceil(64) * 64];
+        assert!(len <= Self::MAX_LEN, "a padded message of {len} bytes");
+        let mut blocks = [0; 5 * 64];
+        let end = (len + 9).div_ceil(64) * 64;
         blocks[len] = 0x80;
-        let end = blocks.len();
-        blocks[end - 8..].copy_from_slice(&(len as u64 * 8).to_be_bytes());
-        PaddedSha1 { blocks, len }
+        blocks[end - 8..end].copy_from_slice(&(len as u64 * 8).to_be_bytes());
+        PaddedSha1 { blocks, end, len }
     }
 
     /// The message bytes, to rewrite before the next [`Self::digest`].
@@ -179,7 +187,7 @@ impl PaddedSha1 {
     /// SHA-1 of the message as it stands.
     pub(crate) fn digest(&self) -> [u8; 20] {
         let mut state = SHA1_IV;
-        for block in self.blocks.chunks_exact(64) {
+        for block in self.blocks[..self.end].chunks_exact(64) {
             compress160(&mut state, block.try_into().expect("whole blocks"));
         }
         sha1_output(state)

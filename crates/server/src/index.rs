@@ -1,11 +1,41 @@
-//! Per-generation lookup indexes for the denial-of-existence scans in
-//! [`Server::handle_arc`](crate::Server::handle_arc).
+//! Per-generation lookup indexes for the indexed resolution behind
+//! [`Server::respond_into`](crate::Server::respond_into),
+//! [`Server::handle_arc`](crate::Server::handle_arc) and
+//! [`Server::handle_view`](crate::Server::handle_view).
 //!
-//! The naive answer path finds NSEC/NSEC3 proof records by scanning every
-//! RRset in the zone per query. This module precomputes, once per zone
-//! generation, the compact structures those scans walk: the NSEC chain in
-//! canonical owner order and the NSEC3 records with decoded owner hashes
-//! plus a hash-sorted ring.
+//! The naive answer path ([`Server::handle_uncached`](crate::Server::handle_uncached))
+//! decides existence and finds NSEC/NSEC3 proof records by scanning every
+//! RRset in the zone per query. A [`ZoneIndex`] is built once per zone
+//! generation and holds what those scans compute:
+//!
+//! - **Every existing name** (each owner and each empty non-terminal), keyed
+//!   by its canonical wire form, with whether it is a delegation point. A
+//!   query walks its name's ancestors as suffixes of its own wire form
+//!   ([`ddx_dns::WireName`]) and probes this table; it builds no `Name`.
+//! - **The NSEC3 owner hash of each name a denial asks about**: a closest
+//!   encloser (for fresh names, the apex), its wildcard child and a NODATA
+//!   name are hashed the first time a denial needs them and kept for the
+//!   generation, not hashed per query. These are existing names or their
+//!   wildcard children, so the table holds at most two hashes per name of
+//!   the zone; a zone never asked for a denial hashes nothing.
+//! - **The NSEC chain** in canonical owner order and **the NSEC3 ring** with
+//!   decoded owner hashes plus a hash-sorted order.
+//! - **Each chain or ring entry's proof**: its RRset and covering RRSIGs as
+//!   pre-encoded RR tails ([`ddx_dns::wire::rr_tail_into`]), which the
+//!   transport copies after a compressed owner without looking the sets up
+//!   in the zone.
+//!
+//! What a memo miss still computes per query: the closest encloser (one
+//! table probe per ancestor), the NSEC3 hash of the next closer name (the
+//! one name a fresh query brings), a binary search per proof, and the
+//! SOA and positive RRsets, which it reads from the zone.
+//!
+//! The name table and the tails duplicate what the zone holds because a
+//! probe of the zone's own `BTreeMap` costs one canonical name comparison
+//! per tree key it passes: about 1 µs for a fresh name in a 4,100-name
+//! zone, several per fresh query, and two per proof set (the set and its
+//! RRSIGs). With both answered from the zone instead, a fresh NSEC3
+//! NXDOMAIN miss cost about twice as much in the same release harness.
 //!
 //! Byte-identical equivalence with the naive path is non-negotiable (the
 //! server must surface injected misconfigurations exactly as before), and
@@ -20,12 +50,11 @@
 //! order — just without re-filtering the whole zone per query.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
-use ddx_dns::{base32, Name, RData, RrType, Zone};
-use ddx_dnssec::hash_covered;
-use ddx_dnssec::nsec3_hash;
-use ddx_dnssec::nsec_covers;
+use ddx_dns::{base32, wire, Name, NameLabels, RData, RRset, RrType, Zone};
+use ddx_dnssec::{hash_covered, nsec3_hash_wire, nsec_covers};
 
 /// One NSEC-typed RRset: owner plus the `next_name` of every NSEC RDATA it
 /// holds (injected zones may hold zero or several).
@@ -33,6 +62,8 @@ use ddx_dnssec::nsec_covers;
 struct NsecEntry {
     owner: Name,
     nexts: Vec<Name>,
+    /// The set and its RRSIGs, in [`ZoneIndex::tails`].
+    tails: Range<usize>,
 }
 
 /// One NSEC3-typed RRset whose first RDATA is NSEC3 (the naive scan's
@@ -43,6 +74,45 @@ struct Nsec3Entry {
     owner: Name,
     owner_hash: Option<Vec<u8>>,
     next_hashed: Vec<u8>,
+    /// The set and its RRSIGs, in [`ZoneIndex::tails`].
+    tails: Range<usize>,
+}
+
+/// An existing name of the zone.
+#[derive(Debug, Default)]
+struct NameNode {
+    /// Holds an NS set and is not the apex.
+    cut: bool,
+    /// The type codes of the sets it owns, in [`ZoneIndex::types`]; empty
+    /// for an empty non-terminal.
+    types: Range<usize>,
+}
+
+/// A denial proof the index holds: an NSEC or NSEC3 set at `owner`, with
+/// its covering RRSIGs, as RR tails a [`wire::Writer`] writes after the
+/// owner.
+#[derive(Debug, Clone, Copy)]
+pub struct Proof<'a> {
+    owner: &'a Name,
+    rtype: RrType,
+    tails: &'a [u8],
+}
+
+impl<'a> Proof<'a> {
+    /// The owner of the proof set.
+    pub fn owner(&self) -> &'a Name {
+        self.owner
+    }
+
+    /// NSEC or NSEC3.
+    pub(crate) fn rtype(&self) -> RrType {
+        self.rtype
+    }
+
+    /// The set's records then its RRSIGs, each as an RR tail.
+    pub(crate) fn tails(&self) -> &'a [u8] {
+        self.tails
+    }
 }
 
 /// Immutable lookup structures for one zone at one generation.
@@ -55,6 +125,10 @@ pub struct ZoneIndex {
     /// the first canonical NSEC3 set's first RDATA, else the apex
     /// NSEC3PARAM's first RDATA.
     nsec3_params: Option<(Vec<u8>, u16)>,
+    /// Every owner and empty non-terminal, by canonical wire form.
+    names: HashMap<Box<[u8]>, NameNode>,
+    /// The type codes of every owner's sets, back to back.
+    types: Vec<u16>,
     /// NSEC-typed sets in canonical owner order (owners strictly
     /// ascending: one set per owner/type).
     nsec_chain: Vec<NsecEntry>,
@@ -69,6 +143,11 @@ pub struct ZoneIndex {
     /// Every owner hash decodes, hashes are unique, and the ring closes in
     /// hash order.
     nsec3_well_formed: bool,
+    /// The proof RR tails of every chain and ring entry, back to back.
+    tails: Vec<u8>,
+    /// NSEC3 owner hashes of the names denials have asked about, by
+    /// canonical wire form; filled on first use.
+    hashes: RwLock<HashMap<Box<[u8]>, [u8; 20]>>,
     /// Global `server.zone_index.fast_path` / `.fallback` counters: each
     /// `find_*` lookup bumps one of them depending on whether it took the
     /// binary-search shortcut or the linear malformed-chain walk.
@@ -76,59 +155,108 @@ pub struct ZoneIndex {
     obs_fallback: ddx_obs::Counter,
 }
 
+/// Appends `set`'s records and, from `sigs`, the RRSIGs covering its type
+/// to `tails` as RR tails, as `push_set` in the resolver would emit them;
+/// returns where they went.
+fn proof_tails(set: &RRset, sigs: Option<&RRset>, tails: &mut Vec<u8>) -> Range<usize> {
+    let start = tails.len();
+    for rd in &set.rdatas {
+        wire::rr_tail_into(set.ttl, rd, tails);
+    }
+    if let Some(sigset) = sigs {
+        for rd in &sigset.rdatas {
+            if matches!(rd, RData::Rrsig(s) if s.type_covered == set.rtype) {
+                wire::rr_tail_into(sigset.ttl, rd, tails);
+            }
+        }
+    }
+    start..tails.len()
+}
+
 impl ZoneIndex {
     /// Builds the index from one pass over the zone's RRsets.
     pub fn build(zone: &Zone) -> ZoneIndex {
+        let apex = zone.apex();
         let mut uses_nsec3 = false;
+        let mut names: HashMap<Box<[u8]>, NameNode> = HashMap::with_capacity(zone.names().count());
+        let mut types = Vec::new();
         let mut nsec_chain: Vec<NsecEntry> = Vec::new();
         let mut nsec3_ring: Vec<Nsec3Entry> = Vec::new();
+        let mut tails = Vec::new();
         let mut nsec_malformed = false;
         let mut ring_params: Option<(Vec<u8>, u16)> = None;
-        for set in zone.rrsets() {
-            match set.rtype {
-                RrType::Nsec => {
-                    let nexts: Vec<Name> = set
-                        .rdatas
-                        .iter()
-                        .filter_map(|rd| match rd {
-                            RData::Nsec(n) => Some(n.next_name.clone()),
-                            _ => None,
-                        })
-                        .collect();
-                    if nexts.len() != 1 {
-                        nsec_malformed = true;
-                    }
-                    nsec_chain.push(NsecEntry {
-                        owner: set.name.clone(),
-                        nexts,
-                    });
+        for (owner, sets) in zone.nodes() {
+            // The owner and its ancestors down to the apex exist. Canonical
+            // order visits ancestors first, so the walk stops at the first
+            // known one.
+            let key = owner.canonical_wire();
+            let mut at = 0;
+            for _ in apex.label_count()..owner.label_count() {
+                at += 1 + usize::from(key[at]);
+                if names.contains_key(&key[at..]) {
+                    break;
                 }
-                RrType::Nsec3 => {
-                    uses_nsec3 = true;
-                    if let Some(RData::Nsec3(n3)) = set.rdatas.first() {
-                        // The naive path takes (salt, iterations) from the
-                        // first canonical NSEC3 set's first RDATA.
-                        if ring_params.is_none() {
-                            ring_params = Some((n3.salt.clone(), n3.iterations));
+                names.insert(key[at..].into(), NameNode::default());
+            }
+            let mut node = NameNode {
+                cut: false,
+                types: types.len()..types.len(),
+            };
+            // The owner's RRSIG set: type 46 sorts before NSEC's 47 and
+            // NSEC3's 50, so it is known by then.
+            let mut owner_sigs: Option<&RRset> = None;
+            for set in sets {
+                types.push(set.rtype.code());
+                node.cut |= set.rtype == RrType::Ns && owner != apex;
+                match set.rtype {
+                    RrType::Rrsig => owner_sigs = Some(set),
+                    RrType::Nsec => {
+                        let nexts: Vec<Name> = set
+                            .rdatas
+                            .iter()
+                            .filter_map(|rd| match rd {
+                                RData::Nsec(n) => Some(n.next_name.clone()),
+                                _ => None,
+                            })
+                            .collect();
+                        if nexts.len() != 1 {
+                            nsec_malformed = true;
                         }
-                        let owner_hash = set
-                            .name
-                            .labels()
-                            .first()
-                            .and_then(|l| std::str::from_utf8(l.as_bytes()).ok())
-                            .and_then(base32::decode);
-                        nsec3_ring.push(Nsec3Entry {
+                        nsec_chain.push(NsecEntry {
                             owner: set.name.clone(),
-                            owner_hash,
-                            next_hashed: n3.next_hashed_owner.clone(),
+                            nexts,
+                            tails: proof_tails(set, owner_sigs, &mut tails),
                         });
                     }
+                    RrType::Nsec3 => {
+                        uses_nsec3 = true;
+                        if let Some(RData::Nsec3(n3)) = set.rdatas.first() {
+                            // The naive path takes (salt, iterations) from the
+                            // first canonical NSEC3 set's first RDATA.
+                            if ring_params.is_none() {
+                                ring_params = Some((n3.salt.clone(), n3.iterations));
+                            }
+                            let owner_hash = set
+                                .name
+                                .labels()
+                                .first()
+                                .and_then(|l| std::str::from_utf8(l.as_bytes()).ok())
+                                .and_then(base32::decode);
+                            nsec3_ring.push(Nsec3Entry {
+                                owner: set.name.clone(),
+                                owner_hash,
+                                next_hashed: n3.next_hashed_owner.clone(),
+                                tails: proof_tails(set, owner_sigs, &mut tails),
+                            });
+                        }
+                    }
+                    RrType::Nsec3Param => uses_nsec3 = true,
+                    _ => {}
                 }
-                RrType::Nsec3Param => uses_nsec3 = true,
-                _ => {}
             }
+            node.types.end = types.len();
+            names.insert(key.into_boxed_slice(), node);
         }
-
         let nsec_well_formed = !nsec_malformed
             && !nsec_chain.is_empty()
             && (0..nsec_chain.len())
@@ -167,6 +295,10 @@ impl ZoneIndex {
             nsec3_ring,
             nsec3_sorted,
             nsec3_well_formed,
+            names,
+            types,
+            tails,
+            hashes: RwLock::default(),
             obs_fast_path: ddx_obs::counter("server.zone_index.fast_path", &[]),
             obs_fallback: ddx_obs::counter("server.zone_index.fallback", &[]),
         }
@@ -187,14 +319,76 @@ impl ZoneIndex {
         self.nsec3_params.as_ref().map(|(s, i)| (&s[..], *i))
     }
 
-    /// The owner of the first NSEC set (canonical order) satisfying the
-    /// naive denial predicate for `target`.
-    pub fn find_first_nsec(&self, target: &Name, nxdomain: bool, apex: &Name) -> Option<&Name> {
+    /// Whether the name with canonical wire form `wire` exists: it owns
+    /// records or has a descendant that does.
+    pub(crate) fn exists(&self, wire: &[u8]) -> bool {
+        self.names.contains_key(wire)
+    }
+
+    /// Whether the name with canonical wire form `wire` owns a set of
+    /// `rtype`.
+    pub(crate) fn has_type(&self, wire: &[u8], rtype: RrType) -> bool {
+        let code = rtype.code();
+        self.names
+            .get(wire)
+            .is_some_and(|n| self.types[n.types.clone()].contains(&code))
+    }
+
+    /// Whether the name with canonical wire form `wire` is a delegation
+    /// point: it holds an NS set and is not the apex.
+    pub(crate) fn is_cut(&self, wire: &[u8]) -> bool {
+        self.names.get(wire).is_some_and(|n| n.cut)
+    }
+
+    /// The NSEC3 owner hash, under the zone's parameters, of the name
+    /// with canonical wire form `wire`: kept for the generation once a
+    /// denial has asked for it. Only for names of the zone and their
+    /// wildcard children (closest enclosers, NODATA names), which bounds
+    /// the table; a fresh name is hashed with [`nsec3_hash_wire`] directly.
+    /// `None` without NSEC3 parameters.
+    pub(crate) fn nsec3_hash(&self, wire: &[u8]) -> Option<[u8; 20]> {
+        let (salt, iterations) = self.nsec3_params()?;
+        let known = self
+            .hashes
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(wire)
+            .copied();
+        Some(known.unwrap_or_else(|| {
+            let hash = nsec3_hash_wire(wire, salt, iterations);
+            self.hashes
+                .write()
+                .unwrap_or_else(PoisonError::into_inner)
+                .insert(wire.into(), hash);
+            hash
+        }))
+    }
+
+    fn nsec_proof<'a>(&'a self, e: &'a NsecEntry) -> Proof<'a> {
+        Proof {
+            owner: &e.owner,
+            rtype: RrType::Nsec,
+            tails: &self.tails[e.tails.clone()],
+        }
+    }
+
+    fn nsec3_proof<'a>(&'a self, e: &'a Nsec3Entry) -> Proof<'a> {
+        Proof {
+            owner: &e.owner,
+            rtype: RrType::Nsec3,
+            tails: &self.tails[e.tails.clone()],
+        }
+    }
+
+    /// The first NSEC set (canonical order) satisfying the naive denial
+    /// predicate for `target`.
+    pub fn find_first_nsec(&self, target: &dyn NameLabels, nxdomain: bool) -> Option<Proof<'_>> {
+        let is_target = |owner: &Name| (owner as &dyn NameLabels) == target;
         let matches = |e: &NsecEntry| {
-            if nxdomain || e.owner != *target {
+            if nxdomain || !is_target(&e.owner) {
                 e.nexts
                     .iter()
-                    .any(|next| nsec_covers(&e.owner, next, target, apex) || e.owner == *target)
+                    .any(|next| nsec_covers(&e.owner, next, target) || is_target(&e.owner))
             } else {
                 true
             }
@@ -205,7 +399,7 @@ impl ZoneIndex {
                 .nsec_chain
                 .iter()
                 .find(|e| matches(e))
-                .map(|e| &e.owner);
+                .map(|e| self.nsec_proof(e));
         }
         self.obs_fast_path.inc();
         // Well-formed chain: the only sets that can satisfy the predicate
@@ -213,9 +407,11 @@ impl ZoneIndex {
         // strictly ascending and the chain closed) is the canonical
         // predecessor arc, wrapping at the ends.
         let n = self.nsec_chain.len();
-        let pos = self.nsec_chain.partition_point(|e| e.owner < *target);
+        let pos = self
+            .nsec_chain
+            .partition_point(|e| (&e.owner as &dyn NameLabels) < target);
         let mut candidates = [usize::MAX; 2];
-        if pos < n && self.nsec_chain[pos].owner == *target {
+        if pos < n && is_target(&self.nsec_chain[pos].owner) {
             candidates[0] = pos;
         }
         candidates[1] = if pos == 0 { n - 1 } else { pos - 1 };
@@ -224,41 +420,43 @@ impl ZoneIndex {
             .into_iter()
             .filter(|&i| i < n)
             .find(|&i| matches(&self.nsec_chain[i]))
-            .map(|i| &self.nsec_chain[i].owner)
+            .map(|i| self.nsec_proof(&self.nsec_chain[i]))
     }
 
-    /// The owner of the first NSEC3 set whose owner hash equals the hash of
-    /// `target` under `(salt, iterations)`.
-    pub fn find_nsec3_match(&self, target: &Name, salt: &[u8], iterations: u16) -> Option<&Name> {
-        let h = nsec3_hash(target, salt, iterations);
+    /// The first NSEC3 set whose owner hash is `hash`.
+    pub fn find_nsec3_match(&self, hash: &[u8; 20]) -> Option<Proof<'_>> {
+        let h = &hash[..];
         if !self.nsec3_well_formed {
             self.obs_fallback.inc();
             return self
                 .nsec3_ring
                 .iter()
-                .find(|e| e.owner_hash.as_deref() == Some(&h[..]))
-                .map(|e| &e.owner);
+                .find(|e| e.owner_hash.as_deref() == Some(h))
+                .map(|e| self.nsec3_proof(e));
         }
         self.obs_fast_path.inc();
         self.nsec3_sorted
-            .binary_search_by(|&i| self.nsec3_ring[i].owner_hash.as_deref().cmp(&Some(&h[..])))
+            .binary_search_by(|&i| self.nsec3_ring[i].owner_hash.as_deref().cmp(&Some(h)))
             .ok()
-            .map(|pos| &self.nsec3_ring[self.nsec3_sorted[pos]].owner)
+            .map(|pos| self.nsec3_proof(&self.nsec3_ring[self.nsec3_sorted[pos]]))
     }
 
-    /// The owner of the first NSEC3 set whose hash arc covers the hash of
-    /// `target`.
-    pub fn find_nsec3_cover(&self, target: &Name, salt: &[u8], iterations: u16) -> Option<&Name> {
-        let h = nsec3_hash(target, salt, iterations);
+    /// The first NSEC3 set whose hash arc covers `hash`.
+    pub fn find_nsec3_cover(&self, hash: &[u8; 20]) -> Option<Proof<'_>> {
+        let h = &hash[..];
         let covers = |e: &Nsec3Entry| {
             e.owner_hash
                 .as_ref()
-                .map(|oh| hash_covered(oh, &e.next_hashed, &h))
+                .map(|oh| hash_covered(oh, &e.next_hashed, h))
                 .unwrap_or(false)
         };
         if !self.nsec3_well_formed {
             self.obs_fallback.inc();
-            return self.nsec3_ring.iter().find(|e| covers(e)).map(|e| &e.owner);
+            return self
+                .nsec3_ring
+                .iter()
+                .find(|e| covers(e))
+                .map(|e| self.nsec3_proof(e));
         }
         self.obs_fast_path.inc();
         // Well-formed ring: hashes are unique and arcs close, so at most
@@ -266,10 +464,9 @@ impl ZoneIndex {
         let n = self.nsec3_sorted.len();
         let pos = self
             .nsec3_sorted
-            .partition_point(|&i| self.nsec3_ring[i].owner_hash.as_deref() < Some(&h[..]));
-        let pred = self.nsec3_sorted[if pos == 0 { n - 1 } else { pos - 1 }];
-        let entry = &self.nsec3_ring[pred];
-        covers(entry).then_some(&entry.owner)
+            .partition_point(|&i| self.nsec3_ring[i].owner_hash.as_deref() < Some(h));
+        let entry = &self.nsec3_ring[self.nsec3_sorted[if pos == 0 { n - 1 } else { pos - 1 }]];
+        covers(entry).then(|| self.nsec3_proof(entry))
     }
 }
 
@@ -347,10 +544,9 @@ mod tests {
                 .iter()
                 .find(|e| {
                     if nxdomain || e.owner != *target {
-                        e.nexts.iter().any(|nx| {
-                            nsec_covers(&e.owner, nx, target, &name("example.com"))
-                                || e.owner == *target
-                        })
+                        e.nexts
+                            .iter()
+                            .any(|nx| nsec_covers(&e.owner, nx, target) || e.owner == *target)
                     } else {
                         true
                     }
@@ -361,7 +557,7 @@ mod tests {
             for nx in [false, true] {
                 let t = name(probe);
                 assert_eq!(
-                    idx.find_first_nsec(&t, nx, &name("example.com")).cloned(),
+                    idx.find_first_nsec(&t, nx).map(|p| p.owner().clone()),
                     naive(&t, nx),
                     "{probe} nx={nx}"
                 );
@@ -390,18 +586,21 @@ mod tests {
         assert!(idx.nsec_well_formed);
         // NXDOMAIN between b and d: the b arc covers.
         assert_eq!(
-            idx.find_first_nsec(&name("c.example.com"), true, &name("example.com")),
+            idx.find_first_nsec(&name("c.example.com"), true)
+                .map(|p| p.owner()),
             Some(&name("b.example.com"))
         );
         // Past the last owner: the wrap arc covers.
         assert_eq!(
-            idx.find_first_nsec(&name("zz.example.com"), true, &name("example.com")),
+            idx.find_first_nsec(&name("zz.example.com"), true)
+                .map(|p| p.owner()),
             Some(&name("d.example.com"))
         );
         // NODATA at an existing owner: the exact set wins over the
         // predecessor arc (first-match order).
         assert_eq!(
-            idx.find_first_nsec(&name("b.example.com"), false, &name("example.com")),
+            idx.find_first_nsec(&name("b.example.com"), false)
+                .map(|p| p.owner()),
             Some(&name("b.example.com"))
         );
     }

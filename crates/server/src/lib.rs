@@ -19,7 +19,7 @@ mod udp;
 
 pub use cache::CachingNetwork;
 pub use fault::{FaultNetwork, FaultPlan, FlapSchedule};
-pub use index::ZoneIndex;
+pub use index::{Proof, ZoneIndex};
 pub use rollover::{botched_ksk_rollover, Rollover, RolloverKind};
 pub use sandbox::{build_sandbox, Sandbox, ZoneSpec};
 pub use server::{Server, ServerBehavior, ServerId};

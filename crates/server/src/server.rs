@@ -6,28 +6,31 @@
 //!
 //! Every entry point answers through one resolution core,
 //! `Server::resolve`, which holds the behavior switch, FORMERR, REFUSED and
-//! AXFR once. [`Server::handle_arc`] and [`Server::handle_view`] resolve
-//! through per-generation lookup indexes (see [`crate::index`]), while
+//! AXFR once and writes the answer to a sink. [`Server::handle_arc`] and
+//! [`Server::handle_view`] resolve through per-generation lookup indexes
+//! (see [`crate::index`]) into an owned `Message`, while
 //! [`Server::handle_uncached`] recomputes every answer with the original
 //! linear scans. The two are byte-identical by construction (the indexes
 //! fall back to the same first-match scans on malformed chains) and a
 //! property test pins that equivalence. The UDP and TCP transports answer
-//! through [`Server::respond_into`], which memoizes the same answers encoded
-//! (see [`crate::answer`]); it is the server's one answer cache.
+//! through [`Server::respond_into`], which resolves a miss straight into
+//! the send buffer and memoizes the bytes (see [`crate::answer`]); it is
+//! the server's one answer cache.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use ddx_json::{FromJson, ToJson};
 
+use ddx_dns::wire::{self, Section, Writer};
 use ddx_dns::{
-    base32, wire, Flags, Message, MessageView, Name, Nsec3, RData, RRset, Rcode, Record, RrType,
-    Zone,
+    base32, Flags, Message, MessageView, Name, Nsec3, RData, RRset, Rcode, Record, RrClass, RrType,
+    Suffix, WireName, Zone,
 };
-use ddx_dnssec::nsec3_hash;
+use ddx_dnssec::{nsec3_hash, nsec3_hash_wire};
 
 use crate::answer::{AnswerMemo, MemoKey};
-use crate::index::{ZoneIndex, ZoneIndexes};
+use crate::index::{Proof, ZoneIndex, ZoneIndexes};
 
 /// Identifies one server instance (e.g. `ns1.par.a.com.#0`).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, ToJson, FromJson)]
@@ -125,7 +128,7 @@ impl Server {
     /// `None` when the server is unresponsive (the transport layer turns
     /// that into a timeout).
     pub fn handle_arc(&self, query: &Message) -> Option<Arc<Message>> {
-        self.resolve(query.response(), true).map(Arc::new)
+        self.answer_message(query.response(), true).map(Arc::new)
     }
 
     /// Answers a parsed wire view without ever materializing an owned query
@@ -133,54 +136,89 @@ impl Server {
     /// through [`Server::respond_into`] instead, which memoizes encoded
     /// answers.
     pub fn handle_view(&self, view: &MessageView<'_>) -> Option<Arc<Message>> {
-        self.resolve(response_skeleton(view), true).map(Arc::new)
+        self.answer_message(response_skeleton(view), true)
+            .map(Arc::new)
     }
 
     /// The original unindexed answer path: every lookup is a fresh linear
     /// scan. Kept as the semantic reference the indexed and memoized paths
     /// are property-tested against.
     pub fn handle_uncached(&self, query: &Message) -> Option<Message> {
-        self.resolve(query.response(), false)
+        self.answer_message(query.response(), false)
     }
 
-    /// The one resolution core behind every entry point: fills `resp`, the
-    /// empty response to a query (its question and EDNS state echoed), or
-    /// returns `None` when the server is unresponsive. With `indexed`,
-    /// lookups go through the zone's per-generation index; without, every
-    /// lookup is the original linear scan.
-    fn resolve(&self, mut resp: Message, indexed: bool) -> Option<Message> {
+    /// Resolves into `resp`, the empty response to a query (its question
+    /// and EDNS state echoed): the owned answer of the in-process entry
+    /// points.
+    fn answer_message(&self, resp: Message, indexed: bool) -> Option<Message> {
+        let zone = resp
+            .question
+            .as_ref()
+            .and_then(|q| self.best_zone(|apex| q.qname.is_subdomain_of(apex)));
+        let question = resp
+            .question
+            .as_ref()
+            .map(|q| (WireName::from_name(&q.qname), q.qtype));
+        let dnssec = resp.edns.is_some_and(|e| e.dnssec_ok);
+        let mut sink = MessageSink(resp);
+        let question = question.as_ref().map(|(qname, qtype)| (qname, *qtype));
+        self.resolve(question, zone, dnssec, indexed, &mut sink)
+            .then_some(sink.0)
+    }
+
+    /// The one resolution core behind every entry point: writes the answer
+    /// to `question` (its name and type), asked of `zone` (the deepest
+    /// hosted zone holding the name), into `sink`, or returns false when
+    /// the server is unresponsive. With `indexed`, lookups go through the
+    /// zone's per-generation index; without, every lookup is the original
+    /// linear scan.
+    fn resolve<S: Sink>(
+        &self,
+        question: Option<(&WireName, RrType)>,
+        zone: Option<&Zone>,
+        dnssec: bool,
+        indexed: bool,
+        sink: &mut S,
+    ) -> bool {
         match self.behavior {
-            ServerBehavior::Unresponsive => return None,
+            ServerBehavior::Unresponsive => return false,
             ServerBehavior::Refuses => {
-                resp.rcode = Rcode::Refused;
-                return Some(resp);
+                sink.rcode(Rcode::Refused);
+                return true;
             }
             ServerBehavior::Normal => {}
         }
-        let Some(q) = resp.question.take() else {
-            resp.rcode = Rcode::FormErr;
-            return Some(resp);
+        let Some((qname, qtype)) = question else {
+            sink.rcode(Rcode::FormErr);
+            return true;
         };
-        match self.best_zone(|apex| q.qname.is_subdomain_of(apex)) {
-            None => resp.rcode = Rcode::Refused,
+        match zone {
+            None => sink.rcode(Rcode::Refused),
             // AXFR (RFC 5936): the SOA-bracketed zone for an exact apex
             // match, REFUSED below it.
-            Some(zone) if q.qtype == RrType::Axfr => {
-                if &q.qname == zone.apex() {
-                    resp.flags.aa = true;
-                    resp.answers = axfr_records(zone);
+            Some(zone) if qtype == RrType::Axfr => {
+                if qname.label_count() == zone.apex().label_count() {
+                    sink.aa(true);
+                    axfr(zone, sink);
                 } else {
-                    resp.rcode = Rcode::Refused;
+                    sink.rcode(Rcode::Refused);
                 }
             }
             Some(zone) => {
-                let dnssec = resp.edns.is_some_and(|e| e.dnssec_ok);
                 let index = indexed.then(|| self.indexes.index_for(zone));
-                answer_from_zone(zone, &q.qname, q.qtype, dnssec, &mut resp, index.as_deref());
+                let lookup = match index.as_deref() {
+                    Some(index) => Lookup::Indexed(zone, index),
+                    None => Lookup::Naive(zone),
+                };
+                let q = Query {
+                    name: qname,
+                    qtype,
+                    dnssec,
+                };
+                answer_from_zone(&lookup, &q, sink);
             }
         }
-        resp.question = Some(q);
-        Some(resp)
+        true
     }
 
     /// Answers a parsed query view into `buf` (cleared first): the one
@@ -192,15 +230,26 @@ impl Server {
     /// retries over TCP. The bytes are those of [`Server::handle_view`]'s
     /// answer, encoded and truncated by that rule.
     ///
-    /// Answers to in-zone, non-AXFR questions are memoized encoded, keyed on
-    /// the zone generation and the question bytes of the view: a hit is a
-    /// copy of the stored bytes with the query's id and qname spelling
-    /// stamped into them, and allocates nothing.
+    /// A miss is resolved straight into `buf` through a [`wire::Writer`]:
+    /// no `Message` is built. Answers to in-zone, non-AXFR questions are
+    /// memoized encoded, keyed on the zone generation and the question
+    /// bytes of the view: a hit is a copy of the stored bytes with the
+    /// query's id and qname spelling stamped into them, and allocates
+    /// nothing.
     pub fn respond_into(&self, view: &MessageView<'_>, limit: usize, buf: &mut Vec<u8>) -> bool {
         let truncate = |full: &[u8], buf: &mut Vec<u8>| {
             wire::truncate_into(full, buf).expect("the encoder writes well-formed messages");
         };
-        let key = self.memo_key(view);
+        let question = view.question();
+        // The zone is picked once, for the memo key and the resolution.
+        let zone = question
+            .filter(|_| self.behavior == ServerBehavior::Normal)
+            .and_then(|q| self.best_zone(|apex| q.qname().is_subdomain_of(apex)));
+        // AXFR answers are rare and large, exactly what the memo should not
+        // hold.
+        let key = zone
+            .filter(|_| question.is_some_and(|q| q.qtype() != RrType::Axfr))
+            .and_then(|zone| MemoKey::new(zone.generation(), view));
         match key.as_ref().and_then(|key| self.memo.get(key)) {
             Some(full) if full.len() > limit => truncate(&full, buf),
             Some(full) => {
@@ -208,10 +257,16 @@ impl Server {
                 buf.extend_from_slice(&full);
             }
             None => {
-                let Some(resp) = self.resolve(response_skeleton(view), true) else {
+                // A miss lowercases the qname a second time, into the
+                // `WireName` it walks: a hit, the common case, needs only
+                // the key.
+                let qname = question.map(|q| q.qname().to_wire_name());
+                let mut sink = WireSink::new(buf, view, qname.as_ref());
+                let question = qname.as_ref().zip(question.map(|q| q.qtype()));
+                if !self.resolve(question, zone, view.dnssec_ok(), true, &mut sink) {
                     return false;
-                };
-                wire::encode_into(&resp, buf);
+                }
+                sink.finish();
                 let stored = key.map(|key| {
                     let full: Arc<[u8]> = Arc::from(buf.as_slice());
                     self.memo.insert(&key, Arc::clone(&full));
@@ -227,17 +282,6 @@ impl Server {
         }
         stamp_query(view, buf);
         true
-    }
-
-    /// The memo key of `view`, for a question a normal server answers from
-    /// one of its zones other than by transfer (AXFR answers are rare and
-    /// large, exactly what the memo should not hold); `None` otherwise.
-    fn memo_key(&self, view: &MessageView<'_>) -> Option<MemoKey> {
-        let q = view
-            .question()
-            .filter(|q| self.behavior == ServerBehavior::Normal && q.qtype() != RrType::Axfr)?;
-        let zone = self.best_zone(|apex| q.qname().is_subdomain_of(apex))?;
-        MemoKey::new(zone.generation(), view)
     }
 }
 
@@ -265,11 +309,7 @@ fn stamp_query(view: &MessageView<'_>, answer: &mut [u8]) {
 fn response_skeleton(view: &MessageView<'_>) -> Message {
     Message {
         id: view.id(),
-        flags: Flags {
-            qr: true,
-            rd: view.flags().rd,
-            ..Flags::default()
-        },
+        flags: response_flags(view),
         rcode: Rcode::NoError,
         question: view.question().map(|q| q.to_question()),
         answers: Vec::new(),
@@ -279,264 +319,515 @@ fn response_skeleton(view: &MessageView<'_>) -> Message {
     }
 }
 
+/// The flags of a response to `view` before resolution sets AA.
+fn response_flags(view: &MessageView<'_>) -> Flags {
+    Flags {
+        qr: true,
+        rd: view.flags().rd,
+        ..Flags::default()
+    }
+}
+
+/// Whose name a sink writes records under: the set's own owner, or the
+/// query name (a wildcard expansion).
+#[derive(Debug, Clone, Copy)]
+enum Owner {
+    Set,
+    Query,
+}
+
+/// Where a resolution writes its answer, in section order: an owned
+/// [`Message`] for the in-process entry points ([`MessageSink`]), the send
+/// buffer for the transports ([`WireSink`]). Both receive the same calls,
+/// so both hold the same answer.
+trait Sink {
+    fn aa(&mut self, aa: bool);
+    fn rcode(&mut self, rcode: Rcode);
+    /// The records of `set`.
+    fn rrset(&mut self, section: Section, owner: Owner, set: &RRset);
+    /// The RRSIGs in `sigset` that cover `covered`.
+    fn sigs(&mut self, section: Section, owner: Owner, sigset: &RRset, covered: RrType);
+    /// An indexed denial proof for the authority section: its set and
+    /// that set's RRSIGs.
+    fn proof(&mut self, zone: &Zone, proof: Proof<'_>);
+}
+
+/// Builds the owned answer: the records are cloned out of the zone.
+struct MessageSink(Message);
+
+impl MessageSink {
+    fn section(&mut self, section: Section) -> &mut Vec<Record> {
+        match section {
+            Section::Answer => &mut self.0.answers,
+            Section::Authority => &mut self.0.authorities,
+            Section::Additional => &mut self.0.additionals,
+        }
+    }
+
+    fn owner(&self, owner: Owner, set: &RRset) -> Name {
+        match owner {
+            Owner::Set => set.name.clone(),
+            Owner::Query => self.0.question.as_ref().expect("asked").qname.clone(),
+        }
+    }
+}
+
+impl Sink for MessageSink {
+    fn aa(&mut self, aa: bool) {
+        self.0.flags.aa = aa;
+    }
+
+    fn rcode(&mut self, rcode: Rcode) {
+        self.0.rcode = rcode;
+    }
+
+    fn rrset(&mut self, section: Section, owner: Owner, set: &RRset) {
+        let owner = self.owner(owner, set);
+        let records = set
+            .rdatas
+            .iter()
+            .map(|rd| Record::new(owner.clone(), set.ttl, rd.clone()));
+        self.section(section).extend(records);
+    }
+
+    fn sigs(&mut self, section: Section, owner: Owner, sigset: &RRset, covered: RrType) {
+        let owner = self.owner(owner, sigset);
+        let records = sigset
+            .rdatas
+            .iter()
+            .filter(|rd| matches!(rd, RData::Rrsig(s) if s.type_covered == covered))
+            .map(|rd| Record::new(owner.clone(), sigset.ttl, rd.clone()));
+        self.section(section).extend(records);
+    }
+
+    fn proof(&mut self, zone: &Zone, proof: Proof<'_>) {
+        if let Some(set) = zone.get(proof.owner(), proof.rtype()) {
+            push_set(zone, set, true, Section::Authority, self);
+        }
+    }
+}
+
+/// Writes the answer into a send buffer as it is resolved: records are
+/// encoded from the zone's RRsets, proofs copied from the index's RR tails.
+struct WireSink<'b, 'q> {
+    writer: Writer<'b>,
+    view: &'q MessageView<'q>,
+    qname: Option<&'q WireName>,
+    aa: bool,
+    rcode: Rcode,
+}
+
+impl<'b, 'q> WireSink<'b, 'q> {
+    /// Starts the response to `view` in `buf`: header and echoed question.
+    fn new(buf: &'b mut Vec<u8>, view: &'q MessageView<'q>, qname: Option<&'q WireName>) -> Self {
+        let mut writer = Writer::new(buf, view.id());
+        if let Some(q) = view.question() {
+            writer.question(&q.qname(), q.qtype(), q.qclass());
+        }
+        WireSink {
+            writer,
+            view,
+            qname,
+            aa: false,
+            rcode: Rcode::NoError,
+        }
+    }
+
+    fn finish(self) {
+        let flags = Flags {
+            aa: self.aa,
+            ..response_flags(self.view)
+        };
+        self.writer.finish(flags, self.rcode, self.view.edns());
+    }
+
+    fn record(&mut self, section: Section, owner: Owner, set_owner: &Name, ttl: u32, rd: &RData) {
+        match owner {
+            Owner::Set => self.writer.record(section, set_owner, RrClass::In, ttl, rd),
+            Owner::Query => {
+                let qname = self.qname.expect("asked").suffix(0);
+                self.writer.record(section, &qname, RrClass::In, ttl, rd)
+            }
+        }
+    }
+}
+
+impl Sink for WireSink<'_, '_> {
+    fn aa(&mut self, aa: bool) {
+        self.aa = aa;
+    }
+
+    fn rcode(&mut self, rcode: Rcode) {
+        self.rcode = rcode;
+    }
+
+    fn rrset(&mut self, section: Section, owner: Owner, set: &RRset) {
+        for rd in &set.rdatas {
+            self.record(section, owner, &set.name, set.ttl, rd);
+        }
+    }
+
+    fn sigs(&mut self, section: Section, owner: Owner, sigset: &RRset, covered: RrType) {
+        for rd in &sigset.rdatas {
+            if matches!(rd, RData::Rrsig(s) if s.type_covered == covered) {
+                self.record(section, owner, &sigset.name, sigset.ttl, rd);
+            }
+        }
+    }
+
+    fn proof(&mut self, _: &Zone, proof: Proof<'_>) {
+        self.writer
+            .tails(Section::Authority, proof.owner(), proof.tails());
+    }
+}
+
+/// A question as resolution sees it: the query name split once into its
+/// canonical wire form, whose ancestors are suffixes of it.
+struct Query<'q> {
+    name: &'q WireName,
+    qtype: RrType,
+    dnssec: bool,
+}
+
+impl Query<'_> {
+    /// The query name with its `k` leftmost labels dropped.
+    fn up(&self, k: usize) -> Suffix<'_> {
+        self.name.suffix(k)
+    }
+}
+
+/// How a resolution finds names in its zone: through the per-generation
+/// [`ZoneIndex`], or by the original linear scans (the reference path).
+enum Lookup<'z> {
+    Indexed(&'z Zone, &'z ZoneIndex),
+    Naive(&'z Zone),
+}
+
+impl<'z> Lookup<'z> {
+    fn zone(&self) -> &'z Zone {
+        match self {
+            Lookup::Indexed(zone, _) | Lookup::Naive(zone) => zone,
+        }
+    }
+
+    /// True if `name` owns records or has a descendant that does (an
+    /// empty non-terminal must not produce NXDOMAIN).
+    fn exists(&self, name: Suffix<'_>) -> bool {
+        match self {
+            Lookup::Indexed(_, index) => index.exists(name.wire()),
+            Lookup::Naive(zone) => {
+                let name = name.to_name();
+                zone.has_name(&name) || zone.names().any(|n| n.is_strict_subdomain_of(&name))
+            }
+        }
+    }
+
+    /// The RRset of `rtype` at `name`.
+    fn get(&self, name: Suffix<'_>, rtype: RrType) -> Option<&'z RRset> {
+        match self {
+            Lookup::Indexed(zone, index) => index
+                .has_type(name.wire(), rtype)
+                .then(|| zone.get_labels(&name, rtype))
+                .flatten(),
+            Lookup::Naive(zone) => zone.get(&name.to_name(), rtype),
+        }
+    }
+
+    /// The deepest delegation point at or above the query name (below the
+    /// apex), as the number of labels it drops from the query name.
+    fn cut(&self, q: &Query<'_>, apex_k: usize) -> Option<usize> {
+        match self {
+            Lookup::Indexed(_, index) => (0..apex_k).find(|&k| index.is_cut(q.up(k).wire())),
+            Lookup::Naive(zone) => zone
+                .delegation_covering(&q.up(0).to_name())
+                .map(|cut| q.name.label_count() - cut.label_count()),
+        }
+    }
+}
+
 /// The AXFR record stream: SOA first, everything else, SOA again
 /// (RFC 5936 §2.2).
-fn axfr_records(zone: &Zone) -> Vec<Record> {
-    let mut out = Vec::with_capacity(zone.record_count() + 2);
-    let soa_rec = zone
-        .get(zone.apex(), RrType::Soa)
-        .map(|s| s.to_records())
-        .unwrap_or_default();
-    out.extend(soa_rec.iter().cloned());
+fn axfr(zone: &Zone, sink: &mut impl Sink) {
+    let soa = zone.get(zone.apex(), RrType::Soa);
+    if let Some(soa) = soa {
+        sink.rrset(Section::Answer, Owner::Set, soa);
+    }
     for set in zone.rrsets() {
         if set.rtype == RrType::Soa && set.name == *zone.apex() {
             continue;
         }
-        out.extend(set.to_records());
+        sink.rrset(Section::Answer, Owner::Set, set);
     }
-    out.extend(soa_rec);
-    out
+    if let Some(soa) = soa {
+        sink.rrset(Section::Answer, Owner::Set, soa);
+    }
 }
 
-/// Adds an RRset (and, when `dnssec`, its covering RRSIGs) to a section.
-fn push_set(zone: &Zone, set: &RRset, dnssec: bool, section: &mut Vec<Record>) {
-    section.extend(set.to_records());
+/// Writes an RRset (and, when `dnssec`, its covering RRSIGs) to a section.
+fn push_set(zone: &Zone, set: &RRset, dnssec: bool, section: Section, sink: &mut impl Sink) {
+    sink.rrset(section, Owner::Set, set);
     if dnssec {
         if let Some(sigset) = zone.get(&set.name, RrType::Rrsig) {
-            for rd in &sigset.rdatas {
-                if matches!(rd, RData::Rrsig(s) if s.type_covered == set.rtype) {
-                    section.push(Record::new(set.name.clone(), sigset.ttl, rd.clone()));
-                }
-            }
+            sink.sigs(section, Owner::Set, sigset, set.rtype);
         }
     }
 }
 
-/// True if any owner name in the zone is strictly below `name` (so `name`
-/// is an empty non-terminal and must not produce NXDOMAIN). The indexed
-/// path uses the zone's canonical-order range probe; the naive path keeps
-/// the original full scan.
-fn has_descendant(zone: &Zone, name: &Name, index: Option<&ZoneIndex>) -> bool {
-    if index.is_some() {
-        zone.has_descendant(name)
-    } else {
-        zone.names().any(|n| n.is_strict_subdomain_of(name))
-    }
+/// What a negative answer denies, named by suffixes of the query name.
+#[derive(Debug, Clone, Copy)]
+enum Denial {
+    /// The query name does not exist; `ce` labels up is its closest
+    /// encloser.
+    NxDomain { ce: usize },
+    /// The name `at` labels up exists but has no data of the type asked.
+    NoData { at: usize },
 }
 
-/// The main resolution algorithm over one zone. With `index` present,
-/// existence checks and denial-record selection go through the
-/// per-generation [`ZoneIndex`]; with `None` every lookup is the original
-/// linear scan. Both produce byte-identical responses.
-fn answer_from_zone(
-    zone: &Zone,
-    qname: &Name,
-    qtype: RrType,
-    dnssec: bool,
-    resp: &mut Message,
-    index: Option<&ZoneIndex>,
-) {
-    resp.flags.aa = true;
+/// The main resolution algorithm over one zone. Both lookups produce the
+/// same answer.
+fn answer_from_zone(lk: &Lookup<'_>, q: &Query<'_>, sink: &mut impl Sink) {
+    let zone = lk.zone();
+    // Labels between the query name and the apex.
+    let apex_k = q.name.label_count() - zone.apex().label_count();
+    sink.aa(true);
 
     // 1. Delegation? (only when qname is below the cut, or at the cut and
     //    the query is not for DS — the DS lives in the parent.)
-    if let Some(cut) = zone.delegation_covering(qname) {
-        let at_cut = qname == &cut;
-        if !at_cut || qtype != RrType::Ds {
-            referral(zone, &cut, dnssec, resp, index);
+    if let Some(cut) = lk.cut(q, apex_k) {
+        if cut != 0 || q.qtype != RrType::Ds {
+            referral(lk, q, cut, sink);
             return;
         }
     }
 
-    let exists = zone.has_name(qname) || has_descendant(zone, qname, index);
-    if !exists {
+    if !lk.exists(q.up(0)) {
+        // The closest encloser: the deepest existing ancestor, found once
+        // for wildcard synthesis and the denial proof.
+        let ce = (1..=apex_k).find(|&k| lk.exists(q.up(k)));
         // Wildcard synthesis (RFC 1034 §4.3.3 / RFC 4035 §3.1.3.3): if
         // `*.<closest encloser>` holds the type, expand it; the answer
         // carries the wildcard's RRSIG (fewer labels than the owner) plus
         // the proof that the exact name does not exist.
-        if let Some((wc_owner, set)) = wildcard_match(zone, qname, qtype, index) {
-            let mut expanded = set.clone();
-            expanded.name = qname.clone();
-            resp.answers.extend(expanded.to_records());
-            if dnssec {
-                if let Some(sigset) = zone.get(&wc_owner, RrType::Rrsig) {
-                    for rd in &sigset.rdatas {
-                        if matches!(rd, RData::Rrsig(s) if s.type_covered == qtype) {
-                            resp.answers
-                                .push(Record::new(qname.clone(), sigset.ttl, rd.clone()));
-                        }
+        let wildcard = ce
+            .and_then(|ce| WireName::wildcard(q.up(ce)))
+            .and_then(|wc| lk.get(wc.suffix(0), q.qtype));
+        let denial = Denial::NxDomain {
+            ce: ce.unwrap_or(apex_k),
+        };
+        match wildcard {
+            Some(set) => {
+                sink.rrset(Section::Answer, Owner::Query, set);
+                if q.dnssec {
+                    if let Some(sigset) = zone.get(&set.name, RrType::Rrsig) {
+                        sink.sigs(Section::Answer, Owner::Query, sigset, q.qtype);
                     }
+                    // Prove the exact qname does not exist.
+                    attach_denial(lk, q, denial, sink);
                 }
-                // Prove the exact qname does not exist.
-                attach_denial(zone, qname, dnssec, true, resp, index);
             }
-            return;
+            None => negative(lk, q, denial, sink),
         }
-        negative(zone, qname, dnssec, true, resp, index);
         return;
     }
 
     // 2. Exact data?
-    if let Some(set) = zone.get(qname, qtype) {
-        push_set(zone, set, dnssec, &mut resp.answers);
+    if let Some(set) = lk.get(q.up(0), q.qtype) {
+        push_set(zone, set, q.dnssec, Section::Answer, sink);
         return;
     }
 
     // 3. CNAME?
-    if qtype != RrType::Cname {
-        if let Some(cname) = zone.get(qname, RrType::Cname) {
-            push_set(zone, cname, dnssec, &mut resp.answers);
+    if q.qtype != RrType::Cname {
+        if let Some(cname) = lk.get(q.up(0), RrType::Cname) {
+            push_set(zone, cname, q.dnssec, Section::Answer, sink);
             return;
         }
     }
 
     // 4. NODATA.
-    negative(zone, qname, dnssec, false, resp, index);
+    negative(lk, q, Denial::NoData { at: 0 }, sink);
 }
 
-/// Finds a wildcard RRset covering `qname` at its closest encloser.
-fn wildcard_match<'a>(
-    zone: &'a Zone,
-    qname: &Name,
-    qtype: RrType,
-    index: Option<&ZoneIndex>,
-) -> Option<(Name, &'a RRset)> {
-    let mut ce = qname.parent();
-    while let Some(c) = ce {
-        if !c.is_subdomain_of(zone.apex()) {
-            break;
-        }
-        if zone.has_name(&c) || has_descendant(zone, &c, index) {
-            let wc = c.child("*").ok()?;
-            return zone.get(&wc, qtype).map(|set| (wc, set));
-        }
-        ce = c.parent();
+/// Writes a referral for the delegation `cut` labels up from the query
+/// name.
+fn referral(lk: &Lookup<'_>, q: &Query<'_>, cut: usize, sink: &mut impl Sink) {
+    let zone = lk.zone();
+    sink.aa(false);
+    let ns = lk.get(q.up(cut), RrType::Ns);
+    if let Some(ns) = ns {
+        push_set(zone, ns, q.dnssec, Section::Authority, sink);
     }
-    None
-}
-
-/// Builds a referral response for a delegation at `cut`.
-fn referral(zone: &Zone, cut: &Name, dnssec: bool, resp: &mut Message, index: Option<&ZoneIndex>) {
-    resp.flags.aa = false;
-    if let Some(ns) = zone.get(cut, RrType::Ns) {
-        push_set(zone, ns, dnssec, &mut resp.authorities);
-        // Glue.
+    if q.dnssec {
+        if let Some(ds) = lk.get(q.up(cut), RrType::Ds) {
+            push_set(zone, ds, q.dnssec, Section::Authority, sink);
+        } else {
+            // Signed zone without DS at the cut: prove its absence.
+            attach_denial(lk, q, Denial::NoData { at: cut }, sink);
+        }
+    }
+    // Glue.
+    if let Some(ns) = ns {
         for rd in &ns.rdatas {
             if let RData::Ns(host) = rd {
-                if host.is_subdomain_of(cut) {
+                if host.is_subdomain_of(&ns.name) {
                     for t in [RrType::A, RrType::Aaaa] {
                         if let Some(glue) = zone.get(host, t) {
-                            resp.additionals.extend(glue.to_records());
+                            sink.rrset(Section::Additional, Owner::Set, glue);
                         }
                     }
                 }
             }
         }
     }
-    if dnssec {
-        if let Some(ds) = zone.get(cut, RrType::Ds) {
-            push_set(zone, ds, dnssec, &mut resp.authorities);
-        } else {
-            // Signed zone without DS at the cut: prove its absence.
-            attach_denial(zone, cut, dnssec, false, resp, index);
-        }
-    }
 }
 
-/// Builds an NXDOMAIN or NODATA response with SOA and denial records.
-fn negative(
-    zone: &Zone,
-    qname: &Name,
-    dnssec: bool,
-    nxdomain: bool,
-    resp: &mut Message,
-    index: Option<&ZoneIndex>,
-) {
-    if nxdomain {
-        resp.rcode = Rcode::NxDomain;
+/// Writes an NXDOMAIN or NODATA answer with SOA and denial records.
+fn negative(lk: &Lookup<'_>, q: &Query<'_>, denial: Denial, sink: &mut impl Sink) {
+    let zone = lk.zone();
+    if let Denial::NxDomain { .. } = denial {
+        sink.rcode(Rcode::NxDomain);
     }
     if let Some(soa) = zone.get(zone.apex(), RrType::Soa) {
-        push_set(zone, soa, dnssec, &mut resp.authorities);
+        push_set(zone, soa, q.dnssec, Section::Authority, sink);
     }
-    if dnssec {
-        attach_denial(zone, qname, dnssec, nxdomain, resp, index);
+    if q.dnssec {
+        attach_denial(lk, q, denial, sink);
     }
 }
 
 /// Attaches the NSEC or NSEC3 proof records the zone can actually supply.
-fn attach_denial(
-    zone: &Zone,
-    qname: &Name,
-    dnssec: bool,
-    nxdomain: bool,
-    resp: &mut Message,
-    index: Option<&ZoneIndex>,
-) {
-    let uses_nsec3 = match index {
-        Some(idx) => idx.uses_nsec3(),
-        None => zone
-            .rrsets()
-            .any(|s| s.rtype == RrType::Nsec3 || s.rtype == RrType::Nsec3Param),
-    };
-    if uses_nsec3 {
-        attach_nsec3_denial(zone, qname, dnssec, nxdomain, resp, index);
-    } else {
-        attach_nsec_denial(zone, qname, dnssec, nxdomain, resp, index);
+fn attach_denial(lk: &Lookup<'_>, q: &Query<'_>, denial: Denial, sink: &mut impl Sink) {
+    match *lk {
+        Lookup::Indexed(zone, index) if index.uses_nsec3() => {
+            indexed_nsec3_denial(zone, index, q, denial, sink)
+        }
+        Lookup::Indexed(zone, index) => indexed_nsec_denial(zone, index, q, denial, sink),
+        Lookup::Naive(zone) => {
+            if zone
+                .rrsets()
+                .any(|s| s.rtype == RrType::Nsec3 || s.rtype == RrType::Nsec3Param)
+            {
+                naive_nsec3_denial(zone, q, denial, sink);
+            } else {
+                naive_nsec_denial(zone, q, denial, sink);
+            }
+        }
     }
 }
 
-fn attach_nsec_denial(
+/// Writes each proof once, in order (a set may prove several targets).
+fn write_proofs<'a>(
     zone: &Zone,
-    qname: &Name,
-    dnssec: bool,
-    nxdomain: bool,
-    resp: &mut Message,
-    index: Option<&ZoneIndex>,
+    proofs: impl IntoIterator<Item = Option<Proof<'a>>>,
+    sink: &mut impl Sink,
 ) {
-    let mut wanted: Vec<Name> = Vec::new();
-    if nxdomain {
-        wanted.push(qname.clone());
-        // Wildcard at the closest existing ancestor.
-        let mut ce = qname.parent();
-        while let Some(c) = &ce {
-            if zone.has_name(c) || has_descendant(zone, c, index) || c == zone.apex() {
-                break;
-            }
-            ce = c.parent();
+    let mut written: [Option<&Name>; 3] = [None; 3];
+    for (i, proof) in proofs.into_iter().flatten().enumerate() {
+        if !written
+            .iter()
+            .flatten()
+            .any(|&owner| owner == proof.owner())
+        {
+            written[i] = Some(proof.owner());
+            sink.proof(zone, proof);
         }
-        if let Some(ce) = ce {
-            if let Ok(w) = ce.child("*") {
-                wanted.push(w);
-            }
-        }
-    } else {
-        wanted.push(qname.clone());
     }
+}
 
+fn indexed_nsec_denial(
+    zone: &Zone,
+    index: &ZoneIndex,
+    q: &Query<'_>,
+    denial: Denial,
+    sink: &mut impl Sink,
+) {
+    match denial {
+        Denial::NxDomain { ce } => {
+            // The name itself, and the wildcard at its closest encloser.
+            let wildcard = WireName::wildcard(q.up(ce));
+            let proofs = [
+                index.find_first_nsec(&q.up(0), true),
+                wildcard.and_then(|w| index.find_first_nsec(&w.suffix(0), true)),
+            ];
+            write_proofs(zone, proofs, sink);
+        }
+        Denial::NoData { at } => {
+            write_proofs(zone, [index.find_first_nsec(&q.up(at), false)], sink);
+        }
+    }
+}
+
+/// The closest-encloser proof (RFC 5155 §7.2.1): a match for the closest
+/// encloser, a cover for the next closer name, and for the wildcard at the
+/// closest encloser a cover, else a match. Each target is hashed once; the
+/// closest encloser, its wildcard and a NODATA name come from the index's
+/// per-generation hashes.
+fn indexed_nsec3_denial(
+    zone: &Zone,
+    index: &ZoneIndex,
+    q: &Query<'_>,
+    denial: Denial,
+    sink: &mut impl Sink,
+) {
+    let Some((salt, iterations)) = index.nsec3_params() else {
+        return;
+    };
+    let find_match = |wire: &[u8]| {
+        index
+            .nsec3_hash(wire)
+            .and_then(|h| index.find_nsec3_match(&h))
+    };
+    match denial {
+        Denial::NxDomain { ce } => {
+            let next_closer = ce
+                .checked_sub(1)
+                .map(|nc| nsec3_hash_wire(q.up(nc).wire(), salt, iterations));
+            let wildcard = WireName::wildcard(q.up(ce)).and_then(|w| index.nsec3_hash(w.wire()));
+            let proofs = [
+                find_match(q.up(ce).wire()),
+                next_closer.and_then(|h| index.find_nsec3_cover(&h)),
+                wildcard.and_then(|h| {
+                    index
+                        .find_nsec3_cover(&h)
+                        .or_else(|| index.find_nsec3_match(&h))
+                }),
+            ];
+            write_proofs(zone, proofs, sink);
+        }
+        Denial::NoData { at } => {
+            write_proofs(zone, [find_match(q.up(at).wire())], sink);
+        }
+    }
+}
+
+/// The NSEC proof by linear scan: the first NSEC set (canonical order)
+/// proving each target.
+fn naive_nsec_denial(zone: &Zone, q: &Query<'_>, denial: Denial, sink: &mut impl Sink) {
+    let (nxdomain, wanted) = match denial {
+        Denial::NxDomain { ce } => {
+            let wildcard = q.up(ce).to_name().child("*").ok();
+            (true, [Some(q.up(0).to_name()), wildcard])
+        }
+        Denial::NoData { at } => (false, [Some(q.up(at).to_name()), None]),
+    };
     let mut added: Vec<Name> = Vec::new();
-    for target in wanted {
-        let found = match index {
-            Some(idx) => idx
-                .find_first_nsec(&target, nxdomain, zone.apex())
-                .and_then(|owner| zone.get(owner, RrType::Nsec)),
-            None => zone.rrsets().filter(|s| s.rtype == RrType::Nsec).find(|s| {
-                if nxdomain || s.name != target {
-                    s.rdatas.iter().any(|rd| match rd {
-                        RData::Nsec(n) => {
-                            ddx_dnssec::nsec_covers(&s.name, &n.next_name, &target, zone.apex())
-                                || s.name == target
-                        }
-                        _ => false,
-                    })
-                } else {
-                    true
-                }
-            }),
-        };
+    for target in wanted.into_iter().flatten() {
+        let found = zone.rrsets().filter(|s| s.rtype == RrType::Nsec).find(|s| {
+            if nxdomain || s.name != target {
+                s.rdatas.iter().any(|rd| match rd {
+                    RData::Nsec(n) => {
+                        ddx_dnssec::nsec_covers(&s.name, &n.next_name, &target) || s.name == target
+                    }
+                    _ => false,
+                })
+            } else {
+                true
+            }
+        });
         if let Some(set) = found {
             if !added.contains(&set.name) {
                 added.push(set.name.clone());
-                push_set(zone, set, dnssec, &mut resp.authorities);
+                push_set(zone, set, true, Section::Authority, sink);
             }
         }
     }
@@ -550,140 +841,85 @@ enum Nsec3Target {
     CoverOrMatch(Name),
 }
 
-/// Assembles the closest-encloser / next-closer / wildcard NSEC3 targets in
-/// the naive path's selection order.
-fn nsec3_targets(
-    zone: &Zone,
-    qname: &Name,
-    nxdomain: bool,
-    index: Option<&ZoneIndex>,
-) -> Vec<Nsec3Target> {
+/// The NSEC3 proof by linear scan over the zone's NSEC3 sets.
+fn naive_nsec3_denial(zone: &Zone, q: &Query<'_>, denial: Denial, sink: &mut impl Sink) {
     let mut targets = Vec::new();
-    if nxdomain {
-        // Closest encloser: deepest ancestor that exists (by data or ENT).
-        let mut ce = qname.parent();
-        while let Some(c) = &ce {
-            if zone.has_name(c) || has_descendant(zone, c, index) || c == zone.apex() {
-                break;
+    match denial {
+        Denial::NxDomain { ce } => {
+            let ce_name = q.up(ce).to_name();
+            targets.push(Nsec3Target::Match(ce_name.clone()));
+            if ce >= 1 {
+                targets.push(Nsec3Target::Cover(q.up(ce - 1).to_name()));
             }
-            ce = c.parent();
-        }
-        let ce = ce.unwrap_or_else(|| zone.apex().clone());
-        targets.push(Nsec3Target::Match(ce.clone()));
-        let labels = qname.labels();
-        let nc_len = ce.label_count() + 1;
-        if labels.len() >= nc_len {
-            if let Ok(nc) = Name::from_labels(labels[labels.len() - nc_len..].to_vec()) {
-                targets.push(Nsec3Target::Cover(nc));
+            if let Ok(w) = ce_name.child("*") {
+                targets.push(Nsec3Target::CoverOrMatch(w));
             }
         }
-        if let Ok(w) = ce.child("*") {
-            targets.push(Nsec3Target::CoverOrMatch(w));
-        }
-    } else {
-        targets.push(Nsec3Target::Match(qname.clone()));
+        Denial::NoData { at } => targets.push(Nsec3Target::Match(q.up(at).to_name())),
     }
-    targets
-}
-
-fn attach_nsec3_denial(
-    zone: &Zone,
-    qname: &Name,
-    dnssec: bool,
-    nxdomain: bool,
-    resp: &mut Message,
-    index: Option<&ZoneIndex>,
-) {
-    let targets = nsec3_targets(zone, qname, nxdomain, index);
-    let wanted: Vec<&RRset> = match index {
-        Some(idx) => {
-            let Some((salt, iterations)) = idx.nsec3_params() else {
-                return;
-            };
-            let find_match = |t: &Name| {
-                idx.find_nsec3_match(t, salt, iterations)
-                    .and_then(|owner| zone.get(owner, RrType::Nsec3))
-            };
-            let find_cover = |t: &Name| {
-                idx.find_nsec3_cover(t, salt, iterations)
-                    .and_then(|owner| zone.get(owner, RrType::Nsec3))
-            };
-            targets
-                .iter()
-                .filter_map(|t| match t {
-                    Nsec3Target::Match(n) => find_match(n),
-                    Nsec3Target::Cover(n) => find_cover(n),
-                    Nsec3Target::CoverOrMatch(n) => find_cover(n).or_else(|| find_match(n)),
-                })
-                .collect()
-        }
-        None => {
-            // Parameters from any NSEC3 record (fall back to NSEC3PARAM).
-            let params = zone
-                .rrsets()
-                .find_map(|s| match s.rdatas.first() {
-                    Some(RData::Nsec3(n3)) if s.rtype == RrType::Nsec3 => {
-                        Some((n3.salt.clone(), n3.iterations))
-                    }
+    // Parameters from any NSEC3 record (fall back to NSEC3PARAM).
+    let params = zone
+        .rrsets()
+        .find_map(|s| match s.rdatas.first() {
+            Some(RData::Nsec3(n3)) if s.rtype == RrType::Nsec3 => {
+                Some((n3.salt.clone(), n3.iterations))
+            }
+            _ => None,
+        })
+        .or_else(|| {
+            zone.get(zone.apex(), RrType::Nsec3Param)
+                .and_then(|s| match s.rdatas.first() {
+                    Some(RData::Nsec3Param(p)) => Some((p.salt.clone(), p.iterations)),
                     _ => None,
                 })
-                .or_else(|| {
-                    zone.get(zone.apex(), RrType::Nsec3Param)
-                        .and_then(|s| match s.rdatas.first() {
-                            Some(RData::Nsec3Param(p)) => Some((p.salt.clone(), p.iterations)),
-                            _ => None,
-                        })
-                });
-            let Some((salt, iterations)) = params else {
-                return;
-            };
-
-            let nsec3_sets: Vec<(&RRset, &Nsec3)> = zone
-                .rrsets()
-                .filter(|s| s.rtype == RrType::Nsec3)
-                .filter_map(|s| match s.rdatas.first() {
-                    Some(RData::Nsec3(n3)) => Some((s, n3)),
-                    _ => None,
-                })
-                .collect();
-            let owner_hash = |set: &RRset| -> Option<Vec<u8>> {
-                let label = set.name.labels().first()?;
-                base32::decode(std::str::from_utf8(label.as_bytes()).ok()?)
-            };
-            let find_match = |target: &Name| -> Option<&RRset> {
-                let h = nsec3_hash(target, &salt, iterations);
-                nsec3_sets
-                    .iter()
-                    .find(|(s, _)| owner_hash(s).as_deref() == Some(&h[..]))
-                    .map(|(s, _)| *s)
-            };
-            let find_cover = |target: &Name| -> Option<&RRset> {
-                let h = nsec3_hash(target, &salt, iterations);
-                nsec3_sets
-                    .iter()
-                    .find(|(s, n3)| {
-                        owner_hash(s)
-                            .map(|oh| ddx_dnssec::hash_covered(&oh, &n3.next_hashed_owner, &h))
-                            .unwrap_or(false)
-                    })
-                    .map(|(s, _)| *s)
-            };
-            targets
-                .iter()
-                .filter_map(|t| match t {
-                    Nsec3Target::Match(n) => find_match(n),
-                    Nsec3Target::Cover(n) => find_cover(n),
-                    Nsec3Target::CoverOrMatch(n) => find_cover(n).or_else(|| find_match(n)),
-                })
-                .collect()
-        }
+        });
+    let Some((salt, iterations)) = params else {
+        return;
     };
 
+    let nsec3_sets: Vec<(&RRset, &Nsec3)> = zone
+        .rrsets()
+        .filter(|s| s.rtype == RrType::Nsec3)
+        .filter_map(|s| match s.rdatas.first() {
+            Some(RData::Nsec3(n3)) => Some((s, n3)),
+            _ => None,
+        })
+        .collect();
+    let owner_hash = |set: &RRset| -> Option<Vec<u8>> {
+        let label = set.name.labels().first()?;
+        base32::decode(std::str::from_utf8(label.as_bytes()).ok()?)
+    };
+    let find_match = |target: &Name| -> Option<&RRset> {
+        let h = nsec3_hash(target, &salt, iterations);
+        nsec3_sets
+            .iter()
+            .find(|(s, _)| owner_hash(s).as_deref() == Some(&h[..]))
+            .map(|(s, _)| *s)
+    };
+    let find_cover = |target: &Name| -> Option<&RRset> {
+        let h = nsec3_hash(target, &salt, iterations);
+        nsec3_sets
+            .iter()
+            .find(|(s, n3)| {
+                owner_hash(s)
+                    .map(|oh| ddx_dnssec::hash_covered(&oh, &n3.next_hashed_owner, &h))
+                    .unwrap_or(false)
+            })
+            .map(|(s, _)| *s)
+    };
+    let wanted: Vec<&RRset> = targets
+        .iter()
+        .filter_map(|t| match t {
+            Nsec3Target::Match(n) => find_match(n),
+            Nsec3Target::Cover(n) => find_cover(n),
+            Nsec3Target::CoverOrMatch(n) => find_cover(n).or_else(|| find_match(n)),
+        })
+        .collect();
     let mut added: Vec<Name> = Vec::new();
     for set in wanted {
         if !added.contains(&set.name) {
             added.push(set.name.clone());
-            push_set(zone, set, dnssec, &mut resp.authorities);
+            push_set(zone, set, true, Section::Authority, sink);
         }
     }
 }

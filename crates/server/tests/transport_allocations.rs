@@ -1,9 +1,10 @@
 //! Allocation accounting for the transport answer path, pinned exactly: a
 //! memo hit through [`Server::respond_into`] allocates nothing, whether the
 //! stored answer fits or is rewritten into its truncated form, and whether
-//! or not the hit spells the qname as the query that filled the entry did.
-//! Its own test binary with one test: the counting allocator is
-//! process-wide, and it counts only on the thread that switched it on.
+//! or not the hit spells the qname as the query that filled the entry did;
+//! a fresh denial miss allocates only what the memo keeps of it.
+//! Its own test binary: the counting allocator is process-wide, and it
+//! counts only on the thread that switched it on.
 
 mod common;
 
@@ -12,6 +13,7 @@ use std::cell::Cell;
 
 use common::variants;
 use ddx_dns::{name, wire, Edns, Message, MessageView, RrType};
+use ddx_server::Server;
 
 struct Counting;
 
@@ -95,5 +97,79 @@ fn transport_memo_hits_allocate_nothing() {
             let question = 12..hit.len() - 11;
             assert_eq!(buf[question.clone()], hit[question], "{spelling} echo");
         }
+    }
+}
+
+/// A miss resolves straight into the send buffer: it builds no `Message`
+/// and no `Name`, and the denial proofs are copied from the zone index.
+/// What it allocates is what the memo keeps (the stored answer and its
+/// key) plus, here, the shard's table on its first insert: three, however
+/// deep the name and however many proof records go out. An out-of-zone
+/// REFUSED is not memoized and allocates nothing.
+#[test]
+fn fresh_denial_misses_allocate_what_the_memo_keeps() {
+    let server = |label: &str| -> &Server {
+        &variants()
+            .iter()
+            .find(|(l, _)| *l == label)
+            .expect("the variant")
+            .1
+    };
+    for (label, warm, (qname, qtype), want) in [
+        (
+            "nsec3",
+            "warm.example.com",
+            ("fresh.example.com", RrType::A),
+            3,
+        ),
+        (
+            "nsec3",
+            "warm.www.example.com",
+            ("a.b.c.fresh.www.example.com", RrType::A),
+            3,
+        ),
+        (
+            "nsec3",
+            "www.example.com",
+            ("www.example.com", RrType::Txt),
+            3,
+        ),
+        (
+            "nsec",
+            "warm.example.com",
+            ("fresh.example.com", RrType::A),
+            3,
+        ),
+        (
+            "nsec",
+            "www.example.com",
+            ("www.example.com", RrType::Txt),
+            3,
+        ),
+        (
+            "nsec3",
+            "warm.nowhere.test",
+            ("fresh.nowhere.test", RrType::A),
+            0,
+        ),
+    ] {
+        // A cold memo and index; the index is built, and the closest
+        // encloser's hashes kept, by a miss of the same class that does not
+        // touch the memo.
+        let server = server(label).clone();
+        let warm = query(1, warm, RrType::Mx, 1232);
+        server.handle_view(&MessageView::parse(&warm).unwrap());
+        let miss = query(2, qname, qtype, 1232);
+        let view = MessageView::parse(&miss).unwrap();
+        let mut buf = Vec::with_capacity(4096);
+        let mut sent = false;
+        let allocs = allocations(|| sent = server.respond_into(&view, 1232, &mut buf));
+        assert!(sent);
+        assert_eq!(allocs, want, "{label} {qname}/{qtype:?}");
+        let answer = wire::decode(&buf).unwrap();
+        assert!(
+            answer.answers.is_empty(),
+            "{label} {qname}/{qtype:?} denies"
+        );
     }
 }
