@@ -257,9 +257,7 @@ impl std::hash::Hash for Name {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         // Feed the hasher label-by-label with an explicit length prefix and
         // lowercased bytes, never through `Vec::hash` (whose internal prefix
-        // encoding is unstable). `NameRef::hash` in the wire view replays
-        // this exact sequence straight off the wire bytes, so `Name` and
-        // `NameRef` hash identically by construction; keep the two in sync.
+        // encoding is unstable).
         for label in &self.labels {
             state.write_usize(label.len());
             for &b in label.as_bytes() {

@@ -1,13 +1,14 @@
-//! Allocation accounting for the name hot paths, pinned exactly. Its own
-//! test binary with one test: the counting allocator is process-wide, and
-//! it counts only on the thread that switched it on.
+//! Allocation accounting for the name and message hot paths, pinned
+//! exactly. Its own test binary: the counting allocator is process-wide,
+//! and it counts only on the thread that switched it on.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::net::Ipv4Addr;
 
 use ddx_dns::{
-    name, wire, Edns, Message, Name, Nsec3, RData, Rcode, Record, RrType, Rrsig, Soa, TypeBitmap,
+    name, wire, Edns, Message, MessageView, Name, Nsec3, RData, Rcode, Record, RrType, Rrsig, Soa,
+    TypeBitmap,
 };
 
 struct Counting;
@@ -15,13 +16,20 @@ struct Counting;
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Counts one allocation of `size` bytes if this thread is counting.
+fn count(size: usize) {
+    if COUNTING.with(Cell::get) {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        LARGEST.with(|n| n.set(n.get().max(size)));
+    }
 }
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.with(Cell::get) {
-            ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        }
+        count(layout.size());
         System.alloc(layout)
     }
 
@@ -30,9 +38,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.with(Cell::get) {
-            ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        }
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -43,10 +49,17 @@ static GLOBAL: Counting = Counting;
 /// Heap allocations (and reallocations) `f` makes on this thread.
 fn allocations(f: impl FnOnce()) -> usize {
     ALLOCATIONS.with(|n| n.set(0));
+    LARGEST.with(|n| n.set(0));
     COUNTING.with(|c| c.set(true));
     f();
     COUNTING.with(|c| c.set(false));
     ALLOCATIONS.with(Cell::get)
+}
+
+/// The size in bytes of the largest allocation `f` makes on this thread.
+fn largest_allocation(f: impl FnOnce()) -> usize {
+    allocations(f);
+    LARGEST.with(Cell::get)
 }
 
 fn rrsig(owner_labels: u8, covered: RrType, zone: &Name) -> RData {
@@ -143,5 +156,29 @@ fn name_compare_and_encode_allocation_counts() {
         let allocs = allocations(|| wire::encode_into(&msg, &mut buf));
         assert_eq!(allocs, 0, "encode_into with {nsec3s} NSEC3s");
         assert_eq!(buf, wire::encode(&msg));
+        // Parsing the answer, every record's RDATA validated, allocates
+        // nothing either (once the decode counters are registered).
+        MessageView::parse(&buf).expect("parses");
+        let allocs = allocations(|| {
+            MessageView::parse(&buf).expect("parses");
+        });
+        assert_eq!(allocs, 0, "MessageView::parse with {nsec3s} NSEC3s");
     }
+}
+
+/// A header's section counts are claims, not sizes: a bare 12-byte header
+/// claiming 65,535 answers is rejected as truncated without reserving room
+/// for them.
+#[test]
+fn forged_section_counts_reserve_nothing() {
+    let mut forged = [0u8; 12];
+    forged[6..8].copy_from_slice(&u16::MAX.to_be_bytes()); // ANCOUNT
+    let largest = largest_allocation(|| {
+        assert_eq!(wire::decode(&forged), Err(wire::WireError::Truncated));
+    });
+    assert!(largest <= 1024, "wire::decode allocated {largest} bytes");
+    let allocs = allocations(|| {
+        assert!(MessageView::parse(&forged).is_err());
+    });
+    assert_eq!(allocs, 0, "MessageView::parse of the forged header");
 }

@@ -8,7 +8,6 @@
 
 mod answer;
 mod batch;
-mod cache;
 mod fault;
 mod index;
 mod rollover;
@@ -17,7 +16,6 @@ mod server;
 mod testbed;
 mod udp;
 
-pub use cache::CachingNetwork;
 pub use fault::{FaultNetwork, FaultPlan, FlapSchedule};
 pub use index::{Proof, ZoneIndex};
 pub use rollover::{botched_ksk_rollover, Rollover, RolloverKind};

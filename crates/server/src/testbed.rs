@@ -38,9 +38,8 @@ impl QueryOutcome {
 /// Anything that can deliver a query to a named server and return its
 /// response. `None` models a timeout (unresponsive server / no route).
 ///
-/// Responses are `Arc`-shared, so a decorating network (the TTL cache,
-/// fault injection) and the prober hold one allocation instead of deep
-/// copies. The in-process [`Testbed`] resolves every query afresh through
+/// Responses are `Arc`-shared, so a decorating network (fault injection)
+/// and the prober hold one allocation instead of deep copies. The in-process [`Testbed`] resolves every query afresh through
 /// the zone index; only the transports' [`Server::respond_into`] memoizes
 /// answers.
 pub trait Network {

@@ -332,20 +332,18 @@ fn with_client_socket<R>(
 /// What one UDP exchange produced, before any TCP fallback decision.
 enum UdpReply {
     Outcome(QueryOutcome),
-    /// The answer came back with TC set and the caller wants TCP fallback:
-    /// the truncated body was never materialized into an owned `Message`.
+    /// The answer came back with TC set and the caller wants TCP fallback.
     Truncated,
 }
 
 impl UdpNetwork {
     /// One UDP exchange: send, then wait for a datagram attributable to
-    /// this query. Bytes that echo the query ID but do not parse surface as
-    /// [`QueryOutcome::Malformed`] instead of silently waiting out the
+    /// this query. Bytes that echo the query ID but do not decode surface
+    /// as [`QueryOutcome::Malformed`] instead of silently waiting out the
     /// timeout.
     ///
-    /// Response verification (id, question echo) runs entirely on the
-    /// borrowed [`MessageView`]; `to_owned` runs once, only for the
-    /// accepted answer that the caller retains.
+    /// Each datagram is decoded once, and the id and question echo are
+    /// checked on the decoded [`Message`].
     fn udp_exchange(&self, addr: &SocketAddr, query: &Message) -> UdpReply {
         // Room for the largest answer the server may send this query.
         let limit = udp_payload_limit(query.edns);
@@ -361,24 +359,15 @@ impl UdpNetwork {
                 if peer != *addr {
                     continue;
                 }
-                match MessageView::parse(&buf[..len]) {
-                    Ok(view) => {
-                        let question_matches = match (view.question(), &query.question) {
-                            (Some(qv), Some(q)) => qv.matches(q),
-                            (None, None) => true,
-                            _ => false,
-                        };
-                        if view.id() != query.id || !question_matches {
+                match wire::decode(&buf[..len]) {
+                    Ok(answer) => {
+                        if answer.id != query.id || answer.question != query.question {
                             continue;
                         }
-                        if view.flags().tc && self.tcp_fallback {
-                            // The full answer comes over TCP; don't pay to
-                            // materialize the truncated one.
+                        if answer.flags.tc && self.tcp_fallback {
                             return Some(UdpReply::Truncated);
                         }
-                        return Some(UdpReply::Outcome(QueryOutcome::Answer(Arc::new(
-                            view.to_owned(),
-                        ))));
+                        return Some(UdpReply::Outcome(QueryOutcome::Answer(Arc::new(answer))));
                     }
                     Err(_) => {
                         if len >= 2 && buf[..2] == query.id.to_be_bytes() {

@@ -1,8 +1,9 @@
 //! Allocation accounting for the transport answer path, pinned exactly: a
-//! memo hit through [`Server::respond_into`] allocates nothing, whether the
-//! stored answer fits or is rewritten into its truncated form, and whether
-//! or not the hit spells the qname as the query that filled the entry did;
-//! a fresh denial miss allocates only what the memo keeps of it.
+//! memo hit, from parsing the datagram through [`Server::respond_into`],
+//! allocates nothing, whether the stored answer fits or is rewritten into
+//! its truncated form, and whether or not the hit spells the qname as the
+//! query that filled the entry did; a fresh denial miss allocates only what
+//! the memo keeps of it.
 //! Its own test binary: the counting allocator is process-wide, and it
 //! counts only on the thread that switched it on.
 
@@ -84,9 +85,11 @@ fn transport_memo_hits_allocate_nothing() {
         for spelling in spellings {
             // The hit comes under another id, so the id stamp is exercised.
             let hit = query(0xBEEF, spelling, qtype, udp_size);
-            let view = MessageView::parse(&hit).unwrap();
             let mut sent = false;
-            let allocs = allocations(|| sent = server.respond_into(&view, limit, &mut buf));
+            let allocs = allocations(|| {
+                let view = MessageView::parse(&hit).unwrap();
+                sent = server.respond_into(&view, limit, &mut buf);
+            });
             assert!(sent);
             assert_eq!(allocs, 0, "{spelling}/{qtype:?} hit at limit {limit}");
             assert_eq!(buf[..2], 0xBEEFu16.to_be_bytes());
