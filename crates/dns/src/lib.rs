@@ -30,4 +30,4 @@ pub use rdata::{
 pub use rrset::{CanonicalScratch, RRset, Record};
 pub use types::{Rcode, RrClass, RrType, TypeBitmap};
 pub use view::{MessageView, NameRef};
-pub use zone::Zone;
+pub use zone::{Zone, ZoneChanges};

@@ -25,6 +25,49 @@ fn fresh_generation() -> u64 {
     GENERATION.fetch_add(1, Ordering::Relaxed)
 }
 
+/// The `(owner, type)` sets a zone's mutators touched since
+/// [`Zone::mark_changes`], each with whether it existed at the mark.
+///
+/// A signer that marks its output can later re-sign only these sets: every
+/// other set is as the mark left it.
+#[derive(Debug, Clone)]
+pub struct ZoneChanges {
+    mark: u64,
+    /// Touched type codes per owner, each with its existence at the mark,
+    /// in the order first touched.
+    sets: BTreeMap<Name, Vec<(u16, bool)>>,
+}
+
+impl ZoneChanges {
+    /// The stamp [`Zone::mark_changes`] returned. Stamps are globally
+    /// fresh, so two zones share one only by cloning a marked zone.
+    pub fn mark(&self) -> u64 {
+        self.mark
+    }
+
+    /// Every touched set as `(owner, type, existed at the mark)`, owners in
+    /// canonical order.
+    pub fn sets(&self) -> impl Iterator<Item = (&Name, RrType, bool)> {
+        self.sets.iter().flat_map(|(name, types)| {
+            types
+                .iter()
+                .map(move |&(code, existed)| (name, RrType::from_code(code), existed))
+        })
+    }
+
+    /// Notes that the set at `name`/`code` is about to change; only the
+    /// first touch since the mark says whether it existed then.
+    fn record(&mut self, name: &Name, code: u16, existed: bool) {
+        match self.sets.get_mut(name) {
+            Some(types) if types.iter().any(|&(c, _)| c == code) => {}
+            Some(types) => types.push((code, existed)),
+            None => {
+                self.sets.insert(name.clone(), vec![(code, existed)]);
+            }
+        }
+    }
+}
+
 /// A DNS zone rooted at `apex`.
 #[derive(Debug, Clone, ToJson, FromJson)]
 pub struct Zone {
@@ -37,6 +80,11 @@ pub struct Zone {
     /// deserialized zone gets a fresh stamp.
     #[json(skip, default = "fresh_generation")]
     generation: u64,
+    /// What the mutators touched since [`Zone::mark_changes`]; `None` when
+    /// unmarked. Clones carry it; equality and serialization ignore it, so
+    /// a deserialized zone is unmarked.
+    #[json(skip)]
+    changes: Option<ZoneChanges>,
 }
 
 /// Equality ignores the generation stamp: two zones are equal when their
@@ -57,6 +105,7 @@ impl Zone {
             apex,
             nodes: BTreeMap::new(),
             generation: fresh_generation(),
+            changes: None,
         }
     }
 
@@ -66,9 +115,46 @@ impl Zone {
         self.generation
     }
 
-    /// Records that the zone content changed.
-    fn touch(&mut self) {
+    /// Records that the set at `name`/`code` is about to change.
+    fn touch(&mut self, name: &Name, code: u16) {
         self.generation = fresh_generation();
+        if let Some(changes) = &mut self.changes {
+            let existed = self
+                .nodes
+                .get(name)
+                .is_some_and(|node| node.contains_key(&code));
+            changes.record(name, code, existed);
+        }
+    }
+
+    /// Starts recording which sets the mutators touch, under a fresh mark
+    /// stamp that it returns; an earlier record is dropped.
+    pub fn mark_changes(&mut self) -> u64 {
+        let mark = fresh_generation();
+        self.changes = Some(ZoneChanges {
+            mark,
+            sets: BTreeMap::new(),
+        });
+        mark
+    }
+
+    /// Stops recording and returns what was touched since the last mark;
+    /// `None` if the zone is unmarked.
+    pub fn take_changes(&mut self) -> Option<ZoneChanges> {
+        self.changes.take()
+    }
+
+    /// Starts recording afresh under the mark of `changes`, a record taken
+    /// from this zone: for a signer that has made the zone again an output
+    /// of the pass that marked it.
+    pub fn restart_changes(&mut self, mut changes: ZoneChanges) {
+        changes.sets.clear();
+        self.changes = Some(changes);
+    }
+
+    /// What was touched since the last mark, if the zone is marked.
+    pub fn changes(&self) -> Option<&ZoneChanges> {
+        self.changes.as_ref()
     }
 
     /// The zone apex (owner of SOA and NS).
@@ -93,7 +179,7 @@ impl Zone {
             record.name,
             self.apex
         );
-        self.touch();
+        self.touch(&record.name, record.rtype().code());
         let node = self.nodes.entry(record.name.clone()).or_default();
         let entry = node.entry(record.rtype().code());
         match entry {
@@ -113,7 +199,7 @@ impl Zone {
     /// Replaces (or inserts) a whole RRset.
     pub fn put_rrset(&mut self, rrset: RRset) {
         assert!(self.contains_name(&rrset.name));
-        self.touch();
+        self.touch(&rrset.name, rrset.rtype.code());
         self.nodes
             .entry(rrset.name.clone())
             .or_default()
@@ -134,22 +220,19 @@ impl Zone {
     /// Mutable lookup. Conservatively counts as a mutation (the caller can
     /// rewrite the RRset through the returned reference).
     pub fn get_mut(&mut self, name: &Name, rtype: RrType) -> Option<&mut RRset> {
-        let set = self.nodes.get_mut(name)?.get_mut(&rtype.code());
-        if set.is_some() {
-            self.generation = fresh_generation();
-        }
-        set
+        self.get(name, rtype)?;
+        self.touch(name, rtype.code());
+        self.nodes.get_mut(name)?.get_mut(&rtype.code())
     }
 
     /// Removes and returns an RRset.
     pub fn remove(&mut self, name: &Name, rtype: RrType) -> Option<RRset> {
+        self.get(name, rtype)?;
+        self.touch(name, rtype.code());
         let node = self.nodes.get_mut(name)?;
         let removed = node.remove(&rtype.code());
         if node.is_empty() {
             self.nodes.remove(name);
-        }
-        if removed.is_some() {
-            self.touch();
         }
         removed
     }
@@ -267,7 +350,14 @@ impl Zone {
     /// Drops every RRset of the given type anywhere in the zone.
     pub fn strip_type(&mut self, rtype: RrType) {
         let code = rtype.code();
-        self.touch();
+        self.generation = fresh_generation();
+        if let Some(changes) = &mut self.changes {
+            for (name, node) in &self.nodes {
+                if node.contains_key(&code) {
+                    changes.record(name, code, true);
+                }
+            }
+        }
         self.nodes.retain(|_, node| {
             node.remove(&code);
             !node.is_empty()
@@ -479,6 +569,74 @@ mod tests {
         assert!(z.get_mut(&name("missing.example.com"), RrType::A).is_none());
         assert!(z.remove(&name("missing.example.com"), RrType::A).is_none());
         assert_eq!(z.generation(), last);
+    }
+
+    #[test]
+    fn every_mutation_reaches_the_change_log() {
+        let (apex, w, ns1) = (
+            name("example.com"),
+            name("w.example.com"),
+            name("ns1.example.com"),
+        );
+        let a = |last: u8| RData::A(Ipv4Addr::new(9, 9, 9, last));
+        let mut z = apex_zone();
+        // Unmarked zones record nothing.
+        z.add(Record::new(w.clone(), 60, a(1)));
+        assert!(z.changes().is_none());
+
+        let mark = z.mark_changes();
+        let touched = |z: &Zone| -> Vec<(Name, RrType, bool)> {
+            let changes = z.changes().expect("marked");
+            assert_eq!(changes.mark(), mark);
+            changes.sets().map(|(n, t, e)| (n.clone(), t, e)).collect()
+        };
+        z.add(Record::new(w.clone(), 60, RData::Txt(vec!["new".into()])));
+        z.put_rrset(RRset::singleton(w.clone(), 60, a(2)));
+        z.get_mut(&apex, RrType::Ns).unwrap();
+        z.bump_serial();
+        assert!(z.remove_rdata(&ns1, &RData::A(Ipv4Addr::new(192, 0, 2, 1))));
+        z.remove(&w, RrType::Txt);
+        // A set touched again keeps its existence at the mark.
+        z.add(Record::new(w.clone(), 60, RData::Txt(vec!["again".into()])));
+        // Misses change nothing and record nothing.
+        assert!(z.get_mut(&name("missing.example.com"), RrType::A).is_none());
+        assert!(z.remove(&name("missing.example.com"), RrType::A).is_none());
+        let mut want = vec![
+            (apex.clone(), RrType::Soa, true),
+            (apex.clone(), RrType::Ns, true),
+            (ns1.clone(), RrType::A, true),
+            (w.clone(), RrType::Txt, false),
+            (w.clone(), RrType::A, true),
+        ];
+        let mut got = touched(&z);
+        let key = |s: &(Name, RrType, bool)| (s.0.clone(), s.1.code());
+        got.sort_by_key(key);
+        want.sort_by_key(key);
+        assert_eq!(got, want);
+        z.strip_type(RrType::Txt);
+        assert!(touched(&z).contains(&(w.clone(), RrType::Txt, false)));
+        z.strip_type(RrType::Soa);
+        assert!(touched(&z).contains(&(apex.clone(), RrType::Soa, true)));
+
+        // Clones carry the record; equality and JSON ignore it.
+        let c = z.clone();
+        assert_eq!(touched(&c), touched(&z));
+        let mut unmarked = z.clone();
+        assert!(unmarked.take_changes().is_some());
+        assert!(unmarked.changes().is_none());
+        assert_eq!(unmarked, z);
+        let back: Zone = ddx_json::from_str(&ddx_json::to_string(&z)).unwrap();
+        assert!(back.changes().is_none());
+        assert_eq!(back, z);
+        // Taking the record stops recording.
+        unmarked.add(Record::new(w.clone(), 60, a(3)));
+        assert!(unmarked.changes().is_none());
+        // Restarting it keeps the mark, empties the record and records on.
+        let changes = z.take_changes().unwrap();
+        z.restart_changes(changes);
+        assert!(touched(&z).is_empty());
+        z.add(Record::new(w.clone(), 60, a(4)));
+        assert_eq!(touched(&z), vec![(w, RrType::A, true)]);
     }
 
     #[test]

@@ -1,87 +1,104 @@
-//! RRSIG memo cache for the sign-once signing pipeline.
+//! Incremental re-signing: what [`sign_zone_cached`](crate::sign_zone_cached)
+//! remembers between passes over a zone.
 //!
-//! Signatures in this workspace are deterministic functions of the DNSKEY
-//! RDATA and the signing payload (see DESIGN.md §4), so a signature computed
-//! once can be replayed for any later request over the same inputs. The
-//! cache key is a SHA-256 digest over both, plus the algorithm's signature
-//! length. Because the signing payload embeds the full RRSIG prefix —
-//! type covered, algorithm, labels, original TTL, the inception/expiration
-//! window, key tag, and signer name — as well as the canonical RRset bytes,
-//! every component the ISSUE names (canonical RRset digest, key tag,
-//! algorithm, validity window) is subsumed: two requests collide only if
-//! they would produce byte-identical signatures anyway.
+//! A full pass strips a zone's DNSSEC material and rebuilds it: the DNSKEY
+//! RRset, the NSEC or NSEC3 chain and every RRSIG. Most of that output
+//! depends only on data a one-record write does not touch. So a full pass
+//! marks its output ([`Zone::mark_changes`](ddx_dns::Zone::mark_changes)),
+//! and the zone, and every clone of it, then records which `(owner, type)`
+//! sets its mutators touch and whether each existed at the mark. The cache
+//! keeps, per zone apex, the mark of its latest full pass, the inputs that
+//! pass signed with and how many RRSIGs it output. It holds no copy of the
+//! zone's data.
 //!
-//! Invalidation is therefore automatic: a key-ring change alters the DNSKEY
-//! wire or key tag, a validity-window rollover alters the embedded
-//! inception/expiration, and a serial bump alters the SOA RRset bytes —
-//! each lands on a fresh key and recomputes. Stale entries are never
-//! *wrong*, only unused, so eviction is by signing pass: each zone keeps the
-//! signatures its latest pass used, and a pass frees whatever of the
-//! zone's previous pass it did not reuse. The cache is as large as the
-//! signatures the zones hold, however many times they are re-signed.
+//! A later pass over a zone carrying that mark, under the same inputs,
+//! re-signs only the sets the record names (plus the serial-bumped SOA) and
+//! keeps every other RRSIG, NSEC and NSEC3 record: the output is
+//! byte-identical to a full pass. That output has the same sets and as many
+//! signatures as the marked one, so it keeps the mark, and so do replicas
+//! cloned from any output along the way. The signer falls back to a full
+//! pass, under a fresh mark, whenever that argument does not hold (see
+//! [`sign_zone_cached`](crate::sign_zone_cached)).
 
 use std::collections::HashMap;
-use std::mem;
 
-use crate::sha::{Digest, Sha256};
+use ddx_dns::{Name, ZoneChanges};
 
-use ddx_dns::{CanonicalScratch, Name};
+use crate::keys::KeyPair;
+use crate::signer::{SignerConfig, Signers};
 
-/// Domain-separation tag for cache-key digests.
-const CACHE_TAG: &[u8] = b"ddx-sig-cache-v1";
-
-/// Cache key: digest of (DNSKEY wire ‖ signing payload) plus signature
-/// length. See the module docs for why this is collision-sound.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct SigKey {
-    digest: [u8; 32],
-    sig_len: usize,
+/// What a pass's output depends on besides the zone data: the published
+/// keys (revocations included), the keys each algorithm signs data and the
+/// DNSKEY RRset with, and the signer configuration.
+#[derive(Debug, Clone)]
+struct Inputs {
+    published: Vec<KeyPair>,
+    algorithms: Vec<(u8, Option<KeyPair>, Option<KeyPair>)>,
+    cfg: SignerConfig,
 }
 
-type Sigs = HashMap<SigKey, Vec<u8>>;
+impl Inputs {
+    fn new(signers: &Signers<'_>, cfg: &SignerConfig) -> Self {
+        Inputs {
+            published: signers.published.iter().map(|&k| k.clone()).collect(),
+            algorithms: signers
+                .algorithms
+                .iter()
+                .map(|&(alg, data, key)| (alg, data.cloned(), key.cloned()))
+                .collect(),
+            cfg: cfg.clone(),
+        }
+    }
 
-/// Memo cache mapping signing inputs to raw signature bytes, with reusable
-/// scratch buffers for the canonical-form encoder so a warm signing pass
-/// performs no per-RRset allocation.
+    fn matches(&self, signers: &Signers<'_>, cfg: &SignerConfig) -> bool {
+        self.cfg == *cfg
+            && self.published.len() == signers.published.len()
+            && self
+                .published
+                .iter()
+                .zip(&signers.published)
+                .all(|(a, &b)| a == b)
+            && self.algorithms.len() == signers.algorithms.len()
+            && self.algorithms.iter().zip(&signers.algorithms).all(
+                |((alg, data, key), &(b_alg, b_data, b_key))| {
+                    *alg == b_alg && data.as_ref() == b_data && key.as_ref() == b_key
+                },
+            )
+    }
+}
+
+/// The latest full pass over one zone apex.
+#[derive(Debug, Clone)]
+struct Lineage {
+    /// The stamp the pass marked its output with.
+    mark: u64,
+    inputs: Inputs,
+    /// RRSIG records in the output, and in every incremental output since.
+    signatures: u64,
+}
+
+/// Per zone apex, the lineage of the latest full
+/// [`sign_zone_cached`](crate::sign_zone_cached) pass: enough to prove that
+/// a zone holds an output of that lineage bar the sets it recorded as
+/// touched.
 ///
-/// Every hit/miss is counted once, in the process-wide
-/// `dnssec.sig_cache.*` metrics of the [`ddx_obs`] registry (monotonic,
-/// aggregated across all instances and threads). The
-/// `dnssec.sig_cache.entries` gauge tracks the size of the most recently
-/// mutated instance.
+/// Every pass counts, in the process-wide `dnssec.sig_cache.*` counters of
+/// the [`ddx_obs`] registry, the signatures it computed (`misses`) and the
+/// signatures of its input it kept (`hits`).
 #[derive(Debug, Clone)]
 pub struct SigCache {
-    /// Per zone apex, the signatures its latest signing pass used.
-    zones: HashMap<Name, Sigs>,
-    /// Signatures the pass in progress has used so far.
-    used: Sigs,
-    /// The previous pass over the zone being signed: what is left of it
-    /// when the pass ends is stale.
-    previous: Sigs,
-    /// Scratch: signing payload under construction.
-    pub(crate) payload: Vec<u8>,
-    /// Scratch: DNSKEY RDATA wire form of the signing key.
-    pub(crate) key_wire: Vec<u8>,
-    /// Scratch: canonical-form encoder buffers.
-    pub(crate) canon: CanonicalScratch,
+    zones: HashMap<Name, Lineage>,
     /// Global-registry handles; clones share the same cells.
     obs_hits: ddx_obs::Counter,
     obs_misses: ddx_obs::Counter,
-    obs_entries: ddx_obs::Gauge,
 }
 
 impl Default for SigCache {
     fn default() -> Self {
         Self {
             zones: HashMap::new(),
-            used: HashMap::new(),
-            previous: HashMap::new(),
-            payload: Vec::new(),
-            key_wire: Vec::new(),
-            canon: CanonicalScratch::default(),
             obs_hits: ddx_obs::counter("dnssec.sig_cache.hits", &[]),
             obs_misses: ddx_obs::counter("dnssec.sig_cache.misses", &[]),
-            obs_entries: ddx_obs::gauge("dnssec.sig_cache.entries", &[]),
         }
     }
 }
@@ -91,103 +108,116 @@ impl SigCache {
         Self::default()
     }
 
-    /// Drops all cached signatures. Scratch buffers keep their capacity;
-    /// the global `dnssec.sig_cache.*` counters are monotonic and
-    /// unaffected.
-    pub fn clear(&mut self) {
-        self.zones.clear();
-        self.used.clear();
-        self.previous.clear();
-        self.obs_entries.set(0);
+    /// True if a zone at `apex` that recorded `changes` holds an output of
+    /// this cache's latest full pass over `apex`, and `signers` and `cfg`
+    /// are that pass's inputs.
+    pub(crate) fn holds_output(
+        &self,
+        apex: &Name,
+        changes: &ZoneChanges,
+        signers: &Signers<'_>,
+        cfg: &SignerConfig,
+    ) -> bool {
+        self.zones.get(apex).is_some_and(|lineage| {
+            lineage.mark == changes.mark() && lineage.inputs.matches(signers, cfg)
+        })
     }
 
-    pub(crate) fn key(key_wire: &[u8], payload: &[u8], sig_len: usize) -> SigKey {
-        let mut h = Sha256::new();
-        h.update(CACHE_TAG);
-        // Length-prefix the variable-length key wire so (key ‖ payload)
-        // splits cannot alias across the boundary.
-        h.update((key_wire.len() as u32).to_be_bytes());
-        h.update(key_wire);
-        h.update(payload);
-        SigKey {
-            digest: h.finalize(),
-            sig_len,
-        }
-    }
-
-    /// Starts a signing pass over the zone at `apex`: the signatures of
-    /// its previous pass become reusable.
-    pub(crate) fn begin_pass(&mut self, apex: &Name) {
-        if let Some(previous) = self.zones.remove(apex) {
-            self.previous = previous;
-        }
-    }
-
-    /// Ends the pass over the zone at `apex`: the zone keeps the signatures
-    /// this pass used, and those of its previous pass that it did not reuse
-    /// are freed. The freed table is kept for the next pass to fill.
-    pub(crate) fn end_pass(&mut self, apex: Name) {
-        self.previous.clear();
-        let used = mem::replace(&mut self.used, mem::take(&mut self.previous));
-        self.zones.insert(apex, used);
-        self.obs_entries.set(self.len() as i64);
-    }
-
-    /// Signatures held, across every zone.
-    pub(crate) fn len(&self) -> usize {
-        self.zones.values().map(HashMap::len).sum::<usize>() + self.used.len()
-    }
-
-    pub(crate) fn get(&mut self, key: &SigKey) -> Option<Vec<u8>> {
-        let sig = match self.used.get(key) {
-            Some(sig) => Some(sig.clone()),
-            None => self.previous.remove_entry(key).map(|(key, sig)| {
-                self.used.insert(key, sig.clone());
-                sig
-            }),
+    /// Records a full pass over `apex` that computed every one of its
+    /// output's `signatures` and marked it with `mark`.
+    pub(crate) fn full_pass(
+        &mut self,
+        apex: &Name,
+        mark: u64,
+        signers: &Signers<'_>,
+        cfg: &SignerConfig,
+        signatures: u64,
+    ) {
+        self.obs_misses.add(signatures);
+        let lineage = Lineage {
+            mark,
+            inputs: Inputs::new(signers, cfg),
+            signatures,
         };
-        match sig {
-            Some(_) => self.obs_hits.inc(),
-            None => self.obs_misses.inc(),
-        }
-        sig
+        self.zones.insert(apex.clone(), lineage);
     }
 
-    pub(crate) fn insert(&mut self, key: SigKey, sig: Vec<u8>) {
-        self.used.insert(key, sig);
-    }
-
-    /// Every cached signature, for tests that poison them.
-    #[cfg(test)]
-    pub(crate) fn signatures_mut(&mut self) -> impl Iterator<Item = &mut Vec<u8>> {
-        self.zones
-            .values_mut()
-            .flat_map(HashMap::values_mut)
-            .chain(self.used.values_mut())
+    /// Records an incremental pass over `apex` (one
+    /// [`SigCache::holds_output`] accepted) that replaced `computed` of its
+    /// input's signatures.
+    pub(crate) fn incremental_pass(&self, apex: &Name, computed: u64) {
+        let signatures = self
+            .zones
+            .get(apex)
+            .expect("an incremental pass follows a full pass over its apex")
+            .signatures;
+        self.obs_misses.add(computed);
+        self.obs_hits.add(signatures - computed);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithm::Algorithm;
+    use crate::keys::{KeyRing, KeyRole};
+    use crate::signer::{sign_zone, sign_zone_cached};
+    use ddx_dns::{name, RData, Record, RrType, Soa, Zone};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use std::net::Ipv4Addr;
 
-    #[test]
-    fn distinct_inputs_distinct_keys() {
-        let a = SigCache::key(b"key-a", b"payload", 64);
-        let b = SigCache::key(b"key-b", b"payload", 64);
-        let c = SigCache::key(b"key-a", b"payloae", 64);
-        let d = SigCache::key(b"key-a", b"payload", 32);
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-        assert_ne!(a, d);
+    const NOW: u32 = 1_000_000;
+
+    fn zone(apex: &str) -> Zone {
+        let apex = name(apex);
+        let mut z = Zone::new(apex.clone());
+        z.add(Record::new(
+            apex.clone(),
+            3600,
+            RData::Soa(Soa {
+                mname: apex.child("ns1").unwrap(),
+                rname: apex.child("hostmaster").unwrap(),
+                serial: 1,
+                refresh: 7200,
+                retry: 900,
+                expire: 1_209_600,
+                minimum: 300,
+            }),
+        ));
+        z.add(Record::new(
+            apex.clone(),
+            3600,
+            RData::Ns(apex.child("ns1").unwrap()),
+        ));
+        z.add(Record::new(
+            apex.child("www").unwrap(),
+            300,
+            RData::A(Ipv4Addr::new(192, 0, 2, 80)),
+        ));
+        z
     }
 
-    #[test]
-    fn key_boundary_is_unambiguous() {
-        // Without the length prefix these two would hash identically.
-        let a = SigCache::key(b"ab", b"c", 64);
-        let b = SigCache::key(b"a", b"bc", 64);
-        assert_ne!(a, b);
+    fn ring(apex: &str) -> KeyRing {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut ring = KeyRing::new();
+        for role in [KeyRole::Ksk, KeyRole::Zsk] {
+            ring.add(KeyPair::generate(
+                &mut rng,
+                name(apex),
+                Algorithm::EcdsaP256Sha256,
+                256,
+                role,
+                NOW,
+            ));
+        }
+        ring
+    }
+
+    /// True if `cache` would re-sign `z` incrementally under `r` and `cfg`.
+    fn holds(cache: &SigCache, z: &Zone, r: &KeyRing, cfg: &SignerConfig) -> bool {
+        z.changes()
+            .is_some_and(|c| cache.holds_output(z.apex(), c, &Signers::new(r, NOW), cfg))
     }
 
     #[test]
@@ -195,59 +225,90 @@ mod tests {
         let hits = ddx_obs::counter("dnssec.sig_cache.hits", &[]);
         let misses = ddx_obs::counter("dnssec.sig_cache.misses", &[]);
         let (h0, m0) = (hits.get(), misses.get());
+        let (mut z, r, cfg) = (zone("a.test"), ring("a.test"), SignerConfig::nsec_at(NOW));
         let mut cache = SigCache::new();
-        let k = SigCache::key(b"key", b"payload", 64);
-        assert!(cache.get(&k).is_none());
-        cache.insert(k.clone(), vec![0xAB; 64]);
-        assert!(cache.get(&k).is_some());
+        sign_zone_cached(&mut z, &r, &cfg, NOW, &mut cache).unwrap();
+        sign_zone_cached(&mut z, &r, &cfg, NOW, &mut cache).unwrap();
         // Other tests in this process may also bump the registry, so the
-        // deltas are lower bounds.
-        assert!(hits.get() - h0 >= 1);
+        // deltas are lower bounds: the full pass computed every signature,
+        // the second kept all but the SOA's.
         assert!(misses.get() - m0 >= 1);
-    }
-
-    #[test]
-    fn a_pass_keeps_only_the_signatures_it_used() {
-        let (a, b) = (ddx_dns::name("a.test"), ddx_dns::name("b.test"));
-        let k = |payload: &[u8]| SigCache::key(b"key", payload, 64);
-        let mut cache = SigCache::new();
-        cache.begin_pass(&a);
-        cache.insert(k(b"a soa 1"), vec![1; 64]);
-        cache.insert(k(b"a ns"), vec![2; 64]);
-        cache.end_pass(a.clone());
-        cache.begin_pass(&b);
-        cache.insert(k(b"b ns"), vec![3; 64]);
-        cache.end_pass(b.clone());
-
-        // Re-signing `a` after a serial bump reuses its NS signature and
-        // frees the superseded SOA one; `b`'s signatures are untouched.
-        cache.begin_pass(&a);
-        assert!(cache.get(&k(b"a ns")).is_some());
-        assert!(cache.get(&k(b"a soa 2")).is_none());
-        cache.insert(k(b"a soa 2"), vec![4; 64]);
-        cache.end_pass(a.clone());
-        assert_eq!(cache.len(), 3);
-
-        cache.begin_pass(&a);
-        assert!(cache.get(&k(b"a soa 1")).is_none(), "a stale signature");
-        assert!(cache.get(&k(b"a soa 2")).is_some());
-        cache.end_pass(a);
-        cache.begin_pass(&b);
-        assert!(cache.get(&k(b"b ns")).is_some());
-        cache.end_pass(b);
-        assert_eq!(cache.len(), 2);
+        assert!(hits.get() - h0 >= 1);
     }
 
     #[test]
     fn hit_miss_accounting() {
+        // An incremental pass counts as hits its input's signatures less
+        // those it computed, so the lineage's count must stay the RRSIG
+        // count of every output along it.
+        let rrsigs = |z: &Zone| -> u64 {
+            z.rrsets()
+                .filter(|s| s.rtype == RrType::Rrsig)
+                .map(|s| s.len() as u64)
+                .sum()
+        };
+        let (mut z, r, cfg) = (zone("a.test"), ring("a.test"), SignerConfig::nsec_at(NOW));
         let mut cache = SigCache::new();
-        let k = SigCache::key(b"key", b"payload", 64);
-        assert!(cache.get(&k).is_none());
-        cache.insert(k.clone(), vec![0xAB; 64]);
-        assert_eq!(cache.get(&k).as_deref(), Some(&[0xAB; 64][..]));
-        assert_eq!(cache.len(), 1);
-        cache.clear();
-        assert_eq!(cache.len(), 0);
-        assert!(cache.get(&k).is_none(), "a cleared cache misses");
+        sign_zone_cached(&mut z, &r, &cfg, NOW, &mut cache).unwrap();
+        assert_eq!(cache.zones[z.apex()].signatures, rrsigs(&z));
+        let www = z.apex().child("www").unwrap();
+        z.add(Record::new(
+            www,
+            300,
+            RData::A(Ipv4Addr::new(192, 0, 2, 81)),
+        ));
+        assert!(holds(&cache, &z, &r, &cfg));
+        sign_zone_cached(&mut z, &r, &cfg, NOW, &mut cache).unwrap();
+        assert_eq!(cache.zones[z.apex()].signatures, rrsigs(&z));
+    }
+
+    #[test]
+    fn a_lineage_needs_its_mark_and_its_inputs() {
+        let (mut z, r, cfg) = (zone("a.test"), ring("a.test"), SignerConfig::nsec_at(NOW));
+        let mut cache = SigCache::new();
+        assert!(!holds(&cache, &z, &r, &cfg));
+        sign_zone_cached(&mut z, &r, &cfg, NOW, &mut cache).unwrap();
+        assert!(holds(&cache, &z, &r, &cfg));
+        // Another window, another ring, an unmarked copy or an uncached
+        // pass is not this cache's output.
+        assert!(!holds(&cache, &z, &r, &SignerConfig::nsec_at(NOW + 1)));
+        assert!(!holds(&cache, &z, &ring("b.test"), &cfg));
+        let mut unmarked = z.clone();
+        unmarked.take_changes();
+        assert!(!holds(&cache, &unmarked, &r, &cfg));
+        let mut uncached = z.clone();
+        sign_zone(&mut uncached, &r, &cfg, NOW).unwrap();
+        assert!(!holds(&cache, &uncached, &r, &cfg));
+    }
+
+    #[test]
+    fn replicas_keep_the_mark_until_a_full_pass() {
+        let cfg = SignerConfig::nsec_at(NOW);
+        let (ra, rb) = (ring("a.test"), ring("b.test"));
+        let mut cache = SigCache::new();
+        let mut a = zone("a.test");
+        sign_zone_cached(&mut a, &ra, &cfg, NOW, &mut cache).unwrap();
+        let mut b = zone("b.test");
+        sign_zone_cached(&mut b, &rb, &cfg, NOW, &mut cache).unwrap();
+        // A pass over `b` leaves `a`'s lineage alone.
+        assert!(holds(&cache, &a, &ra, &cfg));
+        assert!(holds(&cache, &b, &rb, &cfg));
+
+        // An incremental pass over one replica of `a` keeps the mark, so
+        // both replicas still hold outputs of the lineage.
+        let replica = a.clone();
+        sign_zone_cached(&mut a, &ra, &cfg, NOW, &mut cache).unwrap();
+        assert_eq!(
+            a.changes().unwrap().mark(),
+            replica.changes().unwrap().mark()
+        );
+        assert!(holds(&cache, &a, &ra, &cfg));
+        assert!(holds(&cache, &replica, &ra, &cfg));
+
+        // A full pass (here, under a later window) starts a new lineage.
+        let later = SignerConfig::nsec_at(NOW + 1);
+        sign_zone_cached(&mut a, &ra, &later, NOW, &mut cache).unwrap();
+        assert!(holds(&cache, &a, &ra, &later));
+        assert!(!holds(&cache, &replica, &ra, &later));
     }
 }

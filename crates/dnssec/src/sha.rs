@@ -1,6 +1,6 @@
 //! SHA-1, SHA-256 and SHA-384 (FIPS 180-4), the digests DNSSEC needs:
 //! NSEC3 owner hashing (SHA-1, RFC 5155), DS digests (RFC 4509, 6605),
-//! and the simulated signatures and `SigCache` keys (SHA-256).
+//! and the simulated signatures (SHA-256).
 //!
 //! The SHA-1 and SHA-256 block functions run on the x86 SHA extensions
 //! when the CPU has them and on portable kernels otherwise; the portable

@@ -15,7 +15,6 @@ use ddx_json::{FromJson, ToJson};
 use ddx_dns::{CanonicalScratch, Dnskey, Name, RRset, RrType, Rrsig};
 
 use crate::algorithm::Algorithm;
-use crate::cache::SigCache;
 use crate::keys::KeyPair;
 
 /// Domain-separation tag baked into every simulated signature.
@@ -164,32 +163,6 @@ pub fn sign_rrset(rrset: &RRset, key: &KeyPair, opts: SignOptions) -> Rrsig {
         key.dnskey.wire_into(key_wire);
         raw_signature(key_wire, payload, sig_len)
     });
-    rrsig
-}
-
-/// [`sign_rrset`] with a memo cache: if an identical signing request (same
-/// key material, same payload, same length) was answered before, the cached
-/// bytes are replayed without recomputing the signature expansion. Output is
-/// byte-identical to the uncached path in all cases.
-pub(crate) fn sign_rrset_cached(
-    rrset: &RRset,
-    key: &KeyPair,
-    opts: SignOptions,
-    cache: &mut SigCache,
-) -> Rrsig {
-    let mut rrsig = rrsig_template(rrset, key, opts);
-    let sig_len = signature_len(key.dnskey.algorithm, key.key_bits);
-    rrset.signing_payload_with(&rrsig, &mut cache.canon, &mut cache.payload);
-    cache.key_wire.clear();
-    key.dnskey.wire_into(&mut cache.key_wire);
-    let memo_key = SigCache::key(&cache.key_wire, &cache.payload, sig_len);
-    if let Some(sig) = cache.get(&memo_key) {
-        rrsig.signature = sig;
-        return rrsig;
-    }
-    let sig = raw_signature(&cache.key_wire, &cache.payload, sig_len);
-    cache.insert(memo_key, sig.clone());
-    rrsig.signature = sig;
     rrsig
 }
 
@@ -346,25 +319,6 @@ mod tests {
         assert_eq!(sig.signature.len(), 256);
         assert_eq!(sig.labels, 3);
         verify_rrset(&rs, &sig, &k.dnskey, &name("example.com"), 5000).unwrap();
-    }
-
-    #[test]
-    fn cached_signing_matches_uncached() {
-        let k = key(1);
-        let rs = rrset();
-        let mut cache = SigCache::new();
-        let cold = sign_rrset(&rs, &k, OPTS);
-        let miss = sign_rrset_cached(&rs, &k, OPTS, &mut cache);
-        let hit = sign_rrset_cached(&rs, &k, OPTS, &mut cache);
-        assert_eq!(cold, miss);
-        assert_eq!(cold, hit);
-        verify_rrset(&rs, &hit, &k.dnskey, &name("example.com"), 5000).unwrap();
-        // One miss stored one signature; a poisoned entry proves the
-        // repeat is served from it.
-        assert_eq!(cache.len(), 1);
-        cache.signatures_mut().for_each(|sig| sig.fill(0xEE));
-        let poisoned = sign_rrset_cached(&rs, &k, OPTS, &mut cache);
-        assert!(poisoned.signature.iter().all(|&b| b == 0xEE));
     }
 
     #[test]

@@ -7,18 +7,18 @@
 //! across roles the way BIND does. Delegation NS sets and glue are left
 //! unsigned (RFC 4035 §2.2).
 
-use ddx_dns::{Name, RData, RRset, Record, RrType, Zone};
+use ddx_dns::{Name, RData, RRset, Record, RrType, Rrsig, Zone, ZoneChanges};
 
 use crate::cache::SigCache;
 use crate::denial::{build_nsec3_chain, build_nsec_chain, DenialMode};
 use crate::keys::{KeyPair, KeyRing, KeyRole};
-use crate::sign::{sign_rrset, sign_rrset_cached, SignOptions};
+use crate::sign::{sign_rrset, SignOptions};
 
 /// TTL used for published DNSKEY RRsets.
 pub const DNSKEY_TTL: u32 = 3600;
 
 /// Configuration for one signing pass.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SignerConfig {
     pub denial: DenialMode,
     pub inception: u32,
@@ -69,31 +69,61 @@ impl std::fmt::Display for SignError {
 
 impl std::error::Error for SignError {}
 
-/// Picks the signer for ordinary zone data of a given algorithm: the active
-/// ZSK if one exists, otherwise the active KSK (BIND behaviour when a zone
-/// runs with a single key).
-fn data_signer(ring: &KeyRing, algorithm: u8, now: u32) -> Option<&KeyPair> {
-    ring.active(KeyRole::Zsk, now)
-        .into_iter()
-        .find(|k| k.dnskey.algorithm == algorithm)
-        .or_else(|| {
-            ring.active(KeyRole::Ksk, now)
-                .into_iter()
-                .find(|k| k.dnskey.algorithm == algorithm)
-        })
+/// The keys one pass signs with, picked once per pass.
+#[derive(Debug)]
+pub(crate) struct Signers<'r> {
+    /// Keys published in the DNSKEY RRset, in ring order.
+    pub(crate) published: Vec<&'r KeyPair>,
+    /// Per published algorithm, ascending (RFC 6840 §5.11 requires
+    /// signatures for each): the signer of ordinary data and the signer of
+    /// the DNSKEY RRset.
+    pub(crate) algorithms: Vec<(u8, Option<&'r KeyPair>, Option<&'r KeyPair>)>,
 }
 
-/// Picks the signer for the DNSKEY RRset of a given algorithm: the active
-/// KSK if one exists, otherwise the active ZSK.
-fn key_signer(ring: &KeyRing, algorithm: u8, now: u32) -> Option<&KeyPair> {
-    ring.active(KeyRole::Ksk, now)
-        .into_iter()
-        .find(|k| k.dnskey.algorithm == algorithm)
-        .or_else(|| {
-            ring.active(KeyRole::Zsk, now)
+impl<'r> Signers<'r> {
+    pub(crate) fn new(ring: &'r KeyRing, now: u32) -> Self {
+        let published = ring.published(now);
+        let mut algs: Vec<u8> = published.iter().map(|k| k.dnskey.algorithm).collect();
+        algs.sort_unstable();
+        algs.dedup();
+        let active = |role, alg| {
+            ring.active(role, now)
                 .into_iter()
-                .find(|k| k.dnskey.algorithm == algorithm)
-        })
+                .find(|k| k.dnskey.algorithm == alg)
+        };
+        // Ordinary data takes the active ZSK if one exists, otherwise the
+        // active KSK (BIND behaviour when a zone runs with a single key);
+        // the DNSKEY RRset takes the KSK first.
+        let algorithms = algs
+            .into_iter()
+            .map(|alg| {
+                let zsk = active(KeyRole::Zsk, alg);
+                let ksk = active(KeyRole::Ksk, alg);
+                (alg, zsk.or(ksk), ksk.or(zsk))
+            })
+            .collect();
+        Signers {
+            published,
+            algorithms,
+        }
+    }
+
+    /// Appends the RRSIGs a pass gives `set`, in the order it adds them.
+    fn sign(&self, set: &RRset, opts: SignOptions, out: &mut Vec<Rrsig>) {
+        let dnskey = set.rtype == RrType::Dnskey;
+        for &(_, data, key) in &self.algorithms {
+            if let Some(signer) = if dnskey { key } else { data } {
+                out.push(sign_rrset(set, signer, opts));
+            }
+        }
+        // RFC 5011: a published revoked key self-signs the DNSKEY RRset to
+        // prove the revocation is authentic.
+        if dnskey {
+            for key in self.published.iter().filter(|k| k.is_revoked()) {
+                out.push(sign_rrset(set, key, opts));
+            }
+        }
+    }
 }
 
 /// Signs (or re-signs) the whole zone in place.
@@ -107,13 +137,23 @@ pub fn sign_zone(
     cfg: &SignerConfig,
     now: u32,
 ) -> Result<(), SignError> {
-    sign_zone_impl(zone, ring, cfg, now, None)
+    zone.take_changes();
+    sign_fully(zone, &Signers::new(ring, now), cfg)
 }
 
-/// [`sign_zone`] backed by an RRSIG memo cache: RRsets unchanged since the
-/// cache last saw them (same canonical bytes, key material, and validity
-/// window) reuse their signature bytes instead of recomputing them. Output
-/// is byte-identical to [`sign_zone`].
+/// [`sign_zone`] that re-signs incrementally: when `zone` holds an output
+/// of `cache`'s latest full pass over its apex, under the same inputs
+/// (published keys, signer roles, revocations and `cfg`), bar the sets the
+/// zone recorded as touched since, only those sets and the serial-bumped
+/// SOA are re-signed. Their RRSIGs are replaced in place and every other
+/// RRSIG, NSEC and NSEC3 record is kept. Output is byte-identical to
+/// [`sign_zone`].
+///
+/// It signs the whole zone instead when the zone is not such an output, or
+/// when a touched set appeared or vanished (the denial chain and the cut
+/// structure would change), or when a touched set is the SOA (whose
+/// minimum TTL the denial records take) or of a type the signer manages
+/// (DNSKEY, RRSIG, NSEC, NSEC3, NSEC3PARAM).
 pub fn sign_zone_cached(
     zone: &mut Zone,
     ring: &KeyRing,
@@ -121,31 +161,42 @@ pub fn sign_zone_cached(
     now: u32,
     cache: &mut SigCache,
 ) -> Result<(), SignError> {
-    sign_zone_impl(zone, ring, cfg, now, Some(cache))
+    let signers = Signers::new(ring, now);
+    let apex = zone.apex().clone();
+    // The pass's own edits are not changes to its output.
+    let changes = zone.take_changes();
+    if let Some(changes) = changes.filter(|c| cache.holds_output(&apex, c, &signers, cfg)) {
+        if let Some(computed) = sign_incrementally(zone, &changes, &signers, cfg.options()) {
+            zone.restart_changes(changes);
+            cache.incremental_pass(&apex, computed);
+            return Ok(());
+        }
+    }
+    sign_fully(zone, &signers, cfg)?;
+    let signatures = zone
+        .rrsets()
+        .filter(|set| set.rtype == RrType::Rrsig)
+        .map(|set| set.len() as u64)
+        .sum();
+    let mark = zone.mark_changes();
+    cache.full_pass(&apex, mark, &signers, cfg, signatures);
+    Ok(())
 }
 
-fn sign_zone_impl(
-    zone: &mut Zone,
-    ring: &KeyRing,
-    cfg: &SignerConfig,
-    now: u32,
-    mut cache: Option<&mut SigCache>,
-) -> Result<(), SignError> {
+/// The full pass: strips the zone's DNSSEC material, then publishes the
+/// DNSKEY RRset, builds the denial chain and signs every signable RRset.
+fn sign_fully(zone: &mut Zone, signers: &Signers<'_>, cfg: &SignerConfig) -> Result<(), SignError> {
     zone.strip_dnssec();
     zone.strip_type(RrType::Dnskey);
     // Serial bump happens before signing so the SOA signature stays valid
     // (`dnssec-signzone -N INCREMENT`).
     zone.bump_serial();
 
-    let published = ring.published(now);
-    if published.is_empty() {
+    if signers.published.is_empty() {
         return Err(SignError::NoPublishableKeys);
     }
     let apex = zone.apex().clone();
-    if let Some(c) = cache.as_deref_mut() {
-        c.begin_pass(&apex);
-    }
-    for key in &published {
+    for key in &signers.published {
         zone.add(Record::new(
             apex.clone(),
             DNSKEY_TTL,
@@ -158,51 +209,110 @@ fn sign_zone_impl(
         DenialMode::Nsec3(n3cfg) => build_nsec3_chain(zone, n3cfg),
     }
 
-    // Algorithms present in the published key set; RFC 6840 §5.11 requires
-    // signatures for each of them.
-    let mut algorithms: Vec<u8> = published.iter().map(|k| k.dnskey.algorithm).collect();
-    algorithms.sort_unstable();
-    algorithms.dedup();
-
     let opts = cfg.options();
-    let sign_one = |set: &RRset, key: &KeyPair, cache: &mut Option<&mut SigCache>| match cache
-        .as_deref_mut()
-    {
-        Some(c) => sign_rrset_cached(set, key, opts, c),
-        None => sign_rrset(set, key, opts),
-    };
     // Signatures are collected over an immutable pass and added afterwards,
-    // so no RRset is cloned; addition order matches the previous per-set
-    // in-loop adds, keeping RRSIG rdata ordering identical.
+    // so no RRset is cloned; each RRSIG RRset lists its signatures by
+    // covered type, then algorithm.
     let mut sigs: Vec<Record> = Vec::new();
+    let mut one_set = Vec::new();
     for set in zone.rrsets().filter(|set| is_signable(zone, set)) {
-        for &alg in &algorithms {
-            let signer = if set.rtype == RrType::Dnskey {
-                key_signer(ring, alg, now)
-            } else {
-                data_signer(ring, alg, now)
-            };
-            if let Some(key) = signer {
-                let rrsig = sign_one(set, key, &mut cache);
-                sigs.push(Record::new(set.name.clone(), set.ttl, RData::Rrsig(rrsig)));
-            }
-        }
-        // RFC 5011: a published revoked key self-signs the DNSKEY RRset to
-        // prove the revocation is authentic.
-        if set.rtype == RrType::Dnskey {
-            for key in published.iter().filter(|k| k.is_revoked()) {
-                let rrsig = sign_one(set, key, &mut cache);
-                sigs.push(Record::new(set.name.clone(), set.ttl, RData::Rrsig(rrsig)));
-            }
-        }
+        signers.sign(set, opts, &mut one_set);
+        sigs.extend(
+            one_set
+                .drain(..)
+                .map(|rrsig| Record::new(set.name.clone(), set.ttl, RData::Rrsig(rrsig))),
+        );
     }
     for sig in sigs {
         zone.add(sig);
     }
-    if let Some(c) = cache {
-        c.end_pass(apex);
-    }
     Ok(())
+}
+
+/// The incremental pass over a zone that held a full pass's output under
+/// the same signers bar the sets `changes` names. Returns the number of
+/// signatures computed, or `None`, having changed nothing, when the zone
+/// needs a full pass.
+fn sign_incrementally(
+    zone: &mut Zone,
+    changes: &ZoneChanges,
+    signers: &Signers<'_>,
+    opts: SignOptions,
+) -> Option<u64> {
+    let mut targets = vec![(zone.apex().clone(), RrType::Soa)];
+    for (name, rtype, existed) in changes.sets() {
+        let managed = matches!(
+            rtype,
+            RrType::Soa
+                | RrType::Dnskey
+                | RrType::Rrsig
+                | RrType::Nsec
+                | RrType::Nsec3
+                | RrType::Nsec3Param
+        );
+        let set = zone.get(name, rtype);
+        if managed || set.is_some() != existed {
+            return None;
+        }
+        if set.is_some_and(|set| is_signable(zone, set)) {
+            targets.push((name.clone(), rtype));
+        }
+    }
+    // Each target's signatures must sit where a full pass put them: one
+    // run per covered type, one signature per algorithm with a data signer.
+    let per_set = signers.algorithms.iter().filter(|a| a.1.is_some()).count();
+    let runs: Vec<(usize, usize)> = targets
+        .iter()
+        .map(|(name, rtype)| covering_run(zone, name, *rtype))
+        .collect::<Option<_>>()?;
+    if runs.iter().any(|&(_, len)| len != per_set) {
+        return None;
+    }
+
+    zone.bump_serial();
+    let mut computed = 0;
+    let mut fresh = Vec::with_capacity(per_set);
+    for ((name, rtype), (start, len)) in targets.iter().zip(runs) {
+        if len == 0 {
+            // No algorithm has a data signer: a full pass signs nothing.
+            continue;
+        }
+        let set = zone.get(name, *rtype).expect("targets exist");
+        signers.sign(set, opts, &mut fresh);
+        computed += fresh.len() as u64;
+        let sigset = zone.get_mut(name, RrType::Rrsig).expect("runs exist");
+        sigset
+            .rdatas
+            .splice(start..start + len, fresh.drain(..).map(RData::Rrsig));
+        // A full pass adds each signature with its set's TTL, so the RRSIG
+        // RRset takes the least original TTL.
+        sigset.ttl = sigset
+            .rdatas
+            .iter()
+            .filter_map(|rd| match rd {
+                RData::Rrsig(sig) => Some(sig.original_ttl),
+                _ => None,
+            })
+            .min()
+            .unwrap_or(sigset.ttl);
+    }
+    Some(computed)
+}
+
+/// Where the RRSIGs at `name` covering `rtype` sit in its RRSIG RRset:
+/// `(start, len)` of their one contiguous run, `None` if they are split.
+fn covering_run(zone: &Zone, name: &Name, rtype: RrType) -> Option<(usize, usize)> {
+    let covers = |rd: &RData| matches!(rd, RData::Rrsig(sig) if sig.type_covered == rtype);
+    let Some(sigset) = zone.get(name, RrType::Rrsig) else {
+        return Some((0, 0));
+    };
+    let start = sigset.rdatas.iter().position(covers).unwrap_or(0);
+    let len = sigset.rdatas[start..]
+        .iter()
+        .take_while(|rd| covers(rd))
+        .count();
+    let total = sigset.rdatas.iter().filter(|rd| covers(rd)).count();
+    (len == total).then_some((start, len))
 }
 
 /// True for RRsets that receive signatures: authoritative data that is not a
@@ -510,21 +620,37 @@ mod tests {
         let cfg = SignerConfig::nsec_at(NOW);
         let mut cold = base_zone();
         sign_zone(&mut cold, &r, &cfg, NOW).unwrap();
-
         let mut cache = SigCache::new();
-        let mut warm1 = base_zone();
-        sign_zone_cached(&mut warm1, &r, &cfg, NOW, &mut cache).unwrap();
-        assert_eq!(cold, warm1, "cold cache pass must match uncached signing");
+        let mut warm = base_zone();
+        sign_zone_cached(&mut warm, &r, &cfg, NOW, &mut cache).unwrap();
+        assert_eq!(cold, warm, "a full cached pass must match uncached signing");
 
-        let mut warm2 = base_zone();
-        sign_zone_cached(&mut warm2, &r, &cfg, NOW, &mut cache).unwrap();
-        assert_eq!(cold, warm2, "warm cache pass must match uncached signing");
-        // Poison every cached signature: a pass that hits the cache now
-        // emits them.
-        cache.signatures_mut().for_each(|sig| sig.fill(0xEE));
-        let mut poisoned = base_zone();
-        sign_zone_cached(&mut poisoned, &r, &cfg, NOW, &mut cache).unwrap();
-        assert_ne!(cold, poisoned, "second pass should hit the cache");
+        // An edit re-signed incrementally matches a full pass.
+        let www = name("www.example.com");
+        for zone in [&mut cold, &mut warm] {
+            zone.add(Record::new(
+                www.clone(),
+                300,
+                RData::A(Ipv4Addr::new(192, 0, 2, 81)),
+            ));
+        }
+        sign_zone(&mut cold, &r, &cfg, NOW).unwrap();
+        sign_zone_cached(&mut warm, &r, &cfg, NOW, &mut cache).unwrap();
+        assert_eq!(
+            cold, warm,
+            "an incremental pass must match uncached signing"
+        );
+
+        // Tamper with a signature the next pass would otherwise keep.
+        let sigs = warm.get_mut(&www, RrType::Rrsig).unwrap();
+        let Some(RData::Rrsig(sig)) = sigs.rdatas.first_mut() else {
+            panic!("www is signed");
+        };
+        sig.signature.fill(0xEE);
+        assert_ne!(cold, warm);
+        sign_zone(&mut cold, &r, &cfg, NOW).unwrap();
+        sign_zone_cached(&mut warm, &r, &cfg, NOW, &mut cache).unwrap();
+        assert_eq!(cold, warm, "a later pass must regenerate a tampered RRSIG");
     }
 
     #[test]

@@ -1,13 +1,15 @@
-//! Generation-stamped, qname-sharded memo of encoded answers for
+//! Qname-sharded memo of encoded answers for
 //! [`Server::respond_into`](crate::Server::respond_into), the entry point of
 //! the UDP and TCP transports.
 //!
-//! The memo keys each encoded answer on the serving zone's
-//! [`generation`](ddx_dns::Zone::generation) stamp plus everything the
-//! response bytes depend on (qname, qtype, qclass, the RD flag, and the
+//! The memo keys each encoded answer on everything the response bytes
+//! depend on besides the zones (qname, qtype, qclass, the RD flag, and the
 //! EDNS state carrying the DO bit), so an unchanged zone answers a repeated
-//! query from the memo. Any zone mutation draws a fresh generation, which
-//! makes every old entry unreachable — invalidation is implicit in the key.
+//! query from the memo. Zones change only through
+//! [`Server::zone_mut`](crate::Server::zone_mut) and
+//! [`Server::load_zone`](crate::Server::load_zone), which take the server
+//! mutably and empty the memo ([`AnswerMemo::clear`]): no transport reads
+//! in between, and no answer of an earlier zone state outlives the write.
 //!
 //! A [`MemoKey`] is those fields laid out as bytes in a fixed-size stack
 //! array, the qname lowercased, built straight from the query's wire view:
@@ -38,16 +40,15 @@ const SHARDS: usize = 8;
 
 /// Per-shard entry cap. With [`SHARDS`] shards this keeps the historical
 /// 8,192-entry process total; reaching the cap clears that shard only
-/// (stale generations dominate a full table, so wholesale per-shard
-/// eviction is both simplest and correct).
+/// (wholesale per-shard eviction is both simplest and correct).
 const SHARD_CAP: usize = 1_024;
 
 /// Longest wire name, terminator included (RFC 1035 §2.3.4).
 const MAX_QNAME: usize = 255;
 
-/// Key bytes before the qname: generation (8), qtype (2), qclass (2), a
-/// flag byte (RD, EDNS present, DO) and the EDNS payload size (2).
-const HEADER: usize = 15;
+/// Key bytes before the qname: qtype (2), qclass (2), a flag byte (RD,
+/// EDNS present, DO) and the EDNS payload size (2).
+const HEADER: usize = 7;
 
 /// Everything (besides the zone content and the server behavior, both
 /// handled outside the memo) that the bytes of a response depend on —
@@ -60,19 +61,17 @@ pub(crate) struct MemoKey {
 }
 
 impl MemoKey {
-    /// The key of a query view under zone generation `generation`; `None`
-    /// when the query has no question.
-    pub(crate) fn new(generation: u64, view: &MessageView<'_>) -> Option<MemoKey> {
+    /// The key of a query view; `None` when the query has no question.
+    pub(crate) fn new(view: &MessageView<'_>) -> Option<MemoKey> {
         let q = view.question()?;
         let edns = view.edns();
         let mut bytes = [0; HEADER + MAX_QNAME];
-        bytes[..8].copy_from_slice(&generation.to_be_bytes());
-        bytes[8..10].copy_from_slice(&q.qtype().code().to_be_bytes());
-        bytes[10..12].copy_from_slice(&q.qclass().code().to_be_bytes());
-        bytes[12] = u8::from(view.flags().rd)
+        bytes[..2].copy_from_slice(&q.qtype().code().to_be_bytes());
+        bytes[2..4].copy_from_slice(&q.qclass().code().to_be_bytes());
+        bytes[4] = u8::from(view.flags().rd)
             | u8::from(edns.is_some()) << 1
             | u8::from(edns.is_some_and(|e| e.dnssec_ok)) << 2;
-        bytes[13..15].copy_from_slice(&edns.map_or(0, |e| e.udp_size).to_be_bytes());
+        bytes[5..7].copy_from_slice(&edns.map_or(0, |e| e.udp_size).to_be_bytes());
         let mut len = HEADER;
         for label in q.qname().labels() {
             bytes[len] = label.len() as u8;
@@ -151,6 +150,16 @@ impl AnswerMemo {
         entries.insert(Box::from(key.as_bytes()), value);
     }
 
+    /// Drops every entry (counted as evictions): the server's zones are
+    /// about to change.
+    pub(crate) fn clear(&mut self) {
+        for shard in &mut self.shards {
+            let entries = shard.get_mut().unwrap_or_else(PoisonError::into_inner);
+            self.obs_evictions.add(entries.len() as u64);
+            entries.clear();
+        }
+    }
+
     /// Looks up the answer encoded for `key`, counting a hit or a miss.
     pub(crate) fn get(&self, key: &MemoKey) -> Option<Arc<[u8]>> {
         self.obs_lookups.inc();
@@ -169,16 +178,16 @@ mod tests {
     use ddx_dns::{name, wire, Edns, Message, RrClass, RrType};
 
     /// The key of a plain-DNS `qname`/A query, edited by `edit` first.
-    fn key_with(generation: u64, qname: &str, edit: impl FnOnce(&mut Message)) -> MemoKey {
+    fn key_with(qname: &str, edit: impl FnOnce(&mut Message)) -> MemoKey {
         let mut q = Message::query(9, name(qname), RrType::A);
         q.edns = None;
         edit(&mut q);
         let bytes = wire::encode(&q);
-        MemoKey::new(generation, &MessageView::parse(&bytes).unwrap()).unwrap()
+        MemoKey::new(&MessageView::parse(&bytes).unwrap()).unwrap()
     }
 
-    fn key(generation: u64, qname: &str) -> MemoKey {
-        key_with(generation, qname, |_| {})
+    fn key(qname: &str) -> MemoKey {
+        key_with(qname, |_| {})
     }
 
     fn answer(tag: &str) -> Arc<[u8]> {
@@ -187,7 +196,7 @@ mod tests {
 
     #[test]
     fn shard_hash_is_case_insensitive() {
-        let hash = |qname| fnv1a(FNV_OFFSET, key(1, qname).qname());
+        let hash = |qname| fnv1a(FNV_OFFSET, key(qname).qname());
         assert_eq!(hash("WWW.Example.COM"), hash("www.example.com"));
         assert_ne!(hash("a.example.com"), hash("b.example.com"));
     }
@@ -195,8 +204,8 @@ mod tests {
     #[test]
     fn keys_ignore_qname_case_and_nothing_else() {
         assert_eq!(
-            key(1, "WWW.Example.COM").as_bytes(),
-            key(1, "www.example.com").as_bytes()
+            key("WWW.Example.COM").as_bytes(),
+            key("www.example.com").as_bytes()
         );
         let edns = |udp_size, dnssec_ok| {
             Some(Edns {
@@ -205,19 +214,18 @@ mod tests {
             })
         };
         let keys = [
-            key(1, "www.example.com"),
-            key(2, "www.example.com"),
-            key(1, "ww.example.com"),
-            key_with(1, "www.example.com", |q| {
+            key("www.example.com"),
+            key("ww.example.com"),
+            key_with("www.example.com", |q| {
                 q.question.as_mut().unwrap().qtype = RrType::Aaaa
             }),
-            key_with(1, "www.example.com", |q| {
+            key_with("www.example.com", |q| {
                 q.question.as_mut().unwrap().qclass = RrClass::from_code(3)
             }),
-            key_with(1, "www.example.com", |q| q.flags.rd = !q.flags.rd),
-            key_with(1, "www.example.com", |q| q.edns = edns(512, false)),
-            key_with(1, "www.example.com", |q| q.edns = edns(512, true)),
-            key_with(1, "www.example.com", |q| q.edns = edns(1232, true)),
+            key_with("www.example.com", |q| q.flags.rd = !q.flags.rd),
+            key_with("www.example.com", |q| q.edns = edns(512, false)),
+            key_with("www.example.com", |q| q.edns = edns(512, true)),
+            key_with("www.example.com", |q| q.edns = edns(1232, true)),
         ];
         for (i, a) in keys.iter().enumerate() {
             for b in &keys[i + 1..] {
@@ -231,17 +239,33 @@ mod tests {
         let memo = AnswerMemo::new();
         for i in 0..32 {
             let qname = format!("q{i}.example.com");
-            let k = key(1, &qname);
+            let k = key(&qname);
             assert!(memo.get(&k).is_none());
             let stored = answer(&format!("a{i}"));
             memo.insert(&k, Arc::clone(&stored));
             let hit = memo.get(&k).expect("hit after insert");
             assert!(Arc::ptr_eq(&hit, &stored));
             // Another spelling of the same question hits the same entry.
-            let shouted = memo.get(&key(1, &qname.to_uppercase())).expect("hit");
+            let shouted = memo.get(&key(&qname.to_uppercase())).expect("hit");
             assert!(Arc::ptr_eq(&shouted, &stored));
-            // Another generation of the same zone never sees the entry.
-            assert!(memo.get(&key(2, &qname)).is_none());
+        }
+    }
+
+    #[test]
+    fn clear_empties_every_shard_as_evictions() {
+        let evictions = ddx_obs::counter("server.answer_memo.evictions", &[]);
+        let mut memo = AnswerMemo::new();
+        let keys: Vec<MemoKey> = (0..64).map(|i| key(&format!("q{i}.example.com"))).collect();
+        for k in &keys {
+            memo.insert(k, answer("a"));
+        }
+        let before = evictions.get();
+        memo.clear();
+        // Other tests in this process may also evict, so the delta is a
+        // lower bound.
+        assert!(evictions.get() - before >= keys.len() as u64);
+        for k in &keys {
+            assert!(memo.get(k).is_none());
         }
     }
 
@@ -250,13 +274,13 @@ mod tests {
         let memo = AnswerMemo::new();
         // An entry in another shard, which no flush of shard 0 may touch.
         let bystander = (0..)
-            .map(|i| key(1, &format!("b{i}.example.com")))
+            .map(|i| key(&format!("b{i}.example.com")))
             .find(|k| k.shard() != 0)
             .unwrap();
         memo.insert(&bystander, answer("bystander"));
         // SHARD_CAP + 1 names of shard 0: the last insert flushes the rest.
         let keys: Vec<MemoKey> = (0..)
-            .map(|i| key(1, &format!("q{i}.example.com")))
+            .map(|i| key(&format!("q{i}.example.com")))
             .filter(|k| k.shard() == 0)
             .take(SHARD_CAP + 1)
             .collect();
@@ -275,9 +299,9 @@ mod tests {
     #[test]
     fn same_qname_different_types_share_a_shard() {
         let memo = AnswerMemo::new();
-        memo.insert(&key(1, "multi.example.com"), answer("a"));
+        memo.insert(&key("multi.example.com"), answer("a"));
         memo.insert(
-            &key_with(1, "MULTI.example.com", |q| {
+            &key_with("MULTI.example.com", |q| {
                 q.question.as_mut().unwrap().qtype = RrType::Aaaa
             }),
             answer("aaaa"),

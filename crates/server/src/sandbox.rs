@@ -69,9 +69,9 @@ pub struct Sandbox {
     /// Zones anchor-first.
     pub zones: Vec<SandboxZone>,
     pub now: u32,
-    /// RRSIG memo shared across every re-sign of every zone in this
-    /// sandbox, so DFixer's per-iteration `SignZone` instructions only pay
-    /// for signatures over RRsets that actually changed.
+    /// Signing lineages shared across every re-sign of every zone in this
+    /// sandbox, so DFixer's per-iteration `SignZone` instructions re-sign
+    /// only the RRsets they changed (see [`sign_zone_cached`]).
     pub sig_cache: SigCache,
 }
 
@@ -106,8 +106,9 @@ impl Sandbox {
     /// re-running the signer per server. Replicas that have diverged (e.g.
     /// ZReplicator injected an inconsistency on one server) are still signed
     /// independently so per-server differences survive the way they did
-    /// under per-server signing — though the shared RRSIG cache still spares
-    /// them recomputing signatures for the RRsets they agree on.
+    /// under per-server signing — though each replica that still holds an
+    /// output of the shared cache's latest full pass re-signs only what was
+    /// changed on it.
     pub fn resign_zone(&mut self, apex: &Name, now: u32) -> Result<(), SignError> {
         let (ring, cfg) = {
             let z = self

@@ -61,7 +61,8 @@ pub struct Server {
     pub id: ServerId,
     pub behavior: ServerBehavior,
     zones: HashMap<Name, Zone>,
-    /// Generation-keyed encoded answers, for the UDP/TCP transports.
+    /// Encoded answers for the UDP/TCP transports, emptied by every zone
+    /// write.
     memo: AnswerMemo,
     /// Per-generation zone indexes, used by every indexed resolution.
     indexes: ZoneIndexes,
@@ -93,8 +94,9 @@ impl Server {
         }
     }
 
-    /// Loads (or replaces) a zone on this server.
+    /// Loads (or replaces) a zone on this server, emptying the answer memo.
     pub fn load_zone(&mut self, zone: Zone) {
+        self.memo.clear();
         self.zones.insert(zone.apex().clone(), zone);
     }
 
@@ -108,10 +110,10 @@ impl Server {
         self.zones.values()
     }
 
-    /// Mutable access — ZReplicator's error injection hooks in here. Any
-    /// mutation through the returned zone bumps its generation, which
-    /// implicitly evicts this server's memoized answers for it.
+    /// Mutable access — ZReplicator's error injection hooks in here. Empties
+    /// this server's memoized answers: the caller may change the zone.
     pub fn zone_mut(&mut self, apex: &Name) -> Option<&mut Zone> {
+        self.memo.clear();
         self.zones.get_mut(apex)
     }
 
@@ -232,8 +234,8 @@ impl Server {
     ///
     /// A miss is resolved straight into `buf` through a [`wire::Writer`]:
     /// no `Message` is built. Answers to in-zone, non-AXFR questions are
-    /// memoized encoded, keyed on the zone generation and the question
-    /// bytes of the view: a hit is a copy of the stored bytes with the
+    /// memoized encoded, keyed on the question bytes of the view (a zone
+    /// write empties the memo): a hit is a copy of the stored bytes with the
     /// query's id and qname spelling stamped into them, and allocates
     /// nothing.
     pub fn respond_into(&self, view: &MessageView<'_>, limit: usize, buf: &mut Vec<u8>) -> bool {
@@ -241,7 +243,7 @@ impl Server {
             wire::truncate_into(full, buf).expect("the encoder writes well-formed messages");
         };
         let question = view.question();
-        // The zone is picked once, for the memo key and the resolution.
+        // The zone is picked once: only in-zone answers are memoized.
         let zone = question
             .filter(|_| self.behavior == ServerBehavior::Normal)
             .and_then(|q| self.best_zone(|apex| q.qname().is_subdomain_of(apex)));
@@ -249,7 +251,7 @@ impl Server {
         // hold.
         let key = zone
             .filter(|_| question.is_some_and(|q| q.qtype() != RrType::Axfr))
-            .and_then(|zone| MemoKey::new(zone.generation(), view));
+            .and_then(|_| MemoKey::new(view));
         match key.as_ref().and_then(|key| self.memo.get(key)) {
             Some(full) if full.len() > limit => truncate(&full, buf),
             Some(full) => {
