@@ -9,6 +9,7 @@
 //! bytes, with the same errors, by construction.
 
 use std::net::{Ipv4Addr, Ipv6Addr};
+use std::ops::Range;
 
 use crate::message::{Edns, Flags, Message, Question};
 use crate::name::{Name, NameLabels};
@@ -546,6 +547,49 @@ pub fn encode_into(msg: &Message, buf: &mut Vec<u8>) {
 /// `truncate_into(&encode(&msg), out)` writes exactly `encode` of `msg`
 /// with TC set and its three record sections cleared.
 pub fn truncate_into(full: &[u8], out: &mut Vec<u8>) -> Result<(), WireError> {
+    let (question_end, opt) = truncation_layout(full)?;
+    out.clear();
+    out.extend_from_slice(&full[..12]);
+    truncated_header(out, opt.is_some());
+    out.extend_from_slice(&full[12..question_end]);
+    if let Some(fields) = opt {
+        // The OPT owner is the root (RFC 6891 §6.1.2), written uncompressed.
+        out.push(0);
+        out.extend_from_slice(&full[fields]);
+    }
+    Ok(())
+}
+
+/// [`truncate_into`] with the encoded message in `buf` rewritten where it
+/// lies: the question stays in place and the OPT RR moves up behind it,
+/// so nothing is copied out and nothing allocated.
+pub fn truncate_in_place(buf: &mut Vec<u8>) -> Result<(), WireError> {
+    let (question_end, opt) = truncation_layout(buf)?;
+    truncated_header(buf, opt.is_some());
+    let end = match opt {
+        // The fields lie past the OPT owner, so they only move to the front.
+        Some(fields) => {
+            buf[question_end] = 0;
+            buf.copy_within(fields.clone(), question_end + 1);
+            question_end + 1 + fields.len()
+        }
+        None => question_end,
+    };
+    buf.truncate(end);
+    Ok(())
+}
+
+/// Sets TC in an encoded header and its AN, NS and AR counts to the
+/// truncated form's: 0, 0 and 1 if an OPT RR is kept.
+fn truncated_header(buf: &mut [u8], opt: bool) {
+    buf[2] |= 0x02;
+    buf[6..12].copy_from_slice(&[0, 0, 0, 0, 0, u8::from(opt)]);
+}
+
+/// Where the truncated form's parts lie in the encoded message `full`: the
+/// end of its question section, and the type-to-RDATA fields of its OPT
+/// RR if it has one.
+fn truncation_layout(full: &[u8]) -> Result<(usize, Option<Range<usize>>), WireError> {
     let header = full.get(..12).ok_or(WireError::Truncated)?;
     let count = |at: usize| u16::from_be_bytes([header[at], header[at + 1]]) as usize;
     let mut pos = 12;
@@ -573,17 +617,7 @@ pub fn truncate_into(full: &[u8], out: &mut Vec<u8>) -> Result<(), WireError> {
         }
         pos = end;
     }
-    out.clear();
-    out.extend_from_slice(&header[..6]);
-    out[2] |= 0x02;
-    out.extend_from_slice(&[0, 0, 0, 0, 0, u8::from(opt.is_some())]);
-    out.extend_from_slice(&full[12..question_end]);
-    if let Some(fields) = opt {
-        // The OPT owner is the root (RFC 6891 §6.1.2), written uncompressed.
-        out.push(0);
-        out.extend_from_slice(&full[fields]);
-    }
-    Ok(())
+    Ok((question_end, opt))
 }
 
 /// Encodes `msg` into `buf` (cleared first) with compressor `names`.

@@ -18,6 +18,28 @@
 //! in-process query path keeps no answer memo: the DFixer loop's re-asked
 //! questions are reused one layer up, per zone cut, by the probe/grok memo.
 //!
+//! # Admission
+//!
+//! A miss stores its answer only on the key's second sighting. A probe's
+//! random sub-labels and absent types are asked once: storing them copies
+//! the answer and boxes the key for an entry nobody reads, and fills the
+//! shard until its cap flushes the answers that do repeat. So each shard
+//! keeps a doorkeeper, a direct-mapped table of [`DOORKEEPER_SLOTS`]
+//! fingerprints of whole keys (qname, type, class, flags and EDNS size,
+//! so one name's many types do not admit each other). A miss whose slot
+//! holds its fingerprint is admitted and stored; any other miss writes its
+//! fingerprint into the slot and is answered without being stored. A
+//! repeated question is stored on its second ask; a fresh one leaves only
+//! a fingerprint, which the next key mapping to that slot overwrites.
+//!
+//! The table is small on purpose: it must forget a fresh name before the
+//! name comes back, or a client cycling through more names than the memo
+//! holds would be admitted on every second round. It lives under the
+//! shard's mutex (the lookup and the admission take one lock), is
+//! allocated on the shard's first miss (a server no transport queries
+//! never pays for it), and outlives [`AnswerMemo::clear`]: after a zone
+//! write, the first miss of a key seen before is stored again at once.
+//!
 //! # Sharding
 //!
 //! The memo is split into [`SHARDS`] independent shards, selected by
@@ -42,6 +64,14 @@ const SHARDS: usize = 8;
 /// 8,192-entry process total; reaching the cap clears that shard only
 /// (wholesale per-shard eviction is both simplest and correct).
 const SHARD_CAP: usize = 1_024;
+
+/// Doorkeeper fingerprints per shard, a power of two. Small enough that a
+/// fresh key's slot is overwritten long before the key comes back: a shard
+/// sees ~20,000 other fresh keys between repeats of a name in a
+/// 2^18-datagram cycle of random names, which leaves a fingerprint a
+/// survival chance of e^-19 at 1,024 slots.
+const DOORKEEPER_SLOTS: usize = 1 << DOORKEEPER_BITS;
+const DOORKEEPER_BITS: u32 = 10;
 
 /// Longest wire name, terminator included (RFC 1035 §2.3.4).
 const MAX_QNAME: usize = 255;
@@ -99,14 +129,53 @@ impl MemoKey {
     fn shard(&self) -> usize {
         (fnv1a(FNV_OFFSET, self.qname()) % SHARDS as u64) as usize
     }
+
+    /// The doorkeeper's fingerprint of the whole key: never 0, the empty
+    /// slot.
+    fn fingerprint(&self) -> u64 {
+        fnv1a(FNV_OFFSET, self.as_bytes()) | 1
+    }
 }
 
-/// One shard: encoded answers by [`MemoKey`] bytes.
-type Shard = HashMap<Box<[u8]>, Arc<[u8]>>;
+/// The doorkeeper slot of a fingerprint: its top bits after a Fibonacci
+/// multiply, which spreads FNV-1a's weak low bits.
+fn doorkeeper_slot(fingerprint: u64) -> usize {
+    (fingerprint.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - DOORKEEPER_BITS)) as usize
+}
 
-/// Per-server memo of encoded answers, sharded by qname hash.
-/// Interior-mutable (the server answers through `&self` from multiple
-/// transport threads).
+/// One shard: encoded answers by [`MemoKey`] bytes, and the doorkeeper
+/// that admits a key on its second miss.
+#[derive(Debug, Default)]
+struct Shard {
+    entries: HashMap<Box<[u8]>, Arc<[u8]>>,
+    /// Allocated on the shard's first miss.
+    doorkeeper: Option<Box<[u64; DOORKEEPER_SLOTS]>>,
+}
+
+impl Shard {
+    /// Records a miss of the key with `fingerprint`; whether its slot
+    /// already held it (the key was seen before).
+    fn seen_before(&mut self, fingerprint: u64) -> bool {
+        let slots = self
+            .doorkeeper
+            .get_or_insert_with(|| Box::new([0; DOORKEEPER_SLOTS]));
+        std::mem::replace(&mut slots[doorkeeper_slot(fingerprint)], fingerprint) == fingerprint
+    }
+}
+
+/// What [`AnswerMemo::get`] found for a key.
+#[derive(Debug)]
+pub(crate) enum MemoLookup {
+    /// The stored answer.
+    Hit(Arc<[u8]>),
+    /// No stored answer. `admit` says whether the key was seen before,
+    /// so the answer the caller resolves should be stored.
+    Miss { admit: bool },
+}
+
+/// Per-server memo of encoded answers, sharded by qname hash, admitting a
+/// key on its second miss. Interior-mutable (the server answers through
+/// `&self` from multiple transport threads).
 ///
 /// Hits, misses and evictions are counted once, in the process-wide
 /// `server.answer_memo.{lookups,hits,misses,evictions}` counters of the
@@ -140,9 +209,10 @@ impl AnswerMemo {
     }
 
     /// Stores a freshly encoded answer in the qname's shard, flushing the
-    /// shard first when it is at capacity (counted as evictions).
+    /// shard first when it is at capacity (counted as evictions). Called
+    /// for a miss that [`AnswerMemo::get`] admitted.
     pub(crate) fn insert(&self, key: &MemoKey, value: Arc<[u8]>) {
-        let mut entries = self.shard(key);
+        let entries = &mut self.shard(key).entries;
         if entries.len() >= SHARD_CAP {
             self.obs_evictions.add(entries.len() as u64);
             entries.clear();
@@ -151,24 +221,37 @@ impl AnswerMemo {
     }
 
     /// Drops every entry (counted as evictions): the server's zones are
-    /// about to change.
+    /// about to change. The doorkeepers stay, so keys seen before are
+    /// stored again on their next miss.
     pub(crate) fn clear(&mut self) {
         for shard in &mut self.shards {
-            let entries = shard.get_mut().unwrap_or_else(PoisonError::into_inner);
+            let entries = &mut shard
+                .get_mut()
+                .unwrap_or_else(PoisonError::into_inner)
+                .entries;
             self.obs_evictions.add(entries.len() as u64);
             entries.clear();
         }
     }
 
-    /// Looks up the answer encoded for `key`, counting a hit or a miss.
-    pub(crate) fn get(&self, key: &MemoKey) -> Option<Arc<[u8]>> {
+    /// Looks up the answer encoded for `key`, counting a hit or a miss;
+    /// a miss is recorded in the shard's doorkeeper under the same lock.
+    pub(crate) fn get(&self, key: &MemoKey) -> MemoLookup {
         self.obs_lookups.inc();
-        let hit = self.shard(key).get(key.as_bytes()).cloned();
-        match &hit {
-            Some(_) => self.obs_hits.inc(),
-            None => self.obs_misses.inc(),
+        let lookup = {
+            let mut shard = self.shard(key);
+            match shard.entries.get(key.as_bytes()) {
+                Some(full) => MemoLookup::Hit(Arc::clone(full)),
+                None => MemoLookup::Miss {
+                    admit: shard.seen_before(key.fingerprint()),
+                },
+            }
+        };
+        match &lookup {
+            MemoLookup::Hit(_) => self.obs_hits.inc(),
+            MemoLookup::Miss { .. } => self.obs_misses.inc(),
         }
-        hit
+        lookup
     }
 }
 
@@ -192,6 +275,35 @@ mod tests {
 
     fn answer(tag: &str) -> Arc<[u8]> {
         Arc::from(tag.as_bytes())
+    }
+
+    /// The stored answer for `k`, if any (a miss is recorded as a
+    /// sighting).
+    fn hit(memo: &AnswerMemo, k: &MemoKey) -> Option<Arc<[u8]>> {
+        match memo.get(k) {
+            MemoLookup::Hit(full) => Some(full),
+            MemoLookup::Miss { .. } => None,
+        }
+    }
+
+    /// Asks `k` as [`Server::respond_into`](crate::Server::respond_into)
+    /// does, storing `tag` on an admitted miss: "hit", "stored" (an
+    /// admitted miss) or "passed" (a miss that stores nothing).
+    fn ask(memo: &AnswerMemo, k: &MemoKey, tag: &str) -> &'static str {
+        match memo.get(k) {
+            MemoLookup::Hit(_) => "hit",
+            MemoLookup::Miss { admit: true } => {
+                memo.insert(k, answer(tag));
+                "stored"
+            }
+            MemoLookup::Miss { admit: false } => "passed",
+        }
+    }
+
+    /// The number of entries stored in each shard.
+    fn stored(memo: &AnswerMemo) -> Vec<usize> {
+        let len = |s: &Mutex<Shard>| s.lock().unwrap().entries.len();
+        memo.shards.iter().map(len).collect()
     }
 
     #[test]
@@ -240,13 +352,13 @@ mod tests {
         for i in 0..32 {
             let qname = format!("q{i}.example.com");
             let k = key(&qname);
-            assert!(memo.get(&k).is_none());
+            assert!(hit(&memo, &k).is_none());
             let stored = answer(&format!("a{i}"));
             memo.insert(&k, Arc::clone(&stored));
-            let hit = memo.get(&k).expect("hit after insert");
-            assert!(Arc::ptr_eq(&hit, &stored));
+            let found = hit(&memo, &k).expect("hit after insert");
+            assert!(Arc::ptr_eq(&found, &stored));
             // Another spelling of the same question hits the same entry.
-            let shouted = memo.get(&key(&qname.to_uppercase())).expect("hit");
+            let shouted = hit(&memo, &key(&qname.to_uppercase())).expect("hit");
             assert!(Arc::ptr_eq(&shouted, &stored));
         }
     }
@@ -265,7 +377,7 @@ mod tests {
         // lower bound.
         assert!(evictions.get() - before >= keys.len() as u64);
         for k in &keys {
-            assert!(memo.get(k).is_none());
+            assert!(hit(&memo, k).is_none());
         }
     }
 
@@ -288,12 +400,12 @@ mod tests {
             memo.insert(k, answer("full"));
         }
         // The freshly inserted last entry survived the flush.
-        assert!(memo.get(&keys[SHARD_CAP]).is_some());
+        assert!(hit(&memo, &keys[SHARD_CAP]).is_some());
         // Every pre-flush entry is gone (miss).
         for k in &keys[..SHARD_CAP] {
-            assert!(memo.get(k).is_none());
+            assert!(hit(&memo, k).is_none());
         }
-        assert!(memo.get(&bystander).is_some(), "flush stays local");
+        assert!(hit(&memo, &bystander).is_some(), "flush stays local");
     }
 
     #[test]
@@ -306,12 +418,72 @@ mod tests {
             }),
             answer("aaaa"),
         );
-        let populated: Vec<_> = memo
-            .shards
-            .iter()
-            .filter(|s| !s.lock().unwrap().is_empty())
-            .collect();
-        assert_eq!(populated.len(), 1, "one qname ⇒ one shard");
-        assert_eq!(populated[0].lock().unwrap().len(), 2);
+        let populated: Vec<usize> = stored(&memo).into_iter().filter(|&n| n > 0).collect();
+        assert_eq!(populated, [2], "one qname ⇒ one shard");
+    }
+
+    #[test]
+    fn a_first_sighting_stores_nothing_and_the_second_stores() {
+        let memo = AnswerMemo::new();
+        let doorkeepers = |memo: &AnswerMemo| {
+            let has = |s: &Mutex<Shard>| s.lock().unwrap().doorkeeper.is_some();
+            memo.shards.iter().filter(|s| has(s)).count()
+        };
+        assert_eq!(doorkeepers(&memo), 0);
+        let k = key("twice.example.com");
+        assert_eq!(ask(&memo, &k, "a"), "passed");
+        assert_eq!(stored(&memo), [0; SHARDS]);
+        assert_eq!(doorkeepers(&memo), 1, "allocated on the shard's first miss");
+        assert_eq!(ask(&memo, &k, "a"), "stored");
+        assert_eq!(stored(&memo)[k.shard()], 1);
+        assert_eq!(ask(&memo, &k, "a"), "hit");
+        // Another type of the same name is a key of its own.
+        let aaaa = key_with("twice.example.com", |q| {
+            q.question.as_mut().unwrap().qtype = RrType::Aaaa
+        });
+        assert_eq!(ask(&memo, &aaaa, "aaaa"), "passed");
+    }
+
+    #[test]
+    fn a_key_seen_before_is_admitted_on_its_first_miss_after_clear() {
+        let mut memo = AnswerMemo::new();
+        let k = key("kept.example.com");
+        assert_eq!(ask(&memo, &k, "a"), "passed");
+        assert_eq!(ask(&memo, &k, "a"), "stored");
+        memo.clear();
+        assert_eq!(ask(&memo, &k, "b"), "stored");
+        assert_eq!(&*hit(&memo, &k).expect("stored again"), b"b");
+    }
+
+    #[test]
+    fn keys_asked_once_store_nothing_and_evict_nothing() {
+        let memo = AnswerMemo::new();
+        for i in 0..100_000 {
+            let k = key(&format!("x{i:x}.example.com"));
+            assert_eq!(ask(&memo, &k, "a"), "passed", "key {i}");
+        }
+        // An eviction happens only when an insert meets a full shard (or on
+        // `clear`), and the insert's own entry stays: empty shards mean no
+        // insert, so no eviction.
+        assert_eq!(stored(&memo), [0; SHARDS]);
+    }
+
+    #[test]
+    fn a_key_whose_slot_another_key_took_is_not_stored_on_its_next_miss() {
+        let memo = AnswerMemo::new();
+        let first = key("first.example.com");
+        let slot = |k: &MemoKey| (k.shard(), doorkeeper_slot(k.fingerprint()));
+        let rival = (0..)
+            .map(|i| key(&format!("r{i}.example.com")))
+            .find(|k| slot(k) == slot(&first))
+            .unwrap();
+        assert_ne!(rival.fingerprint(), first.fingerprint());
+        assert_eq!(ask(&memo, &first, "first"), "passed");
+        assert_eq!(ask(&memo, &rival, "rival"), "passed");
+        assert_eq!(ask(&memo, &first, "first"), "passed");
+        assert_eq!(stored(&memo), [0; SHARDS]);
+        // That miss took the slot back, so the next one is admitted.
+        assert_eq!(ask(&memo, &first, "first"), "stored");
+        assert_eq!(ask(&memo, &rival, "rival"), "passed");
     }
 }

@@ -29,7 +29,7 @@ use ddx_dns::{
 };
 use ddx_dnssec::{nsec3_hash, nsec3_hash_wire};
 
-use crate::answer::{AnswerMemo, MemoKey};
+use crate::answer::{AnswerMemo, MemoKey, MemoLookup};
 use crate::index::{Proof, ZoneIndex, ZoneIndexes};
 
 /// Identifies one server instance (e.g. `ns1.par.a.com.#0`).
@@ -228,20 +228,20 @@ impl Server {
     /// holds a response to send; an unresponsive server sends nothing.
     ///
     /// An answer longer than `limit` bytes is rewritten into its RFC 1035
-    /// §4.2.1 truncated form ([`wire::truncate_into`]) so the client
+    /// §4.2.1 truncated form ([`wire::truncate_into`], or
+    /// [`wire::truncate_in_place`] for a miss's answer) so the client
     /// retries over TCP. The bytes are those of [`Server::handle_view`]'s
     /// answer, encoded and truncated by that rule.
     ///
     /// A miss is resolved straight into `buf` through a [`wire::Writer`]:
     /// no `Message` is built. Answers to in-zone, non-AXFR questions are
     /// memoized encoded, keyed on the question bytes of the view (a zone
-    /// write empties the memo): a hit is a copy of the stored bytes with the
-    /// query's id and qname spelling stamped into them, and allocates
-    /// nothing.
+    /// write empties the memo), from the second time a key misses on: a
+    /// question asked once stores nothing. A hit is a copy of the stored
+    /// bytes with the query's id and qname spelling stamped into them, and
+    /// allocates nothing.
     pub fn respond_into(&self, view: &MessageView<'_>, limit: usize, buf: &mut Vec<u8>) -> bool {
-        let truncate = |full: &[u8], buf: &mut Vec<u8>| {
-            wire::truncate_into(full, buf).expect("the encoder writes well-formed messages");
-        };
+        const WELL_FORMED: &str = "the encoder writes well-formed messages";
         let question = view.question();
         // The zone is picked once: only in-zone answers are memoized.
         let zone = question
@@ -252,13 +252,15 @@ impl Server {
         let key = zone
             .filter(|_| question.is_some_and(|q| q.qtype() != RrType::Axfr))
             .and_then(|_| MemoKey::new(view));
-        match key.as_ref().and_then(|key| self.memo.get(key)) {
-            Some(full) if full.len() > limit => truncate(&full, buf),
-            Some(full) => {
+        match key.as_ref().map(|key| self.memo.get(key)) {
+            Some(MemoLookup::Hit(full)) if full.len() > limit => {
+                wire::truncate_into(&full, buf).expect(WELL_FORMED)
+            }
+            Some(MemoLookup::Hit(full)) => {
                 buf.clear();
                 buf.extend_from_slice(&full);
             }
-            None => {
+            miss => {
                 // A miss lowercases the qname a second time, into the
                 // `WireName` it walks: a hit, the common case, needs only
                 // the key.
@@ -269,16 +271,14 @@ impl Server {
                     return false;
                 }
                 sink.finish();
-                let stored = key.map(|key| {
-                    let full: Arc<[u8]> = Arc::from(buf.as_slice());
-                    self.memo.insert(&key, Arc::clone(&full));
-                    full
-                });
-                // Truncate from the stored answer (or a copy of an
-                // unmemoized one), so `buf` keeps its capacity.
+                // Only a key seen before stores its answer: a question
+                // asked once costs no copy and no key.
+                if let (Some(key), Some(MemoLookup::Miss { admit: true })) = (key, miss) {
+                    self.memo.insert(&key, Arc::from(buf.as_slice()));
+                }
+                // Truncated where it lies, so `buf` keeps its capacity.
                 if buf.len() > limit {
-                    let full = stored.unwrap_or_else(|| Arc::from(buf.as_slice()));
-                    truncate(&full, buf);
+                    wire::truncate_in_place(buf).expect(WELL_FORMED);
                 }
             }
         }
@@ -1220,8 +1220,8 @@ mod tests {
     #[test]
     fn truncated_miss_keeps_the_send_buffer() {
         let s = server(signed_zone(true));
-        // A signed NSEC3 NXDOMAIN (memoized) and an AXFR (not memoized),
-        // each a miss held to a limit it does not fit.
+        // A signed NSEC3 NXDOMAIN (stored on its second miss) and an AXFR
+        // (never memoized), each a miss held to a limit it does not fit.
         for (qname, qtype) in [
             ("nope.example.com", RrType::A),
             ("example.com", RrType::Axfr),
@@ -1233,10 +1233,15 @@ mod tests {
             });
             let bytes = ddx_dns::wire::encode(&q);
             let view = MessageView::parse(&bytes).unwrap();
-            let mut buf = Vec::with_capacity(4096);
-            assert!(s.respond_into(&view, 256, &mut buf));
-            assert!(buf.len() <= 256 && buf[2] & 0x02 != 0, "{qname}: TC answer");
-            assert!(buf.capacity() >= 4096, "{qname}: send buffer shrank");
+            for miss in ["first", "second"] {
+                let mut buf = Vec::with_capacity(4096);
+                assert!(s.respond_into(&view, 256, &mut buf));
+                assert!(buf.len() <= 256 && buf[2] & 0x02 != 0, "{qname}: TC answer");
+                assert!(
+                    buf.capacity() >= 4096,
+                    "{qname} {miss} miss: send buffer shrank"
+                );
+            }
         }
     }
 
@@ -1247,7 +1252,9 @@ mod tests {
         assert!(before
             .find_answer(&name("www.example.com"), RrType::A)
             .is_some());
-        // The repeat is a memo hit with the same bytes.
+        // The second ask stores the answer; the third is a memo hit with the
+        // same bytes.
+        assert_eq!(respond(&s, "www.example.com", RrType::A), before);
         let hits = ddx_obs::counter("server.answer_memo.hits", &[]);
         let hits_before = hits.get();
         assert_eq!(respond(&s, "www.example.com", RrType::A), before);

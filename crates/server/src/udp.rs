@@ -28,6 +28,10 @@ use crate::testbed::{Network, QueryOutcome};
 /// stop flag.
 const READ_TIMEOUT: Duration = Duration::from_millis(50);
 
+/// Ephemeral UDP ports one spawn tries before giving up on finding one
+/// whose TCP twin is free.
+const PORT_ATTEMPTS: usize = 32;
+
 /// Tuning for one spawned server transport.
 #[derive(Debug)]
 pub struct TransportConfig {
@@ -69,7 +73,7 @@ impl UdpServerHandle {
         // where supported, else clones of one socket (the kernel then hands
         // each datagram to one of the blocked receivers).
         let mut sockets: Vec<UdpSocket> = Vec::with_capacity(workers);
-        let first = crate::batch::bind_worker_socket(0)?;
+        let (first, listener) = bind_port_pair(|| crate::batch::bind_worker_socket(0))?;
         let addr = first.local_addr()?;
         sockets.push(first);
         for _ in 1..workers {
@@ -83,7 +87,6 @@ impl UdpServerHandle {
         for sock in &sockets {
             sock.set_read_timeout(Some(READ_TIMEOUT))?;
         }
-        let listener = TcpListener::bind(addr)?;
         let id = server.id.clone();
         let server = Arc::new(RwLock::new(server));
         let stop = Arc::new(AtomicBool::new(false));
@@ -145,6 +148,30 @@ impl Drop for UdpServerHandle {
     }
 }
 
+/// A UDP socket from `bind_udp` and a TCP listener on the same loopback
+/// port. The kernel picks an ephemeral UDP port without regard to TCP, and
+/// that port's TCP twin may be taken, say by a recent connection still in
+/// TIME_WAIT on it. Such a port is passed over (and held until the pair is
+/// found, so it is not handed out again).
+fn bind_port_pair(
+    mut bind_udp: impl FnMut() -> std::io::Result<UdpSocket>,
+) -> std::io::Result<(UdpSocket, TcpListener)> {
+    let mut passed_over = Vec::new();
+    loop {
+        let udp = bind_udp()?;
+        match TcpListener::bind(udp.local_addr()?) {
+            Ok(tcp) => return Ok((udp, tcp)),
+            Err(e)
+                if e.kind() == std::io::ErrorKind::AddrInUse
+                    && passed_over.len() + 1 < PORT_ATTEMPTS =>
+            {
+                passed_over.push(udp)
+            }
+            Err(e) => return Err(e),
+        }
+    }
+}
+
 /// One shared-nothing UDP worker: batched receive, decode, answer through
 /// the sharded memo, batched send.
 fn udp_worker_loop(
@@ -196,7 +223,7 @@ fn udp_worker_loop(
             let server = server.read().unwrap_or_else(PoisonError::into_inner);
             for (bytes, peer) in batch.received() {
                 // Zero-copy parse: the view borrows the receive slot; no
-                // owned Message is built unless the memo misses.
+                // owned Message is built, on a memo hit or a miss.
                 let Ok(view) = MessageView::parse(bytes) else {
                     continue;
                 };
@@ -412,6 +439,21 @@ mod tests {
     use crate::server::ServerBehavior;
     use ddx_dns::{name, RData, Rcode, Record, RrType, Soa, Zone};
     use std::net::Ipv4Addr;
+
+    #[test]
+    fn a_udp_port_whose_tcp_twin_is_taken_is_passed_over() {
+        let blocker = TcpListener::bind("127.0.0.1:0").unwrap();
+        let taken = blocker.local_addr().unwrap();
+        let mut twin = Some(UdpSocket::bind(taken).expect("a fresh TCP port's UDP twin"));
+        let (udp, tcp) = bind_port_pair(|| match twin.take() {
+            Some(sock) => Ok(sock),
+            None => crate::batch::bind_worker_socket(0),
+        })
+        .unwrap();
+        let port = udp.local_addr().unwrap().port();
+        assert_ne!(port, taken.port());
+        assert_eq!(tcp.local_addr().unwrap().port(), port);
+    }
 
     fn zone() -> Zone {
         let mut z = Zone::new(name("udp.test"));

@@ -3,7 +3,8 @@
 //! zone (every corpus NSEC3 variant hashes with no salt and no extra
 //! iterations) and an NSEC zone, each with empty non-terminals, a wildcard
 //! and two delegations, asked for fresh names at every depth below them.
-//! The bytes [`Server::respond_into`] writes, on a memo miss and on a hit,
+//! The bytes [`Server::respond_into`] writes, on both memo misses (the
+//! second stores the answer) and on a hit,
 //! are the reference answer ([`Server::handle_uncached`]) encoded and
 //! truncated by the UDP rule.
 
@@ -101,19 +102,20 @@ fn fresh_name(rng: &mut StdRng) -> Name {
 fn fresh_denials_equal_the_reference_answers() {
     check("fresh_denials_equal_the_reference_answers", 768, |rng| {
         let (label, base) = &servers()[rng.gen_range(0usize..2)];
-        // A cold memo each case, so the first round is a miss.
+        // A cold memo each case: the first two rounds miss (the second
+        // stores the answer) and the last is a hit.
         let server = base.clone();
         let qname = fresh_name(rng);
         let qtype = QTYPES[rng.gen_range(0..QTYPES.len())];
         let dnssec_ok = rng.gen();
         let limit = [512, 1232, 65_535][rng.gen_range(0usize..3)];
-        for round in 0..2u16 {
+        for round in 0..3u16 {
             let mut q = Message::query(rng.gen(), qname.clone(), qtype);
             q.edns = Some(Edns {
                 udp_size: limit as u16,
                 dnssec_ok,
             });
-            if round == 1 {
+            if round == 2 {
                 // The hit comes under another spelling.
                 let respelled = qname.to_string().to_ascii_uppercase();
                 q.question.as_mut().expect("asked").qname = name(&respelled);

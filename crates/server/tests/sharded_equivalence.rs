@@ -111,9 +111,9 @@ fn shard_accounting_is_exact_under_contention() {
     assert!(hits > 0, "repeated (qname,qtype) pairs must hit");
 }
 
-/// Fresh names past the memo's total capacity (8 shards × 1,024 entries)
-/// overfill at least one shard, and its clear-at-cap flush surfaces on
-/// the registry eviction counter.
+/// Names past the memo's total capacity (8 shards × 1,024 entries), each
+/// asked twice so its second miss stores it, overfill at least one shard,
+/// and its clear-at-cap flush surfaces on the registry eviction counter.
 #[test]
 fn cap_overflow_reports_evictions() {
     let _serial = serial();
@@ -121,9 +121,11 @@ fn cap_overflow_reports_evictions() {
     let before = ddx_obs::snapshot();
     for i in 0..=8 * 1_024u32 {
         let q = Message::query(i as u16, name(&format!("e{i}.example.com")), RrType::A);
-        assert!(udp_answer(&server, &q).is_some());
+        for _ in 0..2 {
+            assert!(udp_answer(&server, &q).is_some());
+        }
     }
-    assert_eq!(memo_delta(&before, "misses"), 8 * 1_024 + 1);
+    assert_eq!(memo_delta(&before, "misses"), 2 * (8 * 1_024 + 1));
     assert!(
         memo_delta(&before, "evictions") > 0,
         "8,193 fresh names into 8×1,024 slots must evict"

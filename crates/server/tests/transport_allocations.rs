@@ -2,8 +2,8 @@
 //! memo hit, from parsing the datagram through [`Server::respond_into`],
 //! allocates nothing, whether the stored answer fits or is rewritten into
 //! its truncated form, and whether or not the hit spells the qname as the
-//! query that filled the entry did; a fresh denial miss allocates only what
-//! the memo keeps of it.
+//! query that filled the entry did; a fresh denial miss allocates nothing
+//! on its first sighting and only what the memo keeps of it on its second.
 //! Its own test binary: the counting allocator is process-wide, and it
 //! counts only on the thread that switched it on.
 
@@ -80,8 +80,11 @@ fn transport_memo_hits_allocate_nothing() {
     ] {
         let (qtype, udp_size) = (RrType::A, 1232);
         let mut buf = Vec::new();
+        // Two misses: the memo stores an answer on its key's second one.
         let miss = query(1, spellings[0], qtype, udp_size);
-        assert!(server.respond_into(&MessageView::parse(&miss).unwrap(), limit, &mut buf));
+        for _ in 0..2 {
+            assert!(server.respond_into(&MessageView::parse(&miss).unwrap(), limit, &mut buf));
+        }
         for spelling in spellings {
             // The hit comes under another id, so the id stamp is exercised.
             let hit = query(0xBEEF, spelling, qtype, udp_size);
@@ -105,10 +108,17 @@ fn transport_memo_hits_allocate_nothing() {
 
 /// A miss resolves straight into the send buffer: it builds no `Message`
 /// and no `Name`, and the denial proofs are copied from the zone index.
-/// What it allocates is what the memo keeps (the stored answer and its
-/// key) plus, here, the shard's table on its first insert: three, however
-/// deep the name and however many proof records go out. An out-of-zone
-/// REFUSED is not memoized and allocates nothing.
+/// The memo stores an answer on its key's second miss only, so what a miss
+/// allocates depends on the sighting, however deep the name and however
+/// many proof records go out:
+/// - a first sighting allocates nothing once its shard has a doorkeeper,
+///   and one allocation, the doorkeeper table, on a cold shard;
+/// - a second sighting allocates what the memo keeps: the stored answer,
+///   its key and, here, the shard's entry table on its first insert, 3.
+///
+/// The counts are the same when the answer goes out truncated: a miss's
+/// answer is truncated in the send buffer. An out-of-zone REFUSED is not
+/// memoized and allocates nothing.
 #[test]
 fn fresh_denial_misses_allocate_what_the_memo_keeps() {
     let server = |label: &str| -> &Server {
@@ -118,61 +128,71 @@ fn fresh_denial_misses_allocate_what_the_memo_keeps() {
             .expect("the variant")
             .1
     };
+    // Per case: the cold first sighting, a first sighting on the same
+    // shard (the same name under another EDNS size), the second sighting.
     for (label, warm, (qname, qtype), want) in [
         (
             "nsec3",
             "warm.example.com",
             ("fresh.example.com", RrType::A),
-            3,
+            [1, 0, 3],
         ),
         (
             "nsec3",
             "warm.www.example.com",
             ("a.b.c.fresh.www.example.com", RrType::A),
-            3,
+            [1, 0, 3],
         ),
         (
             "nsec3",
             "www.example.com",
             ("www.example.com", RrType::Txt),
-            3,
+            [1, 0, 3],
         ),
         (
             "nsec",
             "warm.example.com",
             ("fresh.example.com", RrType::A),
-            3,
+            [1, 0, 3],
         ),
         (
             "nsec",
             "www.example.com",
             ("www.example.com", RrType::Txt),
-            3,
+            [1, 0, 3],
         ),
         (
             "nsec3",
             "warm.nowhere.test",
             ("fresh.nowhere.test", RrType::A),
-            0,
+            [0, 0, 0],
         ),
     ] {
-        // A cold memo and index; the index is built, and the closest
-        // encloser's hashes kept, by a miss of the same class that does not
-        // touch the memo.
-        let server = server(label).clone();
-        let warm = query(1, warm, RrType::Mx, 1232);
-        server.handle_view(&MessageView::parse(&warm).unwrap());
-        let miss = query(2, qname, qtype, 1232);
-        let view = MessageView::parse(&miss).unwrap();
-        let mut buf = Vec::with_capacity(4096);
-        let mut sent = false;
-        let allocs = allocations(|| sent = server.respond_into(&view, 1232, &mut buf));
-        assert!(sent);
-        assert_eq!(allocs, want, "{label} {qname}/{qtype:?}");
-        let answer = wire::decode(&buf).unwrap();
-        assert!(
-            answer.answers.is_empty(),
-            "{label} {qname}/{qtype:?} denies"
-        );
+        for limit in [1232, 256] {
+            // A cold memo and index; the index is built, and the closest
+            // encloser's hashes kept, by a miss of the same class that does
+            // not touch the memo.
+            let server = server(label).clone();
+            let warm = query(1, warm, RrType::Mx, 1232);
+            server.handle_view(&MessageView::parse(&warm).unwrap());
+            let first = query(2, qname, qtype, 1232);
+            let other_size = query(3, qname, qtype, 4096);
+            let mut buf = Vec::with_capacity(4096);
+            for ((sighting, miss), want) in ["cold first", "first", "second"]
+                .into_iter()
+                .zip([&first, &other_size, &first])
+                .zip(want)
+            {
+                let view = MessageView::parse(miss).unwrap();
+                let mut sent = false;
+                let allocs = allocations(|| sent = server.respond_into(&view, limit, &mut buf));
+                assert!(sent);
+                let case = format!("{label} {qname}/{qtype:?} limit {limit}");
+                assert_eq!(allocs, want, "{case}: {sighting} sighting");
+                assert!(buf.len() <= limit, "{case}: fits");
+                let answer = wire::decode(&buf).unwrap();
+                assert!(answer.answers.is_empty(), "{case}: denies");
+            }
+        }
     }
 }

@@ -2,7 +2,7 @@
 //! [`Server::respond_into`] writes for a query are exactly the bytes of the
 //! reference answer ([`Server::handle_uncached`]) encoded, with the query's
 //! id and qname spelling, and truncated by the UDP rule when they do not
-//! fit — on a memo miss and on a hit, for every zone variant, behavior and
+//! fit — on memo misses and on a hit, for every zone variant, behavior and
 //! EDNS state.
 
 mod common;
@@ -52,8 +52,9 @@ fn respell(rng: &mut StdRng, qname: &Name) -> Name {
     name(&spelled)
 }
 
-/// Every query, asked twice (miss, then hit under another id and another
-/// qname spelling), through UDP and TCP limits, writes the oracle's bytes.
+/// Every query, asked three times (two misses, the second of which stores
+/// the answer, then a hit under another id and another qname spelling),
+/// through UDP and TCP limits, writes the oracle's bytes.
 #[test]
 fn transport_bytes_equal_encoded_in_process_answers() {
     check(
@@ -68,10 +69,10 @@ fn transport_bytes_equal_encoded_in_process_answers() {
                 _ => ServerBehavior::Normal,
             };
             let query = random_query(rng);
-            for round in 0..2u16 {
+            for round in 0..3u16 {
                 let mut q = query.clone();
                 q.id = query.id.wrapping_add(round * 0x1111);
-                if let Some(question) = q.question.as_mut().filter(|_| round == 1) {
+                if let Some(question) = q.question.as_mut().filter(|_| round == 2) {
                     question.qname = respell(rng, &question.qname);
                 }
                 let oracle = server.handle_uncached(&q);
@@ -93,7 +94,8 @@ fn transport_bytes_equal_encoded_in_process_answers() {
 
 /// `truncate_into` on an encoded message writes that message encoded with
 /// TC set and its record sections cleared, whatever its flags, sections
-/// and EDNS state, and rejects any cut-short prefix of it.
+/// and EDNS state, and rejects any cut-short prefix of it; so does
+/// `truncate_in_place` on the message's own buffer.
 #[test]
 fn truncate_into_equals_encoding_the_cleared_message() {
     check(
@@ -118,12 +120,19 @@ fn truncate_into_equals_encoding_the_cleared_message() {
                 wire::truncate_into(&full[..cut], &mut out).is_err(),
                 "cut at {cut}"
             );
+            assert!(
+                wire::truncate_in_place(&mut full[..cut].to_vec()).is_err(),
+                "in place, cut at {cut}"
+            );
             wire::truncate_into(&full, &mut out).expect("encoded message");
+            let mut in_place = full.clone();
+            wire::truncate_in_place(&mut in_place).expect("encoded message");
             m.flags.tc = true;
             m.answers.clear();
             m.authorities.clear();
             m.additionals.clear();
             assert_eq!(out, wire::encode(&m), "q={:?}", query.question);
+            assert_eq!(in_place, out, "in place, q={:?}", query.question);
         },
     );
 }
